@@ -51,14 +51,9 @@
  * resume and zero-allocation assertions live on each iteration — a
  * cheap endurance gate for the allocation-free resume path.
  *
- * Usage:
- *   micro_scheduler_bench [--repeats N] [--quick]
- *                         [--out bench_results.json]
- *                         [--baseline old_results.json]
- *                         [--require-speedup X]
- *                         [--require-delta-speedup X]
- *                         [--soak N]
- *                         [--assert-zero-allocs]
+ * Usage: `micro_scheduler_bench --help` prints the flags (kUsage) and
+ * exits 0; a bad or unknown argument prints the error and the usage and
+ * exits 2.
  *
  * With --baseline, each record gains speedup_vs_baseline against the
  * matching (suite, name, qubits) entry of the old file, and the summary
@@ -594,6 +589,15 @@ printRecord(const char *tier, const BenchRecord &record,
                 speedup_cell.c_str(), allocs_cell);
 }
 
+const char *const kUsage =
+    "usage: micro_scheduler_bench [--repeats N] [--quick]\n"
+    "                             [--out bench_results.json]\n"
+    "                             [--baseline old_results.json]\n"
+    "                             [--require-speedup X]\n"
+    "                             [--require-delta-speedup X]\n"
+    "                             [--soak N]\n"
+    "                             [--assert-zero-allocs]\n";
+
 } // namespace
 
 int
@@ -607,68 +611,85 @@ main(int argc, char **argv)
     int soak = 0;
     bool assert_zero_allocs = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                fatal("missing value after " + arg);
-            return argv[++i];
-        };
-        if (arg == "--repeats") {
-            repeats = std::atoi(next().c_str());
-            if (repeats < 1)
-                fatal("--repeats must be >= 1");
-        } else if (arg == "--quick") {
-            repeats = 2;
-        } else if (arg == "--out") {
-            out_path = next();
-        } else if (arg == "--baseline") {
-            baseline_path = next();
-        } else if (arg == "--assert-zero-allocs") {
-            assert_zero_allocs = true;
-        } else if (arg == "--require-speedup") {
-            // Strict parse: atof would turn a typo into 0.0 and
-            // silently disable the CI gate.
-            const std::string value = next();
-            char *end = nullptr;
-            require_speedup = std::strtod(value.c_str(), &end);
-            if (end == value.c_str() || *end != '\0' ||
-                require_speedup <= 0.0)
-                fatal("--require-speedup wants a positive number, got `" +
-                      value + "`");
-        } else if (arg == "--require-delta-speedup") {
-            const std::string value = next();
-            char *end = nullptr;
-            require_delta_speedup = std::strtod(value.c_str(), &end);
-            if (end == value.c_str() || *end != '\0' ||
-                require_delta_speedup <= 0.0)
-                fatal("--require-delta-speedup wants a positive number, "
-                      "got `" + value + "`");
-        } else if (arg == "--soak") {
-            soak = std::atoi(next().c_str());
-            if (soak < 1)
-                fatal("--soak must be >= 1");
-        } else {
-            fatal("unknown argument: " + arg + " (see the file header "
-                  "for usage)");
+    // A bad command line is the caller's error: fatal() prints it, the
+    // usage follows and the exit code is 2 (never an uncaught throw).
+    bool help = false;
+    const auto parse_args = [&] {
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            auto next = [&]() -> std::string {
+                if (i + 1 >= argc)
+                    fatal("missing value after " + arg);
+                return argv[++i];
+            };
+            if (arg == "--repeats") {
+                repeats = std::atoi(next().c_str());
+                if (repeats < 1)
+                    fatal("--repeats must be >= 1");
+            } else if (arg == "--quick") {
+                repeats = 2;
+            } else if (arg == "--out") {
+                out_path = next();
+            } else if (arg == "--baseline") {
+                baseline_path = next();
+            } else if (arg == "--assert-zero-allocs") {
+                assert_zero_allocs = true;
+            } else if (arg == "--require-speedup") {
+                // Strict parse: atof would turn a typo into 0.0 and
+                // silently disable the CI gate.
+                const std::string value = next();
+                char *end = nullptr;
+                require_speedup = std::strtod(value.c_str(), &end);
+                if (end == value.c_str() || *end != '\0' ||
+                    require_speedup <= 0.0)
+                    fatal("--require-speedup wants a positive number, got `" +
+                          value + "`");
+            } else if (arg == "--require-delta-speedup") {
+                const std::string value = next();
+                char *end = nullptr;
+                require_delta_speedup = std::strtod(value.c_str(), &end);
+                if (end == value.c_str() || *end != '\0' ||
+                    require_delta_speedup <= 0.0)
+                    fatal("--require-delta-speedup wants a positive number, "
+                          "got `" + value + "`");
+            } else if (arg == "--soak") {
+                soak = std::atoi(next().c_str());
+                if (soak < 1)
+                    fatal("--soak must be >= 1");
+            } else if (arg == "--help" || arg == "-h") {
+                help = true;
+                return;
+            } else {
+                fatal("unknown argument: " + arg);
+            }
         }
-    }
 
-    // The gate must never pass vacuously: demanding a speedup with no
-    // baseline to compare against is a misconfiguration, not a pass.
-    if (require_speedup > 0.0 && baseline_path.empty())
-        fatal("--require-speedup needs --baseline <old_results.json>");
+        // The gate must never pass vacuously: demanding a speedup with no
+        // baseline to compare against is a misconfiguration, not a pass.
+        if (require_speedup > 0.0 && baseline_path.empty())
+            fatal("--require-speedup needs --baseline <old_results.json>");
+
+        // Allocation accounting only works when the steady state is
+        // actually reached: the second repeat reuses the first's warm
+        // arena. --quick already guarantees 2.
+        if (assert_zero_allocs && repeats < 2)
+            fatal("--assert-zero-allocs needs --repeats >= 2 (the first "
+                  "repeat warms the workspace)");
+    };
+    try {
+        parse_args();
+    } catch (const MusstiFault &) {
+        std::fputs(kUsage, stderr);
+        return 2;
+    }
+    if (help) {
+        std::fputs(kUsage, stdout);
+        return 0;
+    }
 
     std::vector<BenchRecord> baseline;
     if (!baseline_path.empty())
         baseline = readBenchResults(baseline_path);
-
-    // Allocation accounting only works when the steady state is
-    // actually reached: the second repeat reuses the first's warm
-    // arena. --quick already guarantees 2.
-    if (assert_zero_allocs && repeats < 2)
-        fatal("--assert-zero-allocs needs --repeats >= 2 (the first "
-              "repeat warms the workspace)");
 
     std::cout << "micro_scheduler_bench: full-compile wall time, best of "
               << repeats << " repeats\n";

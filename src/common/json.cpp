@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <optional>
 
 #include "common/logging.h"
@@ -165,6 +166,32 @@ JsonReader::parseNumber()
                    "JSON malformed number `" << token
                    << "` at offset " << start);
     return *value;
+}
+
+std::uint64_t
+JsonReader::parseUnsigned()
+{
+    skipWs();
+    const std::size_t start = pos_;
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    std::uint64_t value = 0;
+    while (pos_ < text_.size() &&
+           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
+        const auto digit = static_cast<std::uint64_t>(text_[pos_] - '0');
+        MUSSTI_REQUIRE(value <= (kMax - digit) / 10,
+                       "JSON integer overflows u64 at offset " << start);
+        value = value * 10 + digit;
+        ++pos_;
+    }
+    MUSSTI_REQUIRE(pos_ > start, "JSON expected an unsigned integer at "
+                   "offset " << start);
+    MUSSTI_REQUIRE(text_[start] != '0' || pos_ == start + 1,
+                   "JSON integer with a leading zero at offset " << start);
+    const char next = pos_ < text_.size() ? text_[pos_] : ' ';
+    MUSSTI_REQUIRE(next != '.' && next != 'e' && next != 'E',
+                   "JSON expected an integer, got a fraction or exponent "
+                   "at offset " << start);
+    return value;
 }
 
 bool

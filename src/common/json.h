@@ -10,6 +10,7 @@
 #ifndef MUSSTI_COMMON_JSON_H
 #define MUSSTI_COMMON_JSON_H
 
+#include <cstdint>
 #include <string>
 
 namespace mussti {
@@ -49,6 +50,13 @@ class JsonReader
 
     /** Parse a strict base-10 number (fatal on stod-rejected forms). */
     double parseNumber();
+
+    /**
+     * Parse a non-negative integer exactly as a u64, for values a double
+     * would round past 2^53. Fatal on a sign, fraction, exponent,
+     * leading zero, or a value above UINT64_MAX.
+     */
+    std::uint64_t parseUnsigned();
 
     /** Parse a bare `true`/`false` literal. */
     bool parseBool();

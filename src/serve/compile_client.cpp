@@ -37,6 +37,7 @@ CompileClient::connect(const std::string &host, int port)
         ::close(fd);
         return false;
     }
+    setTcpNoDelay(fd); // Pipelined requests must not wait on ACKs.
     fd_ = fd;
     return true;
 }

@@ -149,6 +149,9 @@ CompileServer::acceptLoop()
                 continue;
             break; // Listen socket shut down (stop() or SIGTERM path).
         }
+        // Responses stream out while earlier ones are still unacked;
+        // under Nagle each would wait for the client's delayed ACK.
+        setTcpNoDelay(fd);
         std::lock_guard<std::mutex> lock(sessionsMutex_);
         if (stopping_.load()) {
             ::close(fd); // Lost the race against stop().

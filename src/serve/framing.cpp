@@ -3,8 +3,11 @@
 #include <cerrno>
 #include <cstdint>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/types.h>
+#include <sys/uio.h>
 
 namespace mussti {
 
@@ -33,25 +36,14 @@ recvAll(int fd, char *buffer, std::size_t len)
     return 1;
 }
 
-bool
-sendAll(int fd, const char *buffer, std::size_t len)
-{
-    std::size_t sent = 0;
-    while (sent < len) {
-        const ssize_t n =
-            ::send(fd, buffer + sent, len - sent, MSG_NOSIGNAL);
-        if (n > 0) {
-            sent += static_cast<std::size_t>(n);
-            continue;
-        }
-        if (n < 0 && errno == EINTR)
-            continue;
-        return false;
-    }
-    return true;
-}
-
 } // namespace
+
+bool
+setTcpNoDelay(int fd)
+{
+    const int one = 1;
+    return ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one) == 0;
+}
 
 bool
 writeFrame(int fd, const std::string &payload)
@@ -65,11 +57,45 @@ writeFrame(int fd, const std::string &payload)
         static_cast<char>((len >> 8) & 0xff),
         static_cast<char>(len & 0xff),
     };
-    // Two sends, not one coalesced buffer: the frames are small relative
-    // to compile latency, and the kernel coalesces anyway (no TCP_NODELAY
-    // games needed at this request rate).
-    return sendAll(fd, prefix, sizeof prefix) &&
-           sendAll(fd, payload.data(), payload.size());
+    // The latency contract: one syscall per frame, TCP_NODELAY on both
+    // ends. Each closes a different Nagle stall:
+    // - One sendmsg for prefix and payload. With two sends the payload
+    //   queues behind the unacknowledged 4-byte prefix, and a socket with
+    //   Nagle on holds it until the peer's delayed ACK (~40 ms on Linux).
+    //   This is the only fix that reaches a client which never sets
+    //   TCP_NODELAY itself.
+    // - TCP_NODELAY (setTcpNoDelay, set by the server on every accepted
+    //   socket and by CompileClient). Under Nagle even a one-write frame
+    //   waits while an earlier frame is unacknowledged, which streamed and
+    //   pipelined responses hit constantly.
+    iovec iov[2] = {
+        {prefix, sizeof prefix},
+        {const_cast<char *>(payload.data()), payload.size()},
+    };
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = 2;
+    while (msg.msg_iovlen > 0) {
+        const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+        if (n <= 0) {
+            if (n < 0 && errno == EINTR)
+                continue;
+            return false;
+        }
+        // Short write: drop the iovecs sent in full, trim the partial one.
+        auto sent = static_cast<std::size_t>(n);
+        while (msg.msg_iovlen > 0 && sent >= msg.msg_iov->iov_len) {
+            sent -= msg.msg_iov->iov_len;
+            ++msg.msg_iov;
+            --msg.msg_iovlen;
+        }
+        if (msg.msg_iovlen > 0) {
+            msg.msg_iov->iov_base =
+                static_cast<char *>(msg.msg_iov->iov_base) + sent;
+            msg.msg_iov->iov_len -= sent;
+        }
+    }
+    return true;
 }
 
 bool

@@ -8,9 +8,12 @@
  * deliberately separate layers — the framing never inspects the JSON,
  * and the protocol never sees partial reads.
  *
- * Both directions are loop-until-complete over recv/send with EINTR
- * retry and MSG_NOSIGNAL (a peer hanging up mid-frame is a false
- * return, never a SIGPIPE kill). An oversized length prefix is
+ * Both directions are loop-until-complete with EINTR retry and
+ * MSG_NOSIGNAL (a peer hanging up mid-frame is a false return, never a
+ * SIGPIPE kill). A frame is written with one sendmsg of the prefix and
+ * payload, resumed after a short write, and both ends of a daemon
+ * connection set TCP_NODELAY: together they keep Nagle's algorithm off
+ * the request path (see writeFrame). An oversized length prefix is
  * rejected before any allocation.
  */
 #ifndef MUSSTI_SERVE_FRAMING_H
@@ -25,8 +28,18 @@ namespace mussti {
 constexpr std::size_t kMaxFrameBytes = 64u << 20;
 
 /**
- * Write one frame. False on any socket error (peer gone, fd closed);
- * never throws, never raises SIGPIPE.
+ * Turn off Nagle's algorithm on a TCP socket so every frame leaves as
+ * soon as it is written. Called by both ends of a daemon connection.
+ * False if the option cannot be set (e.g. not a TCP socket); the
+ * connection still works, only with Nagle's delays.
+ */
+bool setTcpNoDelay(int fd);
+
+/**
+ * Write one frame with a single sendmsg (looped only on a short write).
+ * False on any socket error (peer gone, fd closed) or a payload over
+ * kMaxFrameBytes, in which case nothing is written; never throws, never
+ * raises SIGPIPE.
  */
 bool writeFrame(int fd, const std::string &payload);
 

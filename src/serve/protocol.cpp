@@ -124,8 +124,7 @@ decodeRequest(const std::string &text, ServeRequest &request)
                     else
                         return false;
                 } else if (key == "id") {
-                    decoded.id =
-                        static_cast<std::uint64_t>(p.parseNumber());
+                    decoded.id = p.parseUnsigned();
                 } else if (key == "client") {
                     decoded.client = p.parseString();
                 } else if (key == "family") {
@@ -222,8 +221,7 @@ decodeResponse(const std::string &text, ServeResponse &response)
                 const std::string key = p.parseString();
                 p.expect(':');
                 if (key == "id") {
-                    decoded.id =
-                        static_cast<std::uint64_t>(p.parseNumber());
+                    decoded.id = p.parseUnsigned();
                 } else if (key == "ok") {
                     decoded.ok = p.parseBool();
                 } else if (key == "attempts") {

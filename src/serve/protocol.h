@@ -21,9 +21,11 @@
  *
  * Numeric hygiene: u64 values (seed, fingerprint) are wire-encoded as
  * strings (decimal / "0x" hex) because JSON numbers are doubles and lose
- * bits past 2^53. Decoders treat any malformed payload as a recoverable
- * error (decode functions return false), never a crash — a hostile or
- * buggy peer cannot take the server down.
+ * bits past 2^53. The `id` stays a bare JSON number, but its digits are
+ * parsed exactly as an integer (a sign, fraction, exponent or value
+ * above UINT64_MAX is a bad frame). Decoders treat any malformed payload
+ * as a recoverable error (decode functions return false), never a crash
+ * — a hostile or buggy peer cannot take the server down.
  */
 #ifndef MUSSTI_SERVE_PROTOCOL_H
 #define MUSSTI_SERVE_PROTOCOL_H

@@ -1,27 +1,41 @@
 /**
  * @file
  * End-to-end tests of the serving stack (src/serve/): protocol
- * round-trips, a real daemon on a loopback ephemeral port, the
- * determinism contract (server fingerprint == local compile), the
+ * round-trips (u64 ids exact), framing under short writes, a real
+ * daemon on a loopback ephemeral port, warm round trips free of Nagle
+ * stalls, the determinism contract (server fingerprint == local
+ * compile), the
  * persistent disk tier across a server restart, structured error
  * responses, deadline enforcement under load, fair admission keeping a
  * sweep from starving an interactive client, and graceful drain.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <thread>
-#include <unistd.h>
 #include <vector>
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <pthread.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include "baselines/backend_factory.h"
 #include "common/logging.h"
 #include "core/pipeline.h"
 #include "serve/compile_client.h"
 #include "serve/compile_server.h"
+#include "serve/framing.h"
 #include "serve/protocol.h"
 #include "workloads/workloads.h"
 
@@ -197,6 +211,113 @@ TEST(ServeProtocol, MalformedPayloadsAreRejectedNotFatal)
     EXPECT_EQ(request.qubits, 8);
 }
 
+TEST(ServeProtocol, IdsPast2To53RoundTripExactly)
+{
+    // A double holds 53 bits: 2^53+1 and UINT64_MAX both round.
+    for (const std::uint64_t id :
+         {std::uint64_t{(1ull << 53) + 1},
+          std::numeric_limits<std::uint64_t>::max()}) {
+        ServeRequest request = familyRequest("ghz", 8);
+        request.id = id;
+        ServeRequest decodedRequest;
+        ASSERT_TRUE(decodeRequest(encodeRequest(request), decodedRequest));
+        EXPECT_EQ(decodedRequest.id, id);
+
+        ServeResponse response;
+        response.id = id;
+        response.ok = true;
+        ServeResponse decodedResponse;
+        ASSERT_TRUE(
+            decodeResponse(encodeResponse(response), decodedResponse));
+        EXPECT_EQ(decodedResponse.id, id);
+    }
+}
+
+TEST(ServeProtocol, NonU64IdsAreBadFrames)
+{
+    for (const std::string id :
+         {"-1", "1.5", "1e3", "18446744073709551616", "007", "\"5\""}) {
+        const std::string request = "{\"type\":\"stats\",\"id\":" + id + "}";
+        ServeRequest decodedRequest;
+        EXPECT_FALSE(decodeRequest(request, decodedRequest)) << request;
+        const std::string response = "{\"id\":" + id + ",\"ok\":true}";
+        ServeResponse decodedResponse;
+        EXPECT_FALSE(decodeResponse(response, decodedResponse)) << response;
+    }
+}
+
+std::atomic<int> wakeSignals{0};
+
+void
+onWakeSignal(int)
+{
+    wakeSignals.fetch_add(1, std::memory_order_relaxed);
+}
+
+TEST(ServeFraming, ShortWritesRoundTripByteForByte)
+{
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    const int small = 4096;
+    ::setsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &small, sizeof small);
+    ::setsockopt(fds[1], SOL_SOCKET, SO_RCVBUF, &small, sizeof small);
+
+    std::string payload(8u << 20, '\0');
+    for (std::size_t i = 0; i < payload.size(); ++i)
+        payload[i] = static_cast<char>((i * 131) ^ (i >> 13));
+
+    // A blocking sendmsg returns short only when a signal interrupts it
+    // after some bytes went out (and fails with EINTR when none did). Keep
+    // interrupting the writer, via a handler without SA_RESTART, while a
+    // concurrent reader drains the small buffers: writeFrame must resume
+    // mid-iovec every time.
+    struct sigaction wake {};
+    struct sigaction previous {};
+    wake.sa_handler = onWakeSignal;
+    sigemptyset(&wake.sa_mask);
+    ASSERT_EQ(::sigaction(SIGUSR1, &wake, &previous), 0);
+    wakeSignals = 0;
+
+    std::string received;
+    bool read_ok = false;
+    std::thread reader([&] { read_ok = readFrame(fds[1], received); });
+    std::atomic<bool> written{false};
+    bool write_ok = false;
+    std::thread writer([&] {
+        write_ok = writeFrame(fds[0], payload);
+        written = true;
+    });
+    while (!written.load()) {
+        ::pthread_kill(writer.native_handle(), SIGUSR1);
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    writer.join();
+    reader.join();
+    ::sigaction(SIGUSR1, &previous, nullptr);
+
+    EXPECT_GT(wakeSignals.load(), 0);
+    EXPECT_TRUE(write_ok);
+    ASSERT_TRUE(read_ok);
+    EXPECT_TRUE(received == payload) << "payload corrupted in transit";
+
+    // An empty frame is a bare prefix and keeps the stream in step.
+    ASSERT_TRUE(writeFrame(fds[0], ""));
+    ASSERT_TRUE(writeFrame(fds[0], "next"));
+    ASSERT_TRUE(readFrame(fds[1], received));
+    EXPECT_EQ(received, "");
+    ASSERT_TRUE(readFrame(fds[1], received));
+    EXPECT_EQ(received, "next");
+
+    // An oversized frame is refused before a single byte is sent.
+    EXPECT_FALSE(writeFrame(fds[0], std::string(kMaxFrameBytes + 1, 'x')));
+    char byte = 0;
+    EXPECT_EQ(::recv(fds[1], &byte, 1, MSG_DONTWAIT), -1);
+    EXPECT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK);
+
+    ::close(fds[0]);
+    ::close(fds[1]);
+}
+
 TEST(Serve, CompileMatchesALocalCompileBitForBit)
 {
     CompileServerConfig config;
@@ -236,6 +357,122 @@ TEST(Serve, CompileMatchesALocalCompileBitForBit)
     EXPECT_GE(counter(stats, "cache_hits"), 1);
     EXPECT_GE(counter(stats, "admission_completed"), 2);
 
+    server.stop();
+}
+
+/** A raw loopback client socket with Nagle left on, as perfbench uses. */
+int
+connectWithNagle(int port)
+{
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0)
+        return -1;
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    if (::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
+                  sizeof addr) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+TEST(Serve, WarmRoundTripsDoNotWaitOnNagle)
+{
+    CompileServerConfig config;
+    config.port = 0;
+    CompileServer server(config);
+    ASSERT_TRUE(server.start());
+    const int fd = connectWithNagle(server.port());
+    ASSERT_GE(fd, 0);
+
+    const auto round_trip_ms = [fd](std::uint64_t id) {
+        ServeRequest request = familyRequest("ghz", 16);
+        request.id = id;
+        const auto t0 = std::chrono::steady_clock::now();
+        std::string payload;
+        ServeResponse response;
+        const bool ok = writeFrame(fd, encodeRequest(request)) &&
+                        readFrame(fd, payload) &&
+                        decodeResponse(payload, response);
+        const double ms = std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+        EXPECT_TRUE(ok && response.ok && response.id == id);
+        return ms;
+    };
+
+    round_trip_ms(1); // The cold compile; every later request is a hit.
+    std::vector<double> samples;
+    for (std::uint64_t id = 2; id < 22; ++id)
+        samples.push_back(round_trip_ms(id));
+    std::nth_element(samples.begin(), samples.begin() + 10, samples.end());
+    // A Nagle stall waits for a delayed ACK: 20-40 ms per round trip.
+    // A request leaves the Nagle client at once only as one segment.
+    EXPECT_LT(samples[10], 10.0);
+
+    ::close(fd);
+    server.stop();
+}
+
+/** One frame's bytes (4-byte big-endian length, then the payload). */
+std::string
+frameBytes(const std::string &payload)
+{
+    const auto len = static_cast<std::uint32_t>(payload.size());
+    std::string bytes = {static_cast<char>(len >> 24),
+                         static_cast<char>(len >> 16),
+                         static_cast<char>(len >> 8),
+                         static_cast<char>(len)};
+    return bytes + payload;
+}
+
+TEST(Serve, PipelinedResponsesDoNotWaitOnNagle)
+{
+    CompileServerConfig config;
+    config.port = 0;
+    CompileServer server(config);
+    ASSERT_TRUE(server.start());
+    const int fd = connectWithNagle(server.port());
+    ASSERT_GE(fd, 0);
+
+    std::uint64_t next_id = 1;
+    const auto pair_ms = [fd, &next_id] {
+        // Two warm requests in one segment, so the request side cannot
+        // stall; the second response then leaves while the first is
+        // still unacknowledged, which only the server's TCP_NODELAY lets
+        // through without waiting for the client's delayed ACK.
+        std::string both;
+        for (int i = 0; i < 2; ++i) {
+            ServeRequest request = familyRequest("ghz", 16);
+            request.id = next_id++;
+            both += frameBytes(encodeRequest(request));
+        }
+        const auto t0 = std::chrono::steady_clock::now();
+        bool ok = ::send(fd, both.data(), both.size(), MSG_NOSIGNAL) ==
+                  static_cast<ssize_t>(both.size());
+        for (int i = 0; i < 2 && ok; ++i) {
+            std::string payload;
+            ServeResponse response;
+            ok = readFrame(fd, payload) &&
+                 decodeResponse(payload, response) && response.ok;
+        }
+        EXPECT_TRUE(ok);
+        return std::chrono::duration<double, std::milli>(
+                   std::chrono::steady_clock::now() - t0)
+            .count();
+    };
+
+    pair_ms(); // Cold compile of the key; every later request is a hit.
+    std::vector<double> samples;
+    for (int i = 0; i < 20; ++i)
+        samples.push_back(pair_ms());
+    std::nth_element(samples.begin(), samples.begin() + 10, samples.end());
+    EXPECT_LT(samples[10], 10.0);
+
+    ::close(fd);
     server.stop();
 }
 
