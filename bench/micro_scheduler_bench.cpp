@@ -226,7 +226,8 @@ measureMussti(const MusstiCompiler &compiler, const std::string &suite,
 
     for (int rep = 0; rep < repeats; ++rep) {
         const auto t0 = std::chrono::steady_clock::now();
-        const CompileResult result = compiler.compile(qc, workspace);
+        const CompileResult result =
+            compiler.compile(qc, {.workspace = workspace});
         const auto t1 = std::chrono::steady_clock::now();
         const double wall_ms = toMs(t1 - t0);
         if (record.wallMs < 0.0 || wall_ms < record.wallMs) {

@@ -273,25 +273,16 @@ GridCompilerBase::makePipeline() const
 }
 
 CompileResult
-GridCompilerBase::compile(Circuit circuit) const
+GridCompilerBase::compile(Circuit circuit,
+                          const CompileOptions &options) const
 {
-    // The grid strategies are deterministic; the seed is unused but a
-    // value must flow to the context.
-    return makePipeline().compile(std::move(circuit), params_, 0);
-}
-
-CompileResult
-GridCompilerBase::compileControlled(
-    Circuit circuit, const std::optional<std::uint64_t> &seed,
-    const std::shared_ptr<SchedulerWorkspace> &workspace,
-    DeltaCompileIO &delta, const JobControl *control) const
-{
-    (void)seed;
-    (void)workspace;
-    delta.captured.clear();
-    delta.resumed = false;
+    if (options.delta != nullptr) {
+        options.delta->captured.clear();
+        options.delta->resumed = false;
+    }
+    // The seed is unused but a value must flow to the context.
     return makePipeline().compile(std::move(circuit), params_, 0, nullptr,
-                                  nullptr, control);
+                                  nullptr, options.control);
 }
 
 void

@@ -42,20 +42,15 @@ class GridCompilerBase : public ICompilerBackend
     GridCompilerBase(std::string name, const GridConfig &grid,
                      const PhysicalParams &params);
 
-    /** Compile a circuit and evaluate it on the grid device. */
-    CompileResult compile(Circuit circuit) const override;
-
     /**
-     * The grid strategies have no delta path (the candidates are
-     * ignored, nothing is captured), but deadlines/cancellation are
-     * honoured at every pass boundary of the pipeline.
+     * Compile a circuit and evaluate it on the grid device. The grid
+     * strategies are deterministic and have no scheduler arena or delta
+     * path: the seed and workspace are ignored, a delta exchange is left
+     * with nothing captured, and the control is checked at every pass
+     * boundary of the pipeline.
      */
-    CompileResult
-    compileControlled(Circuit circuit,
-                      const std::optional<std::uint64_t> &seed,
-                      const std::shared_ptr<SchedulerWorkspace> &workspace,
-                      DeltaCompileIO &delta,
-                      const JobControl *control) const override;
+    CompileResult compile(Circuit circuit,
+                          const CompileOptions &options = {}) const override;
 
     const std::string &name() const override { return name_; }
 

@@ -208,9 +208,9 @@ FairAdmission::dispatch(Dispatch item)
         std::move(item.job.request),
         [this, client = std::move(client),
          done = std::move(item.job.done)](CompileOutcome outcome) {
-            // Caller first (it streams the result), then bookkeeping,
-            // then the re-pump the freed budget may enable.
-            done(std::move(outcome));
+            // Bookkeeping first, so a client that has received the
+            // result also sees it counted; then the caller (it streams
+            // the result), then the re-pump the freed budget may enable.
             {
                 std::lock_guard<std::mutex> lock(mutex_);
                 auto it = clients_.find(client);
@@ -219,14 +219,16 @@ FairAdmission::dispatch(Dispatch item)
                 ++completed_;
                 // Hook accounting keeps drain() from returning (and the
                 // owner from destroying us) while this thread is still
-                // inside pump() below.
+                // inside the callback or pump() below.
                 ++activeHooks_;
             }
+            done(std::move(outcome));
             pump();
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                --activeHooks_;
-            }
+            // Notify under the lock: once drain() can observe zero
+            // hooks, the owner may destroy this object, so this thread
+            // must be done with the condition variable by then.
+            std::lock_guard<std::mutex> lock(mutex_);
+            --activeHooks_;
             idleCv_.notify_all();
         });
 }

@@ -17,7 +17,7 @@
  * deadlines, cancellation, Transient retry, caching, and shutdown-drain
  * semantics carry over unchanged — admission reorders dispatch, it
  * never touches execution. Schedules therefore stay bit-identical to a
- * direct compileAll at any interleaving: WHAT a job compiles to is
+ * direct batch compile at any interleaving: WHAT a job compiles to is
  * pinned by (circuit, config, seed); admission only decides WHEN it
  * starts.
  *
@@ -166,8 +166,9 @@ class FairAdmission
 
     /**
      * Completion hooks currently executing past their bookkeeping
-     * (inside the re-pump). drain() waits for zero so no callback
-     * thread still touches this object once the owner may destroy it.
+     * (inside the callback or the re-pump). drain() waits for zero so
+     * no callback thread still touches this object once the owner may
+     * destroy it.
      */
     std::size_t activeHooks_ = 0;
 

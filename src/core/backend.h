@@ -23,6 +23,43 @@ namespace mussti {
 
 struct SchedulerWorkspace; // core/scheduler_workspace.h
 
+/**
+ * Everything a caller may add to a compile besides the circuit. The
+ * defaults are a plain compile under the backend's configured seed.
+ */
+struct CompileOptions
+{
+    /**
+     * RNG seed for stochastic passes (the CompileService's per-job
+     * seeding hook); unset means the backend's configured seed.
+     * Deterministic backends ignore it.
+     */
+    std::optional<std::uint64_t> seed{};
+
+    /**
+     * Donated scheduler arena. The CompileService keeps one per worker
+     * thread, so consecutive jobs reuse warm buffers instead of
+     * re-growing them. Purely an allocation cache: the result is
+     * bit-identical without it, and backends without a scheduler hot
+     * path ignore it.
+     */
+    std::shared_ptr<SchedulerWorkspace> workspace{};
+
+    /**
+     * Delta-compilation exchange (may be null): resume candidates in,
+     * captured checkpoints out. The result is bit-identical whether or
+     * not a resume happens. Backends without a delta path leave it with
+     * nothing captured and `resumed == false`.
+     */
+    DeltaCompileIO *delta = nullptr;
+
+    /**
+     * Deadline/cancellation control (may be null = uncontrolled),
+     * checked at every pass boundary and inside the scheduler loops.
+     */
+    const JobControl *control = nullptr;
+};
+
 /** A configured compiler behind a uniform interface. */
 class ICompilerBackend
 {
@@ -32,91 +69,9 @@ class ICompilerBackend
     /** Stable backend identifier ("mussti", "murali", "dai", "mqt"). */
     virtual const std::string &name() const = 0;
 
-    /** Compile a circuit under the backend's configured seed. */
-    virtual CompileResult compile(Circuit circuit) const = 0;
-
-    /**
-     * compile() against a donated scheduler arena (see the seeded
-     * overload below for the reuse contract). Backends without a
-     * scheduler hot path ignore the arena.
-     */
+    /** Compile and evaluate a circuit; the only compile entry point. */
     virtual CompileResult
-    compile(Circuit circuit,
-            const std::shared_ptr<SchedulerWorkspace> &workspace) const
-    {
-        (void)workspace;
-        return compile(std::move(circuit));
-    }
-
-    /**
-     * Compile with an explicit RNG seed for stochastic passes (the
-     * CompileService's per-job seeding hook). Deterministic backends
-     * ignore the seed and must return the same result as compile().
-     */
-    virtual CompileResult
-    compileSeeded(Circuit circuit, std::uint64_t seed) const
-    {
-        (void)seed;
-        return compile(std::move(circuit));
-    }
-
-    /**
-     * compileSeeded with a donated scheduler arena. The CompileService
-     * keeps one workspace per worker thread and passes it here, so
-     * consecutive jobs on a worker reuse warm buffers instead of
-     * re-growing them per compilation. Purely an allocation cache: the
-     * result must be bit-identical to compileSeeded(circuit, seed), and
-     * backends without a scheduler hot path simply ignore the arena
-     * (this default).
-     */
-    virtual CompileResult
-    compileSeeded(Circuit circuit, std::uint64_t seed,
-                  const std::shared_ptr<SchedulerWorkspace> &workspace) const
-    {
-        (void)workspace;
-        return compileSeeded(std::move(circuit), seed);
-    }
-
-    /**
-     * Compile with a delta-compilation exchange: resume candidates in,
-     * captured checkpoints out (see DeltaCompileIO). `seed` absent means
-     * the backend's configured seed, matching compile(); present matches
-     * compileSeeded(). The result must be bit-identical to the
-     * corresponding plain call whether or not a resume happens. Backends
-     * without a delta path ignore the candidates and capture nothing
-     * (this default).
-     */
-    virtual CompileResult
-    compileDelta(Circuit circuit, const std::optional<std::uint64_t> &seed,
-                 const std::shared_ptr<SchedulerWorkspace> &workspace,
-                 DeltaCompileIO &delta) const
-    {
-        delta.captured.clear();
-        delta.resumed = false;
-        return seed.has_value()
-                   ? compileSeeded(std::move(circuit), *seed, workspace)
-                   : compile(std::move(circuit), workspace);
-    }
-
-    /**
-     * The full-service entry point: compileDelta plus a deadline/
-     * cancellation control the backend threads into its pipeline and
-     * scheduler loops. `control` may be null (uncontrolled). Backends
-     * that don't thread control any deeper still honour it at this
-     * boundary via the default's entry checkpoint; backends built on
-     * PassPipeline should override and pass it through so every pass
-     * boundary (and the routing loop) checks it.
-     */
-    virtual CompileResult
-    compileControlled(Circuit circuit,
-                      const std::optional<std::uint64_t> &seed,
-                      const std::shared_ptr<SchedulerWorkspace> &workspace,
-                      DeltaCompileIO &delta, const JobControl *control) const
-    {
-        if (control != nullptr)
-            control->checkpoint();
-        return compileDelta(std::move(circuit), seed, workspace, delta);
-    }
+    compile(Circuit circuit, const CompileOptions &options = {}) const = 0;
 
     /**
      * Digest of everything besides the circuit and the per-job seed that

@@ -117,34 +117,12 @@ CompileService::shutdown()
     workers_.clear();
 
     // Queued-but-never-started jobs resolve Cancelled — a shutdown must
-    // not abandon promises (a waiter would deadlock on a
+    // not leave a callback uncalled (a waiter would deadlock on a
     // broken_promise-free future) nor silently run work nobody awaits.
     for (Job &job : orphaned)
         deliver(std::move(job),
                 cancelledOutcome("compile service shut down before the "
                                  "job started"));
-}
-
-std::vector<CompileResult>
-CompileService::compileSweep(std::vector<CompileRequest> requests,
-                             std::uint64_t base_seed)
-{
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-        if (!requests[i].seed.has_value())
-            requests[i].seed = deriveJobSeed(base_seed, i);
-    }
-    return compileAll(std::move(requests));
-}
-
-std::vector<CompileOutcome>
-CompileService::compileSweepOutcomes(std::vector<CompileRequest> requests,
-                                     std::uint64_t base_seed)
-{
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-        if (!requests[i].seed.has_value())
-            requests[i].seed = deriveJobSeed(base_seed, i);
-    }
-    return compileAllOutcomes(std::move(requests));
 }
 
 std::uint64_t
@@ -171,26 +149,25 @@ CompileService::submit(CompileRequest request)
 {
     MUSSTI_REQUIRE(request.backend != nullptr,
                    "compile request without a backend");
-    Job job{std::move(request), {}, {}, false, {}};
-    std::future<CompileResult> future = job.promise.get_future();
-    enqueueOrCancel(std::move(job));
+    auto promise = std::make_shared<std::promise<CompileResult>>();
+    std::future<CompileResult> future = promise->get_future();
+    submitWithCallback(std::move(request), [promise](CompileOutcome outcome) {
+        if (outcome.ok())
+            promise->set_value(outcome.take());
+        else
+            promise->set_exception(outcome.errorInfo().toExceptionPtr());
+    });
     return future;
 }
 
 std::future<CompileOutcome>
 CompileService::submitOutcome(CompileRequest request)
 {
-    Job job{std::move(request), {}, {}, true, {}};
-    std::future<CompileOutcome> future = job.outcomePromise.get_future();
-    if (job.request.backend == nullptr) {
-        CompileOutcome outcome;
-        outcome.error = MusstiError(ErrorCategory::InvalidInput,
-                                    "input.no-backend",
-                                    "compile request without a backend");
-        deliver(std::move(job), std::move(outcome));
-        return future;
-    }
-    enqueueOrCancel(std::move(job));
+    auto promise = std::make_shared<std::promise<CompileOutcome>>();
+    std::future<CompileOutcome> future = promise->get_future();
+    submitWithCallback(std::move(request), [promise](CompileOutcome outcome) {
+        promise->set_value(std::move(outcome));
+    });
     return future;
 }
 
@@ -200,7 +177,7 @@ CompileService::submitWithCallback(CompileRequest request,
 {
     MUSSTI_REQUIRE(done != nullptr,
                    "submitWithCallback without a callback");
-    Job job{std::move(request), {}, {}, true, std::move(done)};
+    Job job{std::move(request), std::move(done)};
     if (job.request.backend == nullptr) {
         CompileOutcome outcome;
         outcome.error = MusstiError(ErrorCategory::InvalidInput,
@@ -225,24 +202,9 @@ CompileService::enqueueOrCancel(Job job)
     }
     // Submit after shutdown: resolve immediately instead of racing the
     // worker teardown — the caller gets a ready Cancelled outcome (or
-    // a future that throws it, on the legacy path).
+    // a future that throws it, through submit()).
     deliver(std::move(job),
             cancelledOutcome("submit after compile service shutdown"));
-}
-
-std::vector<CompileResult>
-CompileService::compileAll(std::vector<CompileRequest> requests)
-{
-    std::vector<std::future<CompileResult>> futures;
-    futures.reserve(requests.size());
-    for (CompileRequest &request : requests)
-        futures.push_back(submit(std::move(request)));
-
-    std::vector<CompileResult> results;
-    results.reserve(futures.size());
-    for (std::future<CompileResult> &future : futures)
-        results.push_back(future.get());
-    return results;
 }
 
 std::vector<CompileOutcome>
@@ -370,8 +332,11 @@ CompileService::compileOnce(
         delta.candidates = probeSnapshots(key, circuit);
     const bool had_candidates = !delta.candidates.empty();
 
-    CompileResult compiled = request.backend->compileControlled(
-        std::move(circuit), request.seed, workspace, delta, &control);
+    CompileResult compiled = request.backend->compile(
+        std::move(circuit), {.seed = request.seed,
+                             .workspace = workspace,
+                             .delta = &delta,
+                             .control = &control});
 
     if (tier_on) {
         if (delta.resumed) {
@@ -463,18 +428,7 @@ CompileService::deliver(Job job, CompileOutcome outcome)
         }
     }
 
-    if (job.callback) {
-        job.callback(std::move(outcome));
-        return;
-    }
-    if (job.tolerant) {
-        job.outcomePromise.set_value(std::move(outcome));
-        return;
-    }
-    if (outcome.ok())
-        job.promise.set_value(std::move(*outcome.result));
-    else
-        job.promise.set_exception(outcome.errorInfo().toExceptionPtr());
+    job.done(std::move(outcome));
 }
 
 std::optional<CompileResult>

@@ -14,7 +14,7 @@
  * (core/schedule_snapshot.h) keyed by (input PREFIX hash, config
  * digest, seed): when a submitted circuit shares a prefix with an
  * earlier compile, the matching snapshots ride into the backend's
- * compileDelta call as resume candidates, so the recompile costs time
+ * compile call as resume candidates, so the recompile costs time
  * proportional to the edited suffix instead of the whole circuit —
  * with a bit-identical result either way.
  *
@@ -86,8 +86,8 @@ struct CompileServiceConfig
     /**
      * Delta-compile checkpoints kept (LRU evicted); 0 disables the
      * snapshot tier entirely — jobs then run through the plain
-     * compile path. With the tier on, every job routes through
-     * ICompilerBackend::compileControlled with a delta exchange:
+     * compile path. With the tier on, every job's compile carries a
+     * delta exchange (CompileOptions::delta):
      * snapshots captured by past compiles are offered as resume
      * candidates to future jobs that share an input prefix (same
      * config digest and seed), turning an append-or-reparameterize
@@ -193,7 +193,8 @@ class CompileService
 
     /**
      * Enqueue one job; the future yields the result (or throws the
-     * structured error — a MusstiFault/MusstiPanic). After shutdown()
+     * structured error — a MusstiFault/MusstiPanic). A request without
+     * a backend raises InvalidInput here, at the call. After shutdown()
      * the future is immediately ready with a Cancelled error (it does
      * not race worker teardown).
      */
@@ -206,13 +207,6 @@ class CompileService
         return submit({std::move(backend), std::move(circuit), {}, {}, {}});
     }
 
-    std::future<CompileResult>
-    submit(std::shared_ptr<const ICompilerBackend> backend,
-           Circuit circuit, std::uint64_t seed)
-    {
-        return submit({std::move(backend), std::move(circuit), seed, {}, {}});
-    }
-
     /**
      * Enqueue one job on the error-tolerant path: the future always
      * yields a CompileOutcome and never throws — failures (including
@@ -222,26 +216,17 @@ class CompileService
     std::future<CompileOutcome> submitOutcome(CompileRequest request);
 
     /**
-     * Enqueue one job on the error-tolerant path with a completion
-     * callback instead of a future: `done` is invoked exactly once with
-     * the job's outcome, from whichever thread resolves it (a worker,
-     * or the submitting thread for immediate rejections). The hook the
-     * admission layer and the compile server stream results through —
-     * same queue, cache tiers, retry, deadline, and drain semantics as
-     * submitOutcome. The callback must not block for long and must not
-     * re-enter shutdown().
+     * Enqueue one job with a completion callback: `done` is invoked
+     * exactly once with the job's outcome, from whichever thread
+     * resolves it (a worker, or the submitting thread for immediate
+     * rejections such as a missing backend or a stopped service). This
+     * is the submission core — submit() and submitOutcome() are
+     * promise-fulfilling wrappers over it — and the hook the admission
+     * layer and the compile server stream results through. The callback
+     * must not block for long and must not re-enter shutdown().
      */
     void submitWithCallback(CompileRequest request,
                             std::function<void(CompileOutcome)> done);
-
-    /**
-     * Compile a batch, returning results in submission order. Jobs run
-     * concurrently across the pool; the call blocks until all finish.
-     * The first failed job's error is thrown (legacy all-or-nothing
-     * semantics); use compileAllOutcomes to keep the survivors.
-     */
-    std::vector<CompileResult>
-    compileAll(std::vector<CompileRequest> requests);
 
     /**
      * Error-tolerant batch: outcomes in submission order, one per
@@ -254,25 +239,6 @@ class CompileService
     compileAllOutcomes(std::vector<CompileRequest> requests);
 
     /**
-     * Batch sweep: compileAll with deterministic per-job seeding. Every
-     * request without an explicit seed gets deriveJobSeed(base_seed,
-     * index) — index being the request's position in the batch — so a
-     * sweep's results are a pure function of (requests, base_seed),
-     * independent of the pool's thread count and completion order.
-     * This is the fleet-sweep primitive the device tuner fans its
-     * (spec x workload) grid through; results come back in submission
-     * order.
-     */
-    std::vector<CompileResult>
-    compileSweep(std::vector<CompileRequest> requests,
-                 std::uint64_t base_seed);
-
-    /** Error-tolerant compileSweep (same seeding, outcomes per job). */
-    std::vector<CompileOutcome>
-    compileSweepOutcomes(std::vector<CompileRequest> requests,
-                         std::uint64_t base_seed);
-
-    /**
      * Stop the pool: reject new submissions (ready Cancelled outcomes),
      * resolve every still-queued job with a Cancelled outcome, signal
      * in-flight jobs through their cooperative shutdown checkpoint, and
@@ -283,7 +249,8 @@ class CompileService
     /**
      * Deterministic per-job seed derivation (SplitMix64 over the base
      * seed and job index) — independent of thread count and completion
-     * order, so seeded batches replay exactly.
+     * order. A sweep sets request i's seed to deriveJobSeed(base, i)
+     * before compileAllOutcomes, so it replays exactly.
      */
     static std::uint64_t deriveJobSeed(std::uint64_t base_seed,
                                        std::size_t job_index);
@@ -355,15 +322,14 @@ class CompileService
     CacheStats cacheStats() const;
 
   private:
+    /**
+     * A queued request and its one delivery path: submit() and
+     * submitOutcome() fulfil a promise from this callback.
+     */
     struct Job
     {
         CompileRequest request;
-        std::promise<CompileResult> promise;        ///< Legacy path.
-        std::promise<CompileOutcome> outcomePromise; ///< Tolerant path.
-        bool tolerant = false;
-
-        /** Set on the callback path; replaces both promises. */
-        std::function<void(CompileOutcome)> callback;
+        std::function<void(CompileOutcome)> done;
     };
 
     /** Result-tier coordinates (shared with core/result_cache.h). */
@@ -420,7 +386,7 @@ class CompileService
     /** Run one job to an outcome: cache, retry loop, delta exchange. */
     CompileOutcome runJob(CompileRequest &request);
 
-    /** One compile attempt through the delta/controlled path. */
+    /** One compile attempt, with the delta exchange and control. */
     CompileResult
     compileOnce(const CompileRequest &request, Circuit circuit,
                 const CacheKey &key,
@@ -428,9 +394,9 @@ class CompileService
                 const JobControl &control);
 
     /**
-     * Resolve the job's promise (whichever flavour) and book the
-     * failure/retry counters — the single accounting point every
-     * delivery funnels through.
+     * Book the failure/retry counters and hand the outcome to the job's
+     * callback — the single accounting point every delivery funnels
+     * through.
      */
     void deliver(Job job, CompileOutcome outcome);
 

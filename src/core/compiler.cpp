@@ -270,56 +270,12 @@ MusstiCompiler::makePipeline() const
 }
 
 CompileResult
-MusstiCompiler::compile(Circuit circuit) const
+MusstiCompiler::compile(Circuit circuit, const CompileOptions &options) const
 {
     return makePipeline().compile(std::move(circuit), params_,
-                                  config_.seed);
-}
-
-CompileResult
-MusstiCompiler::compile(
-    Circuit circuit,
-    const std::shared_ptr<SchedulerWorkspace> &workspace) const
-{
-    return makePipeline().compile(std::move(circuit), params_,
-                                  config_.seed, workspace);
-}
-
-CompileResult
-MusstiCompiler::compileSeeded(Circuit circuit, std::uint64_t seed) const
-{
-    return makePipeline().compile(std::move(circuit), params_, seed);
-}
-
-CompileResult
-MusstiCompiler::compileSeeded(
-    Circuit circuit, std::uint64_t seed,
-    const std::shared_ptr<SchedulerWorkspace> &workspace) const
-{
-    return makePipeline().compile(std::move(circuit), params_, seed,
-                                  workspace);
-}
-
-CompileResult
-MusstiCompiler::compileDelta(
-    Circuit circuit, const std::optional<std::uint64_t> &seed,
-    const std::shared_ptr<SchedulerWorkspace> &workspace,
-    DeltaCompileIO &delta) const
-{
-    return makePipeline().compile(std::move(circuit), params_,
-                                  seed.value_or(config_.seed), workspace,
-                                  &delta);
-}
-
-CompileResult
-MusstiCompiler::compileControlled(
-    Circuit circuit, const std::optional<std::uint64_t> &seed,
-    const std::shared_ptr<SchedulerWorkspace> &workspace,
-    DeltaCompileIO &delta, const JobControl *control) const
-{
-    return makePipeline().compile(std::move(circuit), params_,
-                                  seed.value_or(config_.seed), workspace,
-                                  &delta, control);
+                                  options.seed.value_or(config_.seed),
+                                  options.workspace, options.delta,
+                                  options.control);
 }
 
 const std::string &

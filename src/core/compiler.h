@@ -54,53 +54,16 @@ class MusstiCompiler : public ICompilerBackend
      */
     std::shared_ptr<const EmlDevice> deviceFor(const Circuit &circuit) const;
 
-    /** Compile and evaluate. */
-    CompileResult compile(Circuit circuit) const override;
-
-    /** Compile and evaluate against a donated scheduler arena. */
-    CompileResult
-    compile(Circuit circuit,
-            const std::shared_ptr<SchedulerWorkspace> &workspace)
-        const override;
-
-    /** Compile with the configured seed replaced (per-job seeding). */
-    CompileResult compileSeeded(Circuit circuit,
-                                std::uint64_t seed) const override;
-
     /**
-     * compileSeeded against a donated scheduler arena (see
-     * ICompilerBackend): the three SABRE legs and later compilations
-     * through the same workspace reuse warm buffers. Bit-identical to
-     * the workspace-less overload.
+     * Compile and evaluate (see ICompilerBackend). With a delta
+     * exchange and MusstiConfig::deltaCompile on, the scheduling pass
+     * tries to resume from the candidates and captures checkpoints per
+     * MusstiConfig::deltaCheckpointGates; a control is checkpointed at
+     * every pass boundary and every JobControl::checkEveryGates routing
+     * steps of each scheduler leg.
      */
-    CompileResult compileSeeded(
-        Circuit circuit, std::uint64_t seed,
-        const std::shared_ptr<SchedulerWorkspace> &workspace)
-        const override;
-
-    /**
-     * Compile with a delta-compilation exchange: when
-     * MusstiConfig::deltaCompile is on, the scheduling pass tries to
-     * resume from the candidates and captures checkpoints per
-     * MusstiConfig::deltaCheckpointGates. Bit-identical to
-     * compileSeeded(circuit, seed) / compile(circuit) either way.
-     */
-    CompileResult
-    compileDelta(Circuit circuit, const std::optional<std::uint64_t> &seed,
-                 const std::shared_ptr<SchedulerWorkspace> &workspace,
-                 DeltaCompileIO &delta) const override;
-
-    /**
-     * compileDelta plus cooperative deadline/cancellation: the control
-     * is checkpointed at every pass boundary and every
-     * JobControl::checkEveryGates routing steps of each scheduler leg.
-     */
-    CompileResult
-    compileControlled(Circuit circuit,
-                      const std::optional<std::uint64_t> &seed,
-                      const std::shared_ptr<SchedulerWorkspace> &workspace,
-                      DeltaCompileIO &delta,
-                      const JobControl *control) const override;
+    CompileResult compile(Circuit circuit,
+                          const CompileOptions &options = {}) const override;
 
     const std::string &name() const override;
 

@@ -207,8 +207,8 @@ tuneDeviceSpec(const TunerConfig &config, const SpecSearchSpace &space,
                    << outcome.candidates.front().infeasibleReason);
 
     // One sharded batch over the whole (feasible spec x workload) grid,
-    // seeded EXPLICITLY by flat job index (the seeds compileSweep would
-    // derive): a job retried in a later round recompiles under the seed
+    // seeded explicitly by flat job index (deriveJobSeed(baseSeed, i)):
+    // a job retried in a later round recompiles under the seed
     // of its original position, so the resolved outcome set is a pure
     // function of (requests, baseSeed) no matter which round each job
     // lands in — or how many faults fired along the way.

@@ -225,7 +225,7 @@ TEST(Admission, ResultsAreBitIdenticalToADirectBatch)
 {
     // The layering contract: admission reorders dispatch, never what a
     // job compiles to. Two clients interleaving through a multi-thread
-    // pool must fingerprint identically to a direct compileAll.
+    // pool must fingerprint identically to a direct batch compile.
     const std::vector<std::string> families = {"ghz", "bv", "qft",
                                                "adder"};
     std::vector<CompileRequest> direct;
@@ -237,9 +237,9 @@ TEST(Admission, ResultsAreBitIdenticalToADirectBatch)
     std::vector<std::uint64_t> want;
     {
         CompileService service{CompileServiceConfig{}};
-        for (CompileResult &result :
-             service.compileAll(std::move(direct)))
-            want.push_back(resultFingerprint(result));
+        for (const CompileOutcome &outcome :
+             service.compileAllOutcomes(std::move(direct)))
+            want.push_back(resultFingerprint(outcome.value()));
     }
 
     CompileServiceConfig service_config;

@@ -2,13 +2,15 @@
  * @file
  * Tests for the batch CompileService: N-thread batches bit-identical to
  * serial execution, deterministic per-job seeding independent of thread
- * count, result-cache behaviour, and error propagation through futures.
+ * count, result-cache behaviour, and error propagation through every
+ * delivery flavour (future, outcome future, callback).
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "baselines/backend_factory.h"
@@ -45,16 +47,16 @@ mixedBatch()
     std::vector<CompileRequest> requests;
     for (const char *family : {"adder", "ghz", "qft"}) {
         requests.push_back(
-            {makeMusstiBackend(), makeBenchmark(family, 30), {}});
+            {makeMusstiBackend(), makeBenchmark(family, 30), {}, {}, {}});
     }
     for (const auto &name : gridBackendNames()) {
         requests.push_back({makeGridBackend(name, grid),
-                            makeBenchmark("adder", 32), {}});
+                            makeBenchmark("adder", 32), {}, {}, {}});
     }
     requests.push_back(
-        {makeMusstiBackend(), makeBenchmark("bv", 64), {}});
+        {makeMusstiBackend(), makeBenchmark("bv", 64), {}, {}, {}});
     requests.push_back(
-        {makeMusstiBackend(), makeBenchmark("sqrt", 45), {}});
+        {makeMusstiBackend(), makeBenchmark("sqrt", 45), {}, {}, {}});
     return requests;
 }
 
@@ -73,10 +75,10 @@ TEST(CompileService, FourThreadBatchIdenticalToSerial)
     CompileService service(config);
     EXPECT_EQ(service.numThreads(), 4);
 
-    const auto parallel = service.compileAll(std::move(requests));
+    const auto parallel = service.compileAllOutcomes(std::move(requests));
     ASSERT_EQ(parallel.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i)
-        expectIdentical(parallel[i], serial[i]);
+        expectIdentical(parallel[i].value(), serial[i]);
 }
 
 TEST(CompileService, SeededBatchIndependentOfThreadCount)
@@ -88,11 +90,13 @@ TEST(CompileService, SeededBatchIndependentOfThreadCount)
     const auto backend = makeMusstiBackend(config);
     const std::uint64_t base = 42;
 
+    // A sweep: request i seeded explicitly with deriveJobSeed(base, i).
     auto makeRequests = [&] {
         std::vector<CompileRequest> requests;
         for (std::size_t i = 0; i < 8; ++i) {
             requests.push_back({backend, makeBenchmark("ran", 40),
-                                CompileService::deriveJobSeed(base, i)});
+                                CompileService::deriveJobSeed(base, i), {},
+                                {}});
         }
         return requests;
     };
@@ -106,54 +110,20 @@ TEST(CompileService, SeededBatchIndependentOfThreadCount)
 
     CompileService serial(one_thread);
     CompileService parallel(four_threads);
-    const auto a = serial.compileAll(makeRequests());
-    const auto b = parallel.compileAll(makeRequests());
+    const auto a = serial.compileAllOutcomes(makeRequests());
+    const auto b = parallel.compileAllOutcomes(makeRequests());
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i)
-        expectIdentical(a[i], b[i]);
+        expectIdentical(a[i].value(), b[i].value());
     EXPECT_EQ(serial.jobsExecuted(), 8u);
     EXPECT_EQ(parallel.jobsExecuted(), 8u);
-}
 
-TEST(CompileService, CompileSweepDerivesSeedsByJobIndex)
-{
-    // The tuner's fleet-sweep primitive: requests without an explicit
-    // seed get deriveJobSeed(base, index), so a sweep replays exactly
-    // at any thread count — and honours explicit seeds untouched.
-    MusstiConfig config;
-    config.replacement = ReplacementPolicy::Random; // seed-sensitive
-    const auto backend = makeMusstiBackend(config);
-    const Circuit qc = makeBenchmark("ran", 40);
-    const std::uint64_t base = 99;
-
-    auto makeRequests = [&] {
-        std::vector<CompileRequest> requests;
-        for (int i = 0; i < 6; ++i)
-            requests.push_back({backend, qc, {}});
-        return requests;
-    };
-
-    CompileServiceConfig one_thread;
-    one_thread.numThreads = 1;
-    one_thread.cacheCapacity = 0;
-    CompileServiceConfig four_threads;
-    four_threads.numThreads = 4;
-    four_threads.cacheCapacity = 0;
-
-    CompileService serial(one_thread);
-    CompileService parallel(four_threads);
-    const auto a = serial.compileSweep(makeRequests(), base);
-    const auto b = parallel.compileSweep(makeRequests(), base);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        expectIdentical(a[i], b[i]);
-
-    // The derived seed IS deriveJobSeed(base, i): job i of the sweep
-    // matches an explicit submission under that seed.
-    const auto explicit_job =
-        serial.submit(backend, qc,
-                      CompileService::deriveJobSeed(base, 2)).get();
-    expectIdentical(a[2], explicit_job);
+    // Job i of the batch equals a single submission under its seed.
+    const auto single =
+        serial.submit({backend, makeBenchmark("ran", 40),
+                       CompileService::deriveJobSeed(base, 2), {}, {}})
+            .get();
+    expectIdentical(a[2].value(), single);
 }
 
 TEST(CompileService, DeriveJobSeedDeterministicAndDistinct)
@@ -212,9 +182,9 @@ TEST(CompileService, SeedIsPartOfTheCacheKey)
     const auto backend = makeMusstiBackend(config);
     const Circuit qc = makeBenchmark("ran", 36);
 
-    (void)service.submit(backend, qc, 1).get();
-    (void)service.submit(backend, qc, 2).get();
-    (void)service.submit(backend, qc, 1).get();
+    (void)service.submit({backend, qc, 1, {}, {}}).get();
+    (void)service.submit({backend, qc, 2, {}, {}}).get();
+    (void)service.submit({backend, qc, 1, {}, {}}).get();
     EXPECT_EQ(service.jobsExecuted(), 2u);
     EXPECT_EQ(service.cacheHits(), 1u);
 }
@@ -239,7 +209,7 @@ TEST(CompileService, ErrorCategoryRoundTripsThroughFutures)
     CompileService service(service_config);
     const auto backend = makeGridBackend("murali", GridConfig{2, 2, 4});
 
-    // Legacy future: the thrown exception carries the full taxonomy.
+    // Result future: the thrown exception carries the full taxonomy.
     auto future = service.submit(backend, makeGhz(32));
     try {
         (void)future.get();
@@ -309,9 +279,11 @@ TEST(CompileService, OutcomeBatchKeepsSurvivorsInSubmissionOrder)
     EXPECT_EQ(serial.cacheStats().jobsFailed, 2u);
     EXPECT_EQ(parallel.cacheStats().jobsFailed, 2u);
 
-    // The sweep variant seeds survivors deterministically too.
-    const auto swept =
-        serial.compileSweepOutcomes(makeRequests(), /*base_seed=*/7);
+    // An explicitly seeded sweep keeps the same survivors.
+    auto seeded = makeRequests();
+    for (std::size_t i = 0; i < seeded.size(); ++i)
+        seeded[i].seed = CompileService::deriveJobSeed(7, i);
+    const auto swept = serial.compileAllOutcomes(std::move(seeded));
     ASSERT_EQ(swept.size(), 6u);
     for (std::size_t i = 0; i < swept.size(); ++i)
         EXPECT_EQ(swept[i].ok(), expect_ok[i]) << "job " << i;
@@ -335,7 +307,7 @@ TEST(CompileService, SubmitAfterShutdownResolvesCancelled)
     EXPECT_EQ(outcome.errorInfo().category(), ErrorCategory::Cancelled);
     EXPECT_EQ(outcome.errorInfo().code(), "job.cancelled");
 
-    // Legacy path: the future throws the same structured error.
+    // Result future: it throws the same structured error.
     auto future = service.submit(backend, makeGhz(8));
     ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
               std::future_status::ready);
@@ -345,7 +317,64 @@ TEST(CompileService, SubmitAfterShutdownResolvesCancelled)
     } catch (const MusstiError &err) {
         EXPECT_EQ(err.category(), ErrorCategory::Cancelled);
     }
-    EXPECT_EQ(service.cacheStats().jobsCancelled, 2u);
+
+    // Callback path: the same outcome, delivered exactly once on the
+    // submitting thread.
+    int calls = 0;
+    std::optional<CompileOutcome> delivered;
+    service.submitWithCallback({backend, makeGhz(8), {}, {}, {}},
+                               [&](CompileOutcome done) {
+                                   ++calls;
+                                   delivered = std::move(done);
+                               });
+    EXPECT_EQ(calls, 1);
+    ASSERT_TRUE(delivered.has_value());
+    ASSERT_FALSE(delivered->ok());
+    EXPECT_EQ(delivered->errorInfo().category(), ErrorCategory::Cancelled);
+    EXPECT_EQ(delivered->errorInfo().code(), "job.cancelled");
+    EXPECT_EQ(service.cacheStats().jobsCancelled, 3u);
+}
+
+TEST(CompileService, NullBackendFailsOnEveryDeliveryFlavour)
+{
+    const ScopedFatalSilence quiet;
+    CompileServiceConfig service_config;
+    service_config.numThreads = 1;
+    CompileService service(service_config);
+
+    // Future path: raised at the call, nothing enqueued or booked.
+    try {
+        (void)service.submit({nullptr, makeGhz(8), {}, {}, {}});
+        FAIL() << "expected InvalidInput";
+    } catch (const MusstiError &err) {
+        EXPECT_EQ(err.category(), ErrorCategory::InvalidInput);
+    }
+
+    // Outcome path: a ready input.no-backend outcome.
+    auto outcome_future =
+        service.submitOutcome({nullptr, makeGhz(8), {}, {}, {}});
+    ASSERT_EQ(outcome_future.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    const CompileOutcome outcome = outcome_future.get();
+    ASSERT_FALSE(outcome.ok());
+    EXPECT_EQ(outcome.errorInfo().category(), ErrorCategory::InvalidInput);
+    EXPECT_EQ(outcome.errorInfo().code(), "input.no-backend");
+
+    // Callback path: the same outcome, delivered exactly once.
+    int calls = 0;
+    std::optional<CompileOutcome> delivered;
+    service.submitWithCallback({nullptr, makeGhz(8), {}, {}, {}},
+                               [&](CompileOutcome done) {
+                                   ++calls;
+                                   delivered = std::move(done);
+                               });
+    EXPECT_EQ(calls, 1);
+    ASSERT_TRUE(delivered.has_value());
+    ASSERT_FALSE(delivered->ok());
+    EXPECT_EQ(delivered->errorInfo().code(), "input.no-backend");
+
+    EXPECT_EQ(service.jobsExecuted(), 0u);
+    EXPECT_EQ(service.cacheStats().jobsFailed, 2u);
 }
 
 TEST(CompileService, PreSetCancelTokenResolvesCancelled)
@@ -385,41 +414,53 @@ TEST(CompileService, ExpiredDeadlineResolvesTimeout)
 
 TEST(CompileService, JobControlUnwindsTheCompilePipeline)
 {
-    // Drive the backend's controlled entry point directly: the
-    // checkpoint chain (entry, pass boundaries, routing loop) must
-    // unwind a real compile with the right quiet category.
-    const auto backend = makeMusstiBackend();
+    // Drive each backend's compile entry point directly with a control:
+    // the checkpoint chain (pass boundaries, and the routing loop where
+    // the backend has one) must unwind a real compile with the right
+    // quiet category, on MUSS-TI and on every grid baseline.
+    std::vector<std::shared_ptr<const ICompilerBackend>> backends = {
+        makeMusstiBackend()};
+    for (const auto &name : gridBackendNames())
+        backends.push_back(makeGridBackend(name, GridConfig{2, 2, 16}));
+    ASSERT_EQ(backends.size(), 4u);
 
-    JobControl timed_out;
-    timed_out.deadline = std::chrono::steady_clock::now() -
-                         std::chrono::milliseconds(1);
-    DeltaCompileIO delta;
-    try {
-        (void)backend->compileControlled(makeBenchmark("ghz", 24), {},
-                                         nullptr, delta, &timed_out);
-        FAIL() << "expected Timeout";
-    } catch (const MusstiError &err) {
-        EXPECT_EQ(err.category(), ErrorCategory::Timeout);
+    for (const auto &backend : backends) {
+        SCOPED_TRACE(backend->name());
+        const Circuit qc = makeBenchmark("ghz", 24);
+
+        JobControl timed_out;
+        timed_out.deadline = std::chrono::steady_clock::now() -
+                             std::chrono::milliseconds(1);
+        DeltaCompileIO delta;
+        try {
+            (void)backend->compile(qc, {.delta = &delta,
+                                        .control = &timed_out});
+            FAIL() << "expected Timeout";
+        } catch (const MusstiError &err) {
+            EXPECT_EQ(err.category(), ErrorCategory::Timeout);
+        }
+
+        const std::atomic<bool> fired{true};
+        JobControl cancelled;
+        cancelled.cancel = &fired;
+        cancelled.checkEveryGates = 1;
+        DeltaCompileIO delta2;
+        try {
+            (void)backend->compile(qc, {.delta = &delta2,
+                                        .control = &cancelled});
+            FAIL() << "expected Cancelled";
+        } catch (const MusstiError &err) {
+            EXPECT_EQ(err.category(), ErrorCategory::Cancelled);
+        }
+
+        // A null control compiles exactly like the plain path.
+        DeltaCompileIO delta3;
+        const CompileResult controlled =
+            backend->compile(qc, {.delta = &delta3, .control = nullptr});
+        expectIdentical(controlled, backend->compile(qc));
+        EXPECT_TRUE(delta3.captured.empty());
+        EXPECT_FALSE(delta3.resumed);
     }
-
-    const std::atomic<bool> fired{true};
-    JobControl cancelled;
-    cancelled.cancel = &fired;
-    cancelled.checkEveryGates = 1;
-    DeltaCompileIO delta2;
-    try {
-        (void)backend->compileControlled(makeBenchmark("ghz", 24), {},
-                                         nullptr, delta2, &cancelled);
-        FAIL() << "expected Cancelled";
-    } catch (const MusstiError &err) {
-        EXPECT_EQ(err.category(), ErrorCategory::Cancelled);
-    }
-
-    // A null control compiles exactly like the plain path.
-    DeltaCompileIO delta3;
-    const CompileResult controlled = backend->compileControlled(
-        makeBenchmark("ghz", 24), {}, nullptr, delta3, nullptr);
-    expectIdentical(controlled, backend->compile(makeBenchmark("ghz", 24)));
 }
 
 TEST(CompileService, CacheEvictsLeastRecentlyUsed)

@@ -199,7 +199,7 @@ TEST(Pipeline, RandomPolicyMatchesPreRefactorResult)
                      referenceCompile(qc, config, params));
 }
 
-TEST(Pipeline, CompileSeededOverridesConfiguredSeed)
+TEST(Pipeline, SeedOptionOverridesConfiguredSeed)
 {
     const Circuit qc = makeBenchmark("ran", 48);
     MusstiConfig config;
@@ -209,7 +209,7 @@ TEST(Pipeline, CompileSeededOverridesConfiguredSeed)
     reseeded.seed = 1234;
 
     const MusstiCompiler compiler(config);
-    const auto via_seed_arg = compiler.compileSeeded(qc, 1234);
+    const auto via_seed_arg = compiler.compile(qc, {.seed = 1234});
     const auto via_config = MusstiCompiler(reseeded).compile(qc);
     EXPECT_EQ(via_seed_arg.metrics.lnFidelity,
               via_config.metrics.lnFidelity);

@@ -253,8 +253,9 @@ TEST(DiskCache, ConcurrentWritersAndReadersStayCorrect)
             for (int i = 0; i < 20; ++i) {
                 const std::optional<CompileResult> hit =
                     cache.lookup(key);
-                if (hit)
+                if (hit) {
                     EXPECT_EQ(want, resultFingerprint(*hit));
+                }
             }
         });
     for (std::thread &thread : threads)

@@ -71,7 +71,8 @@ TEST(SchedulerWorkspaceReuse, RepeatedCompilesAreBitIdentical)
 
     const auto workspace = std::make_shared<SchedulerWorkspace>();
     for (int rep = 0; rep < 3; ++rep) {
-        EXPECT_EQ(scheduleFingerprint(compiler.compile(qc, workspace)),
+        EXPECT_EQ(scheduleFingerprint(
+                      compiler.compile(qc, {.workspace = workspace})),
                   fresh)
             << "repeat " << rep << " diverged through the shared arena";
     }
@@ -91,7 +92,8 @@ TEST(SchedulerWorkspaceReuse, CrossCircuitReuseHasNoStateBleed)
     };
     for (const auto &[family, qubits] : sequence) {
         const Circuit qc = makeBenchmark(family, qubits);
-        EXPECT_EQ(scheduleFingerprint(compiler.compile(qc, workspace)),
+        EXPECT_EQ(scheduleFingerprint(
+                      compiler.compile(qc, {.workspace = workspace})),
                   scheduleFingerprint(compiler.compile(qc)))
             << family << "_n" << qubits
             << " diverged after the arena served a different circuit";

@@ -493,8 +493,8 @@ TEST(Serve, SeededCompilesMatchTheSeededLocalPath)
     ASSERT_TRUE(response.ok)
         << response.error.code << ": " << response.error.message;
 
-    const CompileResult local = makeMusstiBackend()->compileSeeded(
-        makeBenchmark("qaoa", 24), request.seed);
+    const CompileResult local = makeMusstiBackend()->compile(
+        makeBenchmark("qaoa", 24), {.seed = request.seed});
     EXPECT_EQ(response.fingerprint, resultFingerprint(local));
 
     server.stop();
