@@ -442,16 +442,7 @@ measureDelta(const DeltaTier &tier, bool append, int repeats, int soak,
     const auto backend = std::make_shared<MusstiCompiler>(delta_cfg);
     service.submit(backend, base).get();
     const CompileResult warm = service.submit(backend, edited).get();
-    const CompileService::CacheStats stats = service.cacheStats();
-    record.snapshotHits = static_cast<long long>(stats.snapshotHits);
-    record.snapshotMisses = static_cast<long long>(stats.snapshotMisses);
-    record.deltaResumes = static_cast<long long>(stats.deltaResumes);
-    record.deltaFallbacks =
-        static_cast<long long>(stats.deltaFallbacks);
-    record.jobsFailed = static_cast<long long>(stats.jobsFailed);
-    record.jobsTimedOut = static_cast<long long>(stats.jobsTimedOut);
-    record.jobsCancelled = static_cast<long long>(stats.jobsCancelled);
-    record.jobsRetried = static_cast<long long>(stats.jobsRetried);
+    record.counters = service.counters();
     if (!warm.deltaResumed) {
         std::printf("FAIL: %s/%s did not delta-resume through the "
                     "CompileService\n", kDeltaSuite,
@@ -464,14 +455,14 @@ measureDelta(const DeltaTier &tier, bool append, int repeats, int soak,
 constexpr const char *kCacheSuite = "micro_scheduler/cache";
 
 /**
- * Measure and verify the result-cache tier stack. A throwaway service
+ * Measure and verify the result-cache tiers. A throwaway service
  * compiles an Ising workload into a scratch disk-tier directory; a
  * FRESH service on the same directory must then serve the identical
  * request from the persistent tier — bit-identical fingerprint, zero
  * recompiles — and a repeat on that second service must hit the
  * in-memory tier. `wall_ms` times the disk-tier hit (deserialize +
- * promote, no scheduling), and the record carries the per-tier
- * hit/miss/evict/corrupt counters the JSON schema grew for this suite.
+ * promote, no scheduling), and the record carries the service's
+ * counters(), the per-tier hit/miss/evict/corrupt counters among them.
  * Any miss, corrupt entry, or fingerprint drift clears `ok`.
  */
 BenchRecord
@@ -515,18 +506,7 @@ measureCacheTiers(bool &ok)
     service.submit(backend, circuit).get(); // now a memory-tier hit
 
     const CompileService::CacheStats stats = service.cacheStats();
-    record.cacheMemHits = static_cast<long long>(stats.memoryTier.hits);
-    record.cacheMemMisses =
-        static_cast<long long>(stats.memoryTier.misses);
-    record.cacheMemEvictions =
-        static_cast<long long>(stats.memoryTier.evictions);
-    record.cacheDiskHits = static_cast<long long>(stats.diskTier.hits);
-    record.cacheDiskMisses =
-        static_cast<long long>(stats.diskTier.misses);
-    record.cacheDiskEvictions =
-        static_cast<long long>(stats.diskTier.evictions);
-    record.cacheDiskCorrupt =
-        static_cast<long long>(stats.diskTier.corrupt);
+    record.counters = service.counters();
 
     if (resultFingerprint(warm) != cold_fingerprint) {
         std::printf("FAIL: %s/%s disk-tier result drifted from the "

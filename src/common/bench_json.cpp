@@ -1,5 +1,6 @@
 #include "common/bench_json.h"
 
+#include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -72,44 +73,6 @@ parseRecord(JsonReader &p)
             record.deltaColdMs = p.parseNumber();
         } else if (key == "delta_speedup") {
             record.deltaSpeedup = p.parseNumber();
-        } else if (key == "snapshot_hits") {
-            record.snapshotHits = static_cast<long long>(p.parseNumber());
-        } else if (key == "snapshot_misses") {
-            record.snapshotMisses =
-                static_cast<long long>(p.parseNumber());
-        } else if (key == "delta_resumes") {
-            record.deltaResumes = static_cast<long long>(p.parseNumber());
-        } else if (key == "delta_fallbacks") {
-            record.deltaFallbacks =
-                static_cast<long long>(p.parseNumber());
-        } else if (key == "jobs_failed") {
-            record.jobsFailed = static_cast<long long>(p.parseNumber());
-        } else if (key == "jobs_timed_out") {
-            record.jobsTimedOut = static_cast<long long>(p.parseNumber());
-        } else if (key == "jobs_cancelled") {
-            record.jobsCancelled =
-                static_cast<long long>(p.parseNumber());
-        } else if (key == "jobs_retried") {
-            record.jobsRetried = static_cast<long long>(p.parseNumber());
-        } else if (key == "cache_mem_hits") {
-            record.cacheMemHits = static_cast<long long>(p.parseNumber());
-        } else if (key == "cache_mem_misses") {
-            record.cacheMemMisses =
-                static_cast<long long>(p.parseNumber());
-        } else if (key == "cache_mem_evictions") {
-            record.cacheMemEvictions =
-                static_cast<long long>(p.parseNumber());
-        } else if (key == "cache_disk_hits") {
-            record.cacheDiskHits = static_cast<long long>(p.parseNumber());
-        } else if (key == "cache_disk_misses") {
-            record.cacheDiskMisses =
-                static_cast<long long>(p.parseNumber());
-        } else if (key == "cache_disk_evictions") {
-            record.cacheDiskEvictions =
-                static_cast<long long>(p.parseNumber());
-        } else if (key == "cache_disk_corrupt") {
-            record.cacheDiskCorrupt =
-                static_cast<long long>(p.parseNumber());
         } else if (key == "pass_trace") {
             p.expect('[');
             if (!p.consumeIf(']')) {
@@ -118,8 +81,13 @@ parseRecord(JsonReader &p)
                 } while (p.consumeIf(','));
                 p.expect(']');
             }
+        } else if (key != "allocs_per_step" &&
+                   (p.peek() == '-' ||
+                    std::isdigit(static_cast<unsigned char>(p.peek())))) {
+            record.counters.emplace_back(
+                key, static_cast<long long>(p.parseNumber()));
         } else {
-            p.skipValue();
+            p.skipValue(); // derived (allocs_per_step) or non-numeric
         }
     } while (p.consumeIf(','));
     p.expect('}');
@@ -166,29 +134,8 @@ benchResultsToJson(const std::vector<BenchRecord> &records,
             out << ", \"delta_cold_ms\": " << number(r.deltaColdMs)
                 << ", \"delta_speedup\": " << number(r.deltaSpeedup);
         }
-        if (r.snapshotHits >= 0) {
-            out << ", \"snapshot_hits\": " << r.snapshotHits
-                << ", \"snapshot_misses\": " << r.snapshotMisses
-                << ", \"delta_resumes\": " << r.deltaResumes
-                << ", \"delta_fallbacks\": " << r.deltaFallbacks;
-        }
-        if (r.jobsFailed >= 0) {
-            out << ", \"jobs_failed\": " << r.jobsFailed
-                << ", \"jobs_timed_out\": " << r.jobsTimedOut
-                << ", \"jobs_cancelled\": " << r.jobsCancelled
-                << ", \"jobs_retried\": " << r.jobsRetried;
-        }
-        if (r.cacheMemHits >= 0) {
-            out << ", \"cache_mem_hits\": " << r.cacheMemHits
-                << ", \"cache_mem_misses\": " << r.cacheMemMisses
-                << ", \"cache_mem_evictions\": " << r.cacheMemEvictions;
-        }
-        if (r.cacheDiskHits >= 0) {
-            out << ", \"cache_disk_hits\": " << r.cacheDiskHits
-                << ", \"cache_disk_misses\": " << r.cacheDiskMisses
-                << ", \"cache_disk_evictions\": " << r.cacheDiskEvictions
-                << ", \"cache_disk_corrupt\": " << r.cacheDiskCorrupt;
-        }
+        for (const auto &[key, value] : r.counters)
+            out << ", \"" << jsonEscape(key) << "\": " << value;
         if (!r.passTrace.empty()) {
             out << ", \"pass_trace\": [";
             for (std::size_t j = 0; j < r.passTrace.size(); ++j) {

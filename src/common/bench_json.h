@@ -34,6 +34,7 @@
 #define MUSSTI_COMMON_BENCH_JSON_H
 
 #include <string>
+#include <utility>
 #include <vector>
 
 // jsonEscape and the JsonReader the parser below is built on live in
@@ -83,50 +84,23 @@ struct BenchRecord
     double log10Fidelity = 0.0;
 
     /**
-     * Delta-compilation accounting (micro_scheduler/delta records
-     * only). `wall_ms` holds the warm resumed path; `delta_cold_ms`
-     * (absent = <= 0) is the cold-path reference on the same edited
-     * circuit and `delta_speedup` their ratio. The snapshot counters
-     * (absent = -1) come from the scenario's CompileService
-     * verification pass, proving the cache tier actually hit and the
-     * compile resumed end to end. All optional fields of the same
-     * mussti-bench-v1 schema; readers that predate them skip unknown
-     * keys.
+     * Delta-compilation timing (micro_scheduler/delta records only).
+     * `wall_ms` holds the warm resumed path; `delta_cold_ms` (absent =
+     * <= 0) is the cold-path reference on the same edited circuit and
+     * `delta_speedup` their ratio.
      */
     double deltaColdMs = 0.0;
     double deltaSpeedup = 0.0;
-    long long snapshotHits = -1;
-    long long snapshotMisses = -1;
-    long long deltaResumes = -1;
-    long long deltaFallbacks = -1;
 
     /**
-     * CompileService failure-path counters (absent = -1): jobs that
-     * resolved with a structured error, split by taxonomy, plus the
-     * Transient retry attempts consumed. Emitted by records whose
-     * scenario ran through a CompileService, proving the fault-
-     * tolerance accounting is live on the production path.
+     * Integer counters under their JSON key, in emit order — for a
+     * record whose scenario ran through a CompileService, its
+     * CompileService::counters() (snapshot hits, per-tier cache
+     * counters, failure-path counters), proving the production path
+     * served it. The parser files every numeric key it does not
+     * otherwise know here, so readers that predate a counter keep it.
      */
-    long long jobsFailed = -1;
-    long long jobsTimedOut = -1;
-    long long jobsCancelled = -1;
-    long long jobsRetried = -1;
-
-    /**
-     * Per-tier result-cache counters (absent = -1): the in-memory LRU
-     * tier and the disk-backed persistent tier behind it (see
-     * core/result_cache.h). `cacheDiskCorrupt` counts entries that
-     * failed validation and were quarantined as misses — on a healthy
-     * store it reconciles to 0. Optional mussti-bench-v1 fields like
-     * the groups above; readers that predate them skip unknown keys.
-     */
-    long long cacheMemHits = -1;
-    long long cacheMemMisses = -1;
-    long long cacheMemEvictions = -1;
-    long long cacheDiskHits = -1;
-    long long cacheDiskMisses = -1;
-    long long cacheDiskEvictions = -1;
-    long long cacheDiskCorrupt = -1;
+    std::vector<std::pair<std::string, long long>> counters;
 };
 
 /** Render records as a mussti-bench-v1 JSON document. */

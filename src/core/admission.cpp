@@ -7,19 +7,6 @@
 
 namespace mussti {
 
-namespace {
-
-CompileOutcome
-cancelledOutcome(const std::string &message)
-{
-    CompileOutcome outcome;
-    outcome.error = MusstiError(ErrorCategory::Cancelled, "job.cancelled",
-                                message);
-    return outcome;
-}
-
-} // namespace
-
 FairAdmission::FairAdmission(CompileService &service,
                              const FairAdmissionConfig &config)
     : service_(service), config_{std::max<std::uint64_t>(1, config.quantum),
@@ -55,7 +42,7 @@ FairAdmission::submit(const std::string &client, CompileRequest request,
         }
     }
     if (pending.done) {
-        pending.done(cancelledOutcome(
+        pending.done(CompileOutcome::cancelled(
             "submit after admission shutdown"));
         return;
     }
@@ -81,7 +68,7 @@ FairAdmission::shutdown()
         cancelledQueued_ += orphaned.size();
     }
     for (Pending &pending : orphaned)
-        pending.done(cancelledOutcome(
+        pending.done(CompileOutcome::cancelled(
             "admission shut down before the job was dispatched"));
     if (!orphaned.empty())
         idleCv_.notify_all();

@@ -6,25 +6,11 @@
 #include <utility>
 
 #include "common/fault_injection.h"
-#include "common/hash.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "core/scheduler_workspace.h"
 
 namespace mussti {
-
-namespace {
-
-CompileOutcome
-cancelledOutcome(const std::string &message)
-{
-    CompileOutcome outcome;
-    outcome.error = MusstiError(ErrorCategory::Cancelled, "job.cancelled",
-                                message);
-    return outcome;
-}
-
-} // namespace
 
 const CompileResult &
 CompileOutcome::value() const
@@ -50,36 +36,23 @@ CompileOutcome::errorInfo() const
     return *error;
 }
 
-std::size_t
-CompileService::SnapshotKeyHash::operator()(const SnapshotKey &key) const
+CompileOutcome
+CompileOutcome::cancelled(const std::string &message)
 {
-    Fnv1a hash;
-    hash.update(key.prefixHash);
-    hash.update(key.configDigest);
-    hash.update(key.seed);
-    hash.update(key.hasSeed);
-    return static_cast<std::size_t>(hash.digest());
-}
-
-std::size_t
-CompileService::ProbeKeyHash::operator()(const ProbeKey &key) const
-{
-    Fnv1a hash;
-    hash.update(key.configDigest);
-    hash.update(key.seed);
-    hash.update(key.hasSeed);
-    return static_cast<std::size_t>(hash.digest());
+    CompileOutcome outcome;
+    outcome.error = MusstiError(ErrorCategory::Cancelled, "job.cancelled",
+                                message);
+    return outcome;
 }
 
 CompileService::CompileService(const CompileServiceConfig &config)
-    : config_(config)
+    : config_(config), memory_(config.cacheCapacity),
+      snapshots_(config.snapshotCacheCapacity,
+                 config.deltaQuarantineThreshold)
 {
-    if (config.cacheCapacity > 0)
-        resultTiers_.push_back(
-            std::make_unique<MemoryResultCache>(config.cacheCapacity));
     if (!config.diskCachePath.empty())
-        resultTiers_.push_back(std::make_unique<DiskResultCache>(
-            config.diskCachePath, config.diskCacheCapacity));
+        disk_ = std::make_unique<DiskResultCache>(config.diskCachePath,
+                                                  config.diskCacheCapacity);
 
     int threads = config.numThreads;
     if (threads <= 0) {
@@ -121,8 +94,8 @@ CompileService::shutdown()
     // broken_promise-free future) nor silently run work nobody awaits.
     for (Job &job : orphaned)
         deliver(std::move(job),
-                cancelledOutcome("compile service shut down before the "
-                                 "job started"));
+                CompileOutcome::cancelled("compile service shut down "
+                                          "before the job started"));
 }
 
 std::uint64_t
@@ -204,7 +177,8 @@ CompileService::enqueueOrCancel(Job job)
     // worker teardown — the caller gets a ready Cancelled outcome (or
     // a future that throws it, through submit()).
     deliver(std::move(job),
-            cancelledOutcome("submit after compile service shutdown"));
+            CompileOutcome::cancelled(
+                "submit after compile service shutdown"));
 }
 
 std::vector<CompileOutcome>
@@ -265,13 +239,13 @@ CompileService::runJob(CompileRequest &request)
             control.checkpoint();
             FaultInjector::maybeThrow(FaultSite::WorkerDequeue);
 
-            CacheKey key;
+            ResultCacheKey key;
             key.circuitHash = request.circuit.contentHash();
             key.configDigest = request.backend->configDigest();
             key.hasSeed = request.seed.has_value();
             key.seed = request.seed.value_or(0);
 
-            if (!resultTiers_.empty()) {
+            if (resultCacheOn()) {
                 if (auto cached = cacheLookup(key)) {
                     cacheHits_.fetch_add(1);
                     outcome.result = std::move(*cached);
@@ -299,7 +273,7 @@ CompileService::runJob(CompileRequest &request)
 
             // A failed job never reaches this store — the result tiers
             // only ever hold compiles that completed.
-            if (!resultTiers_.empty() &&
+            if (resultCacheOn() &&
                 !FaultInjector::fires(FaultSite::CacheStore))
                 cacheStore(key, result);
             outcome.result = std::move(result);
@@ -319,17 +293,16 @@ CompileService::runJob(CompileRequest &request)
 
 CompileResult
 CompileService::compileOnce(
-    const CompileRequest &request, Circuit circuit, const CacheKey &key,
+    const CompileRequest &request, Circuit circuit,
+    const ResultCacheKey &key,
     const std::shared_ptr<SchedulerWorkspace> &workspace,
     const JobControl &control)
 {
     DeltaCompileIO delta;
-    const bool tier_on =
-        config_.snapshotCacheCapacity > 0 &&
-        !deltaQuarantined_.load(std::memory_order_relaxed);
+    const bool tier_on = snapshots_.enabled();
     delta.allowCapture = tier_on;
     if (tier_on)
-        delta.candidates = probeSnapshots(key, circuit);
+        delta.candidates = snapshots_.probe(key, circuit);
     const bool had_candidates = !delta.candidates.empty();
 
     CompileResult compiled = request.backend->compile(
@@ -339,20 +312,18 @@ CompileService::compileOnce(
                              .control = &control});
 
     if (tier_on) {
-        if (delta.resumed) {
-            deltaResumes_.fetch_add(1);
-            deltaFallbackStreak_.store(0, std::memory_order_relaxed);
-        } else if (had_candidates) {
-            deltaFallbacks_.fetch_add(1);
-            noteDeltaFallback();
-        }
+        if (delta.resumed)
+            snapshots_.noteResume();
+        else if (had_candidates)
+            snapshots_.noteFallback();
         // Snapshots are only banked here, after the compile finished:
         // a job that failed mid-run contributes nothing to the tier.
         // Re-read the quarantine flag — if THIS job's fallback tripped
-        // it, its captures must not repopulate the tier just cleared.
-        if (!deltaQuarantined_.load(std::memory_order_relaxed) &&
+        // it, its captures must not repopulate the tier just cleared
+        // (store() re-checks under the tier's lock for concurrent ones).
+        if (snapshots_.enabled() &&
             !FaultInjector::fires(FaultSite::CacheStore))
-            storeSnapshots(key, std::move(delta.captured));
+            snapshots_.store(key, std::move(delta.captured));
     }
     return compiled;
 }
@@ -384,31 +355,6 @@ CompileService::backoffBeforeRetry(const CompileRequest &request,
 }
 
 void
-CompileService::noteDeltaFallback()
-{
-    const int threshold = config_.deltaQuarantineThreshold;
-    if (threshold <= 0)
-        return;
-    const int streak =
-        deltaFallbackStreak_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (streak < threshold)
-        return;
-    if (deltaQuarantined_.exchange(true, std::memory_order_relaxed))
-        return;
-    deltaQuarantines_.fetch_add(1);
-    {
-        std::lock_guard<std::mutex> lock(cacheMutex_);
-        snapshots_.clear();
-        snapshotLru_.clear();
-        prefixIndex_.clear();
-        snapshotBytes_ = 0;
-    }
-    warn("delta snapshot tier quarantined after " +
-         std::to_string(streak) +
-         " consecutive resume fallbacks; compiling cold from here on");
-}
-
-void
 CompileService::deliver(Job job, CompileOutcome outcome)
 {
     if (outcome.attempts > 1)
@@ -432,129 +378,26 @@ CompileService::deliver(Job job, CompileOutcome outcome)
 }
 
 std::optional<CompileResult>
-CompileService::cacheLookup(const CacheKey &key)
+CompileService::cacheLookup(const ResultCacheKey &key)
 {
-    for (std::size_t i = 0; i < resultTiers_.size(); ++i) {
-        if (auto hit = resultTiers_[i]->lookup(key)) {
-            // Promote into the faster tiers the walk passed, so e.g. a
-            // disk hit after a restart is memory-speed from now on.
-            for (std::size_t j = 0; j < i; ++j)
-                resultTiers_[j]->store(key, *hit);
-            return hit;
-        }
-    }
-    return std::nullopt;
+    if (auto hit = memory_.lookup(key))
+        return hit;
+    if (disk_ == nullptr)
+        return std::nullopt;
+    auto hit = disk_->lookup(key);
+    // Promote, so a disk hit after a restart is memory-speed from now on.
+    if (hit)
+        memory_.store(key, *hit);
+    return hit;
 }
 
 void
-CompileService::cacheStore(const CacheKey &key,
+CompileService::cacheStore(const ResultCacheKey &key,
                            const CompileResult &result)
 {
-    for (auto &tier : resultTiers_)
-        tier->store(key, result);
-}
-
-std::vector<std::shared_ptr<const ScheduleSnapshot>>
-CompileService::probeSnapshots(const CacheKey &key, const Circuit &circuit)
-{
-    std::vector<std::shared_ptr<const ScheduleSnapshot>> found;
-    std::lock_guard<std::mutex> lock(cacheMutex_);
-
-    const ProbeKey probe{key.configDigest, key.seed, key.hasSeed};
-    const auto index_it = prefixIndex_.find(probe);
-    if (index_it != prefixIndex_.end()) {
-        // Walk the cached prefix lengths longest-first — the longer
-        // the verified prefix, the less suffix the scheduler replays —
-        // and stop once enough candidates are in hand.
-        const auto &lengths = index_it->second;
-        for (auto it = lengths.rbegin();
-             it != lengths.rend() && found.size() < kMaxResumeCandidates;
-             ++it) {
-            const std::size_t prefix_gates = it->first;
-            if (prefix_gates == 0 || prefix_gates > circuit.size())
-                continue;
-            SnapshotKey skey{circuit.prefixHash(prefix_gates),
-                             key.configDigest, key.seed, key.hasSeed};
-            const auto snap_it = snapshots_.find(skey);
-            if (snap_it == snapshots_.end())
-                continue;
-            snapshotLru_.splice(snapshotLru_.begin(), snapshotLru_,
-                                snap_it->second.lruIt);
-            found.push_back(snap_it->second.snapshot);
-        }
-    }
-
-    if (found.empty())
-        snapshotMisses_.fetch_add(1);
-    else
-        snapshotHits_.fetch_add(1);
-
-    // The scheduler wants candidates ascending by covered prefix.
-    std::reverse(found.begin(), found.end());
-    return found;
-}
-
-void
-CompileService::storeSnapshots(const CacheKey &key,
-                               std::vector<ScheduleSnapshot> captured)
-{
-    if (captured.empty())
-        return;
-    std::lock_guard<std::mutex> lock(cacheMutex_);
-    for (ScheduleSnapshot &snap : captured) {
-        if (snap.inputPrefixGates == 0)
-            continue;
-        SnapshotKey skey{snap.prefixHash, key.configDigest, key.seed,
-                         key.hasSeed};
-        const auto it = snapshots_.find(skey);
-        if (it != snapshots_.end()) {
-            // Deterministic compiles recapture identical checkpoints;
-            // keep the incumbent, just refresh its recency.
-            snapshotLru_.splice(snapshotLru_.begin(), snapshotLru_,
-                                it->second.lruIt);
-            continue;
-        }
-
-        snapshotBytes_ += snap.approxBytes();
-        prefixIndex_[{key.configDigest, key.seed, key.hasSeed}]
-                    [snap.inputPrefixGates] += 1;
-        snapshotLru_.push_front(skey);
-        snapshots_.emplace(
-            skey,
-            SnapshotEntry{std::make_shared<const ScheduleSnapshot>(
-                              std::move(snap)),
-                          snapshotLru_.begin()});
-
-        while (snapshots_.size() > config_.snapshotCacheCapacity &&
-               !snapshotLru_.empty()) {
-            evictSnapshotLocked(snapshotLru_.back());
-            snapshotEvictions_.fetch_add(1);
-        }
-    }
-}
-
-void
-CompileService::evictSnapshotLocked(const SnapshotKey &key)
-{
-    const auto it = snapshots_.find(key);
-    if (it == snapshots_.end())
-        return;
-    const ScheduleSnapshot &snap = *it->second.snapshot;
-    const std::size_t bytes = snap.approxBytes();
-    snapshotBytes_ -= bytes > snapshotBytes_ ? snapshotBytes_ : bytes;
-
-    const ProbeKey probe{key.configDigest, key.seed, key.hasSeed};
-    const auto index_it = prefixIndex_.find(probe);
-    if (index_it != prefixIndex_.end()) {
-        const auto len_it = index_it->second.find(snap.inputPrefixGates);
-        if (len_it != index_it->second.end() && --len_it->second <= 0)
-            index_it->second.erase(len_it);
-        if (index_it->second.empty())
-            prefixIndex_.erase(index_it);
-    }
-
-    snapshotLru_.erase(it->second.lruIt);
-    snapshots_.erase(it);
+    memory_.store(key, result);
+    if (disk_ != nullptr)
+        disk_->store(key, result);
 }
 
 CompileService::CacheStats
@@ -563,31 +406,58 @@ CompileService::cacheStats() const
     CacheStats stats;
     stats.resultHits = cacheHits_.load();
     stats.resultMisses = jobsExecuted_.load();
-    for (const auto &tier : resultTiers_) {
-        if (std::string(tier->name()) == "memory")
-            stats.memoryTier = tier->stats();
-        else if (std::string(tier->name()) == "disk")
-            stats.diskTier = tier->stats();
-    }
+    stats.memoryTier = memory_.stats();
+    if (disk_ != nullptr)
+        stats.diskTier = disk_->stats();
     stats.resultEvictions = stats.memoryTier.evictions;
-    stats.snapshotHits = snapshotHits_.load();
-    stats.snapshotMisses = snapshotMisses_.load();
-    stats.snapshotEvictions = snapshotEvictions_.load();
-    stats.deltaResumes = deltaResumes_.load();
-    stats.deltaFallbacks = deltaFallbacks_.load();
+    const SnapshotTierStats snap = snapshots_.stats();
+    stats.snapshotHits = snap.hits;
+    stats.snapshotMisses = snap.misses;
+    stats.snapshotEvictions = snap.evictions;
+    stats.deltaResumes = snap.resumes;
+    stats.deltaFallbacks = snap.fallbacks;
+    stats.snapshotCount = snap.count;
+    stats.snapshotBytes = snap.bytes;
     stats.jobsFailed = jobsFailed_.load();
     stats.jobsTimedOut = jobsTimedOut_.load();
     stats.jobsCancelled = jobsCancelled_.load();
     stats.jobsRetried = jobsRetried_.load();
-    stats.deltaQuarantines = deltaQuarantines_.load();
-    stats.deltaQuarantined =
-        deltaQuarantined_.load(std::memory_order_relaxed);
-    {
-        std::lock_guard<std::mutex> lock(cacheMutex_);
-        stats.snapshotCount = snapshots_.size();
-        stats.snapshotBytes = snapshotBytes_;
-    }
+    stats.deltaQuarantines = snap.quarantines;
+    stats.deltaQuarantined = snap.quarantined;
     return stats;
+}
+
+std::vector<std::pair<std::string, long long>>
+CompileService::counters() const
+{
+    const CacheStats s = cacheStats();
+    std::vector<std::pair<std::string, long long>> list;
+    auto put = [&list](const char *name, auto value) {
+        list.emplace_back(name, static_cast<long long>(value));
+    };
+    put("jobs_executed", s.resultMisses);
+    put("cache_hits", s.resultHits);
+    put("cache_mem_hits", s.memoryTier.hits);
+    put("cache_mem_misses", s.memoryTier.misses);
+    put("cache_mem_evictions", s.memoryTier.evictions);
+    put("cache_disk_hits", s.diskTier.hits);
+    put("cache_disk_misses", s.diskTier.misses);
+    put("cache_disk_evictions", s.diskTier.evictions);
+    put("cache_disk_corrupt", s.diskTier.corrupt);
+    put("jobs_failed", s.jobsFailed);
+    put("jobs_timed_out", s.jobsTimedOut);
+    put("jobs_cancelled", s.jobsCancelled);
+    put("jobs_retried", s.jobsRetried);
+    put("snapshot_hits", s.snapshotHits);
+    put("snapshot_misses", s.snapshotMisses);
+    put("snapshot_evictions", s.snapshotEvictions);
+    put("snapshot_count", s.snapshotCount);
+    put("snapshot_bytes", s.snapshotBytes);
+    put("delta_resumes", s.deltaResumes);
+    put("delta_fallbacks", s.deltaFallbacks);
+    put("delta_quarantines", s.deltaQuarantines);
+    put("delta_quarantined", s.deltaQuarantined);
+    return list;
 }
 
 } // namespace mussti

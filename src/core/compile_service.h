@@ -10,8 +10,8 @@
  * backend config digest, seed), which collapses the repeated
  * compilations the bench sweeps perform.
  *
- * A second LRU tier caches delta-compile checkpoints
- * (core/schedule_snapshot.h) keyed by (input PREFIX hash, config
+ * A second LRU tier (SnapshotCache, core/result_cache.h) caches
+ * delta-compile checkpoints keyed by (input PREFIX hash, config
  * digest, seed): when a submitted circuit shares a prefix with an
  * earlier compile, the matching snapshots ride into the backend's
  * compile call as resume candidates, so the recompile costs time
@@ -37,20 +37,17 @@
 #include <deque>
 #include <functional>
 #include <future>
-#include <list>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
 #include "core/backend.h"
 #include "core/result_cache.h"
-#include "core/schedule_snapshot.h"
 
 namespace mussti {
 
@@ -62,10 +59,9 @@ struct CompileServiceConfig
 
     /**
      * Results kept in the in-memory LRU tier; 0 disables that tier.
-     * The result cache is a tier stack (core/result_cache.h): memory
-     * first, then — when diskCachePath is set — the persistent disk
-     * tier. A hit anywhere serves the job and promotes the entry into
-     * the tiers in front of it.
+     * Lookups try memory first, then — when diskCachePath is set — the
+     * persistent disk tier (core/result_cache.h); a disk hit serves the
+     * job and is promoted into memory.
      */
     std::size_t cacheCapacity = 128;
 
@@ -179,6 +175,9 @@ struct CompileOutcome
 
     /** The error; panics if the job succeeded. */
     const MusstiError &errorInfo() const;
+
+    /** A Cancelled outcome ("job.cancelled") carrying `message`. */
+    static CompileOutcome cancelled(const std::string &message);
 };
 
 /** Fixed-size worker pool compiling jobs with result memoisation. */
@@ -321,6 +320,14 @@ class CompileService
      */
     CacheStats cacheStats() const;
 
+    /**
+     * Every cacheStats() field as a (wire name, value) pair, in a fixed
+     * order — the counter list the compile server's stats endpoint and
+     * the bench JSON records carry. The thirteen result-tier and
+     * failure-path counters come first, then the snapshot tier's.
+     */
+    std::vector<std::pair<std::string, long long>> counters() const;
+
   private:
     /**
      * A queued request and its one delivery path: submit() and
@@ -330,51 +337,6 @@ class CompileService
     {
         CompileRequest request;
         std::function<void(CompileOutcome)> done;
-    };
-
-    /** Result-tier coordinates (shared with core/result_cache.h). */
-    using CacheKey = ResultCacheKey;
-
-    /**
-     * Snapshot-tier key: the content hash of the input PREFIX the
-     * snapshot covers (not the whole circuit — that is the point),
-     * plus the same config/seed coordinates as the result tier so a
-     * snapshot can never resume a job it was not produced under.
-     */
-    struct SnapshotKey
-    {
-        std::uint64_t prefixHash = 0;
-        std::uint64_t configDigest = 0;
-        std::uint64_t seed = 0;
-        bool hasSeed = false;
-
-        bool operator==(const SnapshotKey &other) const = default;
-    };
-
-    struct SnapshotKeyHash
-    {
-        std::size_t operator()(const SnapshotKey &key) const;
-    };
-
-    /** (configDigest, seed) coordinates of the probe index. */
-    struct ProbeKey
-    {
-        std::uint64_t configDigest = 0;
-        std::uint64_t seed = 0;
-        bool hasSeed = false;
-
-        bool operator==(const ProbeKey &other) const = default;
-    };
-
-    struct ProbeKeyHash
-    {
-        std::size_t operator()(const ProbeKey &key) const;
-    };
-
-    struct SnapshotEntry
-    {
-        std::shared_ptr<const ScheduleSnapshot> snapshot;
-        std::list<SnapshotKey>::iterator lruIt;
     };
 
     void workerLoop();
@@ -389,7 +351,7 @@ class CompileService
     /** One compile attempt, with the delta exchange and control. */
     CompileResult
     compileOnce(const CompileRequest &request, Circuit circuit,
-                const CacheKey &key,
+                const ResultCacheKey &key,
                 const std::shared_ptr<SchedulerWorkspace> &workspace,
                 const JobControl &control);
 
@@ -409,36 +371,17 @@ class CompileService
     bool backoffBeforeRetry(const CompileRequest &request,
                             int attempt) const;
 
-    /** Record a candidate-backed cold fallback; maybe quarantine. */
-    void noteDeltaFallback();
-
     /**
-     * Walk the tier stack front to back; a hit is promoted into every
-     * tier in front of the one that served it. nullopt = global miss.
+     * Memory first, then disk; a disk hit is promoted into memory.
+     * nullopt = miss in both.
      */
-    std::optional<CompileResult> cacheLookup(const CacheKey &key);
+    std::optional<CompileResult> cacheLookup(const ResultCacheKey &key);
 
-    /** Store a finished result into every tier. */
-    void cacheStore(const CacheKey &key, const CompileResult &result);
+    /** Store a finished result into both result tiers. */
+    void cacheStore(const ResultCacheKey &key, const CompileResult &result);
 
-    /**
-     * Find cached snapshots whose input prefix the circuit shares
-     * (hash-verified), ascending by prefix length, at most
-     * kMaxResumeCandidates of the longest ones. Counts a snapshot-tier
-     * hit or miss.
-     */
-    std::vector<std::shared_ptr<const ScheduleSnapshot>>
-    probeSnapshots(const CacheKey &key, const Circuit &circuit);
-
-    /** Insert captured checkpoints, evicting LRU past the bound. */
-    void storeSnapshots(const CacheKey &key,
-                        std::vector<ScheduleSnapshot> captured);
-
-    /** Drop one snapshot entry and unwind its index bookkeeping. */
-    void evictSnapshotLocked(const SnapshotKey &key);
-
-    /** Longest resume-candidate list offered to one compile. */
-    static constexpr std::size_t kMaxResumeCandidates = 8;
+    /** Either result tier configured: the job path consults them. */
+    bool resultCacheOn() const { return config_.cacheCapacity > 0 || disk_; }
 
     CompileServiceConfig config_;
     std::vector<std::thread> workers_;
@@ -455,45 +398,20 @@ class CompileService
      */
     std::atomic<bool> shutdownFlag_{false};
 
-    mutable std::mutex cacheMutex_; ///< Snapshot tier; also cacheStats().
-
     /**
-     * Result-cache tier stack, fastest first (memory, then disk when
-     * configured). Fixed after construction; tiers self-synchronise,
-     * so lookups/stores run without cacheMutex_.
+     * The three caches; each synchronises itself. disk_ is null when
+     * diskCachePath is empty.
      */
-    std::vector<std::unique_ptr<ResultCacheTier>> resultTiers_;
-
-    // ---- snapshot tier (all guarded by cacheMutex_) ------------------
-    std::unordered_map<SnapshotKey, SnapshotEntry, SnapshotKeyHash>
-        snapshots_;
-    std::list<SnapshotKey> snapshotLru_; ///< Front = most recently used.
-
-    /**
-     * Probe index: per (configDigest, seed), the cached prefix lengths
-     * with a refcount (several snapshots of different circuits may
-     * share a length). Lets a probe enumerate candidate lengths and
-     * hash only those prefixes of the incoming circuit.
-     */
-    std::unordered_map<ProbeKey, std::map<std::size_t, int>, ProbeKeyHash>
-        prefixIndex_;
-    std::size_t snapshotBytes_ = 0;
+    MemoryResultCache memory_;
+    std::unique_ptr<DiskResultCache> disk_;
+    SnapshotCache snapshots_;
 
     std::atomic<std::uint64_t> jobsExecuted_{0};
-    std::atomic<std::uint64_t> cacheHits_{0}; ///< Hits across all tiers.
-    std::atomic<std::uint64_t> snapshotHits_{0};
-    std::atomic<std::uint64_t> snapshotMisses_{0};
-    std::atomic<std::uint64_t> snapshotEvictions_{0};
-    std::atomic<std::uint64_t> deltaResumes_{0};
-    std::atomic<std::uint64_t> deltaFallbacks_{0};
-
+    std::atomic<std::uint64_t> cacheHits_{0}; ///< Hits in either tier.
     std::atomic<std::uint64_t> jobsFailed_{0};
     std::atomic<std::uint64_t> jobsTimedOut_{0};
     std::atomic<std::uint64_t> jobsCancelled_{0};
     std::atomic<std::uint64_t> jobsRetried_{0};
-    std::atomic<std::uint64_t> deltaQuarantines_{0};
-    std::atomic<int> deltaFallbackStreak_{0};
-    std::atomic<bool> deltaQuarantined_{false};
 };
 
 } // namespace mussti

@@ -381,16 +381,16 @@ MemoryResultCache::MemoryResultCache(std::size_t capacity)
 std::optional<CompileResult>
 MemoryResultCache::lookup(const ResultCacheKey &key)
 {
+    if (capacity_ == 0)
+        return std::nullopt;
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = entries_.find(key);
-    if (it == entries_.end()) {
+    const CompileResult *hit = entries_.find(key);
+    if (hit == nullptr) {
         ++stats_.misses;
         return std::nullopt;
     }
-    // Refresh recency.
-    lru_.splice(lru_.begin(), lru_, it->second.second);
     ++stats_.hits;
-    return it->second.first;
+    return *hit;
 }
 
 void
@@ -400,15 +400,13 @@ MemoryResultCache::store(const ResultCacheKey &key,
     if (capacity_ == 0)
         return;
     std::lock_guard<std::mutex> lock(mutex_);
-    if (entries_.find(key) != entries_.end())
+    if (entries_.contains(key))
         return; // A concurrent identical job already stored it.
-    while (entries_.size() >= capacity_ && !lru_.empty()) {
-        entries_.erase(lru_.back());
-        lru_.pop_back();
+    while (entries_.size() >= capacity_) {
+        entries_.popOldest();
         ++stats_.evictions;
     }
-    lru_.push_front(key);
-    entries_.emplace(key, std::make_pair(result, lru_.begin()));
+    entries_.insert(key, result);
 }
 
 ResultTierStats
@@ -647,6 +645,127 @@ DiskResultCache::stats() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return stats_;
+}
+
+// ---- snapshot tier ----------------------------------------------------
+
+SnapshotCache::SnapshotCache(std::size_t capacity, int quarantineThreshold)
+    : capacity_(capacity), quarantineThreshold_(quarantineThreshold)
+{}
+
+std::vector<std::shared_ptr<const ScheduleSnapshot>>
+SnapshotCache::probe(const ResultCacheKey &key, const Circuit &circuit)
+{
+    std::vector<std::shared_ptr<const ScheduleSnapshot>> found;
+    ResultCacheKey skey = key;
+    skey.circuitHash = 0; // the probe-index key, then each snapshot's
+    std::lock_guard<std::mutex> lock(mutex_);
+
+    const auto index_it = prefixIndex_.find(skey);
+    if (index_it != prefixIndex_.end()) {
+        // Walk the cached prefix lengths longest-first — the longer
+        // the verified prefix, the less suffix the scheduler replays —
+        // and stop once enough candidates are in hand.
+        const auto &lengths = index_it->second;
+        for (auto it = lengths.rbegin();
+             it != lengths.rend() && found.size() < kMaxResumeCandidates;
+             ++it) {
+            const std::size_t prefix_gates = it->first;
+            if (prefix_gates == 0 || prefix_gates > circuit.size())
+                continue;
+            skey.circuitHash = circuit.prefixHash(prefix_gates);
+            if (const auto *snapshot = entries_.find(skey))
+                found.push_back(*snapshot);
+        }
+    }
+    ++(found.empty() ? stats_.misses : stats_.hits);
+
+    // The scheduler wants candidates ascending by covered prefix.
+    std::reverse(found.begin(), found.end());
+    return found;
+}
+
+void
+SnapshotCache::store(const ResultCacheKey &key,
+                     std::vector<ScheduleSnapshot> captured)
+{
+    if (captured.empty())
+        return;
+    ResultCacheKey probe_key = key;
+    probe_key.circuitHash = 0;
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (quarantined_.load(std::memory_order_relaxed))
+        return;
+    for (ScheduleSnapshot &snap : captured) {
+        if (snap.inputPrefixGates == 0)
+            continue;
+        ResultCacheKey skey = probe_key;
+        skey.circuitHash = snap.prefixHash;
+        // Deterministic compiles recapture identical checkpoints; keep
+        // the incumbent, just refresh its recency.
+        if (entries_.find(skey) != nullptr)
+            continue;
+
+        stats_.bytes += snap.approxBytes();
+        prefixIndex_[probe_key][snap.inputPrefixGates] += 1;
+        entries_.insert(skey, std::make_shared<const ScheduleSnapshot>(
+                                  std::move(snap)));
+
+        while (entries_.size() > capacity_) {
+            auto [old_key, old] = entries_.popOldest();
+            stats_.bytes -= std::min(stats_.bytes, old->approxBytes());
+            old_key.circuitHash = 0;
+            const auto index_it = prefixIndex_.find(old_key);
+            if (index_it != prefixIndex_.end()) {
+                auto &lengths = index_it->second;
+                const auto len_it = lengths.find(old->inputPrefixGates);
+                if (len_it != lengths.end() && --len_it->second <= 0)
+                    lengths.erase(len_it);
+                if (lengths.empty())
+                    prefixIndex_.erase(index_it);
+            }
+            ++stats_.evictions;
+        }
+    }
+}
+
+void
+SnapshotCache::noteResume()
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.resumes;
+    fallbackStreak_ = 0;
+}
+
+void
+SnapshotCache::noteFallback()
+{
+    std::unique_lock<std::mutex> lock(mutex_);
+    ++stats_.fallbacks;
+    if (quarantineThreshold_ <= 0 ||
+        ++fallbackStreak_ < quarantineThreshold_ ||
+        quarantined_.load(std::memory_order_relaxed))
+        return;
+    quarantined_.store(true, std::memory_order_relaxed);
+    ++stats_.quarantines;
+    entries_.clear();
+    prefixIndex_.clear();
+    stats_.bytes = 0;
+    const int streak = fallbackStreak_;
+    lock.unlock();
+    warn("delta snapshot tier quarantined after " +
+         std::to_string(streak) +
+         " consecutive resume fallbacks; compiling cold from here on");
+}
+
+SnapshotTierStats
+SnapshotCache::stats() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    SnapshotTierStats stats = stats_;
+    stats.count = entries_.size();
+    stats.quarantined = quarantined_.load(std::memory_order_relaxed);
+    return stats;
 }
 
 } // namespace mussti

@@ -1,18 +1,17 @@
 /**
  * @file
- * Pluggable result-cache tiers for the compile service.
+ * The compile service's caches.
  *
  * The service memoises finished CompileResults keyed by (circuit
- * content hash, backend config digest, seed). This header makes the
- * store pluggable: tiers implement ResultCacheTier and the service
- * stacks them fastest-first — today an in-memory LRU tier
- * (MemoryResultCache) in front of an optional disk-backed persistent
- * tier (DiskResultCache). A lookup walks the stack front to back and
- * promotes hits into the tiers it passed, so a result that survived a
- * process restart on disk is one miss away from memory speed.
+ * content hash, backend config digest, seed) in two tiers it calls
+ * directly: an in-memory LRU (MemoryResultCache) and, when configured,
+ * a disk-backed persistent tier (DiskResultCache) behind it. A disk hit
+ * is promoted into memory, so a result that survived a process restart
+ * on disk is one miss away from memory speed. Next to them sits the
+ * delta-compile checkpoint store (SnapshotCache).
  *
- * Tier contract:
- *  - lookup()/store() are thread-safe and never throw: a tier that
+ * Cache contract:
+ *  - lookup()/store() are thread-safe and never throw: a cache that
  *    cannot serve (I/O error, corrupt entry, capacity zero) degrades to
  *    a miss or a dropped store, never to a wrong result and never to an
  *    exception on the compile path.
@@ -25,19 +24,27 @@
 #ifndef MUSSTI_CORE_RESULT_CACHE_H
 #define MUSSTI_CORE_RESULT_CACHE_H
 
+#include <atomic>
 #include <cstdint>
-#include <list>
+#include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <utility>
+#include <vector>
 
+#include "common/lru_map.h"
 #include "core/pipeline.h"
+#include "core/schedule_snapshot.h"
 
 namespace mussti {
 
-/** Cache coordinates of one compile (same fields as the service key). */
+/**
+ * Cache coordinates of one compile. The snapshot tier reuses it:
+ * `circuitHash` then holds the hash of the input PREFIX a snapshot
+ * covers, and is 0 in the (configDigest, seed) key of its probe index.
+ */
 struct ResultCacheKey
 {
     std::uint64_t circuitHash = 0;
@@ -70,48 +77,24 @@ struct ResultTierStats
                                  ///< as misses and quarantined).
 };
 
-/** One level of the result-cache stack. */
-class ResultCacheTier
-{
-  public:
-    virtual ~ResultCacheTier() = default;
-
-    /** Stable identifier for stats and diagnostics ("memory"/"disk"). */
-    virtual const char *name() const = 0;
-
-    /** The result stored under `key`, or nullopt. Never throws. */
-    virtual std::optional<CompileResult>
-    lookup(const ResultCacheKey &key) = 0;
-
-    /** Store (best-effort; duplicate keys keep the incumbent). */
-    virtual void store(const ResultCacheKey &key,
-                       const CompileResult &result) = 0;
-
-    virtual ResultTierStats stats() const = 0;
-};
-
-/** The in-memory bounded LRU tier (the service's original cache). */
-class MemoryResultCache : public ResultCacheTier
+/** The in-memory bounded LRU tier; capacity 0 disables it. */
+class MemoryResultCache
 {
   public:
     explicit MemoryResultCache(std::size_t capacity);
 
-    const char *name() const override { return "memory"; }
-    std::optional<CompileResult>
-    lookup(const ResultCacheKey &key) override;
-    void store(const ResultCacheKey &key,
-               const CompileResult &result) override;
-    ResultTierStats stats() const override;
+    /** The result stored under `key`, or nullopt. */
+    std::optional<CompileResult> lookup(const ResultCacheKey &key);
+
+    /** Store, evicting LRU at capacity; a present key is kept as is. */
+    void store(const ResultCacheKey &key, const CompileResult &result);
+
+    ResultTierStats stats() const;
 
   private:
     const std::size_t capacity_;
     mutable std::mutex mutex_;
-    std::unordered_map<ResultCacheKey,
-                       std::pair<CompileResult,
-                                 std::list<ResultCacheKey>::iterator>,
-                       ResultCacheKeyHash>
-        entries_;
-    std::list<ResultCacheKey> lru_; ///< Front = most recently used.
+    LruMap<ResultCacheKey, CompileResult, ResultCacheKeyHash> entries_;
     ResultTierStats stats_;
 };
 
@@ -127,7 +110,7 @@ class MemoryResultCache : public ResultCacheTier
  * the hot path silent and the wrong-result probability at the checksum
  * collision floor.
  */
-class DiskResultCache : public ResultCacheTier
+class DiskResultCache
 {
   public:
     /**
@@ -136,12 +119,13 @@ class DiskResultCache : public ResultCacheTier
      */
     DiskResultCache(std::string directory, std::size_t capacity);
 
-    const char *name() const override { return "disk"; }
-    std::optional<CompileResult>
-    lookup(const ResultCacheKey &key) override;
-    void store(const ResultCacheKey &key,
-               const CompileResult &result) override;
-    ResultTierStats stats() const override;
+    /** The entry stored under `key`, or nullopt (corrupt = miss). */
+    std::optional<CompileResult> lookup(const ResultCacheKey &key);
+
+    /** Atomic best-effort store; a present entry is kept as is. */
+    void store(const ResultCacheKey &key, const CompileResult &result);
+
+    ResultTierStats stats() const;
 
     /** Entry path for `key` (exposed for the corruption tests). */
     std::string entryPathFor(const ResultCacheKey &key) const;
@@ -160,6 +144,97 @@ class DiskResultCache : public ResultCacheTier
     const std::size_t capacity_;
     mutable std::mutex mutex_;
     ResultTierStats stats_;
+};
+
+/** Counters of the snapshot tier (see SnapshotCache). */
+struct SnapshotTierStats
+{
+    std::uint64_t hits = 0;        ///< Probes finding >=1 resume candidate.
+    std::uint64_t misses = 0;      ///< Probes finding none.
+    std::uint64_t evictions = 0;   ///< Snapshots dropped by the bound.
+    std::uint64_t resumes = 0;     ///< Compiles resumed from a snapshot.
+    std::uint64_t fallbacks = 0;   ///< Candidate-backed cold compiles.
+    std::uint64_t quarantines = 0; ///< Quarantine events.
+    bool quarantined = false;      ///< Tier currently quarantined.
+    std::size_t count = 0;         ///< Snapshots currently cached.
+    std::size_t bytes = 0;         ///< Their approximate footprint.
+};
+
+/**
+ * The delta-compile checkpoint tier: an LRU of ScheduleSnapshots keyed
+ * by the content hash of the input PREFIX each covers (not the whole
+ * circuit — that is the point) plus the config/seed coordinates of the
+ * compile that captured it, so a snapshot can never resume a job it
+ * was not produced under.
+ *
+ * After `quarantineThreshold` consecutive resume fallbacks (0 = never)
+ * the tier quarantines itself: it is cleared, enabled() turns false,
+ * and store() refuses to refill it. Thread-safe; enabled() reads one
+ * atomic and takes no lock.
+ */
+class SnapshotCache
+{
+  public:
+    SnapshotCache(std::size_t capacity, int quarantineThreshold);
+
+    /** Non-zero capacity and not quarantined. */
+    bool
+    enabled() const
+    {
+        return capacity_ > 0 && !quarantined_.load(std::memory_order_relaxed);
+    }
+
+    /**
+     * Cached snapshots whose input prefix `circuit` shares
+     * (hash-verified), ascending by prefix length, at most
+     * kMaxResumeCandidates of the longest ones. Counts a hit or miss.
+     */
+    std::vector<std::shared_ptr<const ScheduleSnapshot>>
+    probe(const ResultCacheKey &key, const Circuit &circuit);
+
+    /**
+     * Bank checkpoints captured by a compile under `key`'s config and
+     * seed, evicting LRU past the capacity. A no-op once quarantined,
+     * checked under the tier's lock so a concurrent quarantine is never
+     * refilled.
+     */
+    void store(const ResultCacheKey &key,
+               std::vector<ScheduleSnapshot> captured);
+
+    /** A compile resumed: count it and reset the fallback streak. */
+    void noteResume();
+
+    /** A candidate-backed compile scheduled cold; maybe quarantine. */
+    void noteFallback();
+
+    SnapshotTierStats stats() const;
+
+    /** Longest resume-candidate list offered to one compile. */
+    static constexpr std::size_t kMaxResumeCandidates = 8;
+
+  private:
+    const std::size_t capacity_;
+    const int quarantineThreshold_;
+    mutable std::mutex mutex_;
+
+    LruMap<ResultCacheKey, std::shared_ptr<const ScheduleSnapshot>,
+           ResultCacheKeyHash>
+        entries_;
+
+    /**
+     * Probe index: per (configDigest, seed) — a key with circuitHash
+     * 0 — the cached prefix lengths with a refcount (several snapshots
+     * of different circuits may share a length). Lets a probe
+     * enumerate candidate lengths and hash only those prefixes of the
+     * incoming circuit.
+     */
+    std::unordered_map<ResultCacheKey, std::map<std::size_t, int>,
+                       ResultCacheKeyHash>
+        prefixIndex_;
+
+    SnapshotTierStats stats_; ///< `count` and `quarantined` filled on read.
+    int fallbackStreak_ = 0;
+    std::atomic<bool> quarantined_{false}; ///< Written under mutex_.
 };
 
 /**

@@ -254,27 +254,14 @@ CompileServer::handleCompile(Session &session, ServeRequest request)
 void
 CompileServer::handleStats(Session &session, std::uint64_t id)
 {
-    const CompileService::CacheStats cache = service_.cacheStats();
     const AdmissionStats admission = admission_.stats();
     ServeResponse response;
     response.id = id;
     response.ok = true;
+    response.stats = service_.counters();
     auto put = [&response](const char *key, auto value) {
         response.stats.emplace_back(key, static_cast<long long>(value));
     };
-    put("jobs_executed", service_.jobsExecuted());
-    put("cache_hits", service_.cacheHits());
-    put("cache_mem_hits", cache.memoryTier.hits);
-    put("cache_mem_misses", cache.memoryTier.misses);
-    put("cache_mem_evictions", cache.memoryTier.evictions);
-    put("cache_disk_hits", cache.diskTier.hits);
-    put("cache_disk_misses", cache.diskTier.misses);
-    put("cache_disk_evictions", cache.diskTier.evictions);
-    put("cache_disk_corrupt", cache.diskTier.corrupt);
-    put("jobs_failed", cache.jobsFailed);
-    put("jobs_timed_out", cache.jobsTimedOut);
-    put("jobs_cancelled", cache.jobsCancelled);
-    put("jobs_retried", cache.jobsRetried);
     put("admission_submitted", admission.submitted);
     put("admission_dispatched", admission.dispatched);
     put("admission_completed", admission.completed);

@@ -8,7 +8,8 @@
  *          |
  *     CompileService         — worker pool, retry, deadlines
  *          |
- *     ResultCacheTier stack  — memory LRU, then persistent disk tier
+ *     caches                 — memory LRU, then persistent disk tier;
+ *                              delta snapshot LRU (result_cache.h)
  *
  * One session per accepted connection; each session has a reader
  * thread that decodes request frames and submits them through the

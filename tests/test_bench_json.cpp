@@ -60,10 +60,8 @@ sampleRecords()
     d.steadyAllocs = 0;
     d.deltaColdMs = 36.25;
     d.deltaSpeedup = 5.5769; // %.6g emitter: keep within 6 sig figs
-    d.snapshotHits = 1;
-    d.snapshotMisses = 1;
-    d.deltaResumes = 1;
-    d.deltaFallbacks = 0;
+    d.counters = {{"snapshot_hits", 1}, {"snapshot_misses", 1},
+                  {"delta_resumes", 1}, {"delta_fallbacks", 0}};
 
     BenchRecord e; // a cache-tier row with per-tier result counters
     e.suite = "micro_scheduler/cache";
@@ -71,13 +69,10 @@ sampleRecords()
     e.qubits = 96;
     e.repeats = 1;
     e.wallMs = 0.375;
-    e.cacheMemHits = 1;
-    e.cacheMemMisses = 1;
-    e.cacheMemEvictions = 0;
-    e.cacheDiskHits = 1;
-    e.cacheDiskMisses = 0;
-    e.cacheDiskEvictions = 2;
-    e.cacheDiskCorrupt = 1;
+    e.counters = {{"cache_mem_hits", 1},      {"cache_mem_misses", 1},
+                  {"cache_mem_evictions", 0}, {"cache_disk_hits", 1},
+                  {"cache_disk_misses", 0},   {"cache_disk_evictions", 2},
+                  {"cache_disk_corrupt", 1},  {"snapshot_bytes", 123456789}};
     return {a, b, c, d, e};
 }
 
@@ -101,17 +96,7 @@ expectSameRecords(const std::vector<BenchRecord> &x,
         EXPECT_NEAR(x[i].log10Fidelity, y[i].log10Fidelity, 1e-9);
         EXPECT_NEAR(x[i].deltaColdMs, y[i].deltaColdMs, 1e-9);
         EXPECT_NEAR(x[i].deltaSpeedup, y[i].deltaSpeedup, 1e-9);
-        EXPECT_EQ(x[i].snapshotHits, y[i].snapshotHits);
-        EXPECT_EQ(x[i].snapshotMisses, y[i].snapshotMisses);
-        EXPECT_EQ(x[i].deltaResumes, y[i].deltaResumes);
-        EXPECT_EQ(x[i].deltaFallbacks, y[i].deltaFallbacks);
-        EXPECT_EQ(x[i].cacheMemHits, y[i].cacheMemHits);
-        EXPECT_EQ(x[i].cacheMemMisses, y[i].cacheMemMisses);
-        EXPECT_EQ(x[i].cacheMemEvictions, y[i].cacheMemEvictions);
-        EXPECT_EQ(x[i].cacheDiskHits, y[i].cacheDiskHits);
-        EXPECT_EQ(x[i].cacheDiskMisses, y[i].cacheDiskMisses);
-        EXPECT_EQ(x[i].cacheDiskEvictions, y[i].cacheDiskEvictions);
-        EXPECT_EQ(x[i].cacheDiskCorrupt, y[i].cacheDiskCorrupt);
+        EXPECT_EQ(x[i].counters, y[i].counters);
         ASSERT_EQ(x[i].passTrace.size(), y[i].passTrace.size());
         for (std::size_t j = 0; j < x[i].passTrace.size(); ++j) {
             EXPECT_EQ(x[i].passTrace[j].pass, y[i].passTrace[j].pass);
@@ -190,6 +175,23 @@ TEST(BenchJson, ToleratesUnknownKeysIncludingLiterals)
     ASSERT_EQ(records.size(), 1u);
     EXPECT_EQ(records[0].suite, "s");
     EXPECT_NEAR(records[0].wallMs, 1.5, 1e-12);
+}
+
+TEST(BenchJson, UnknownNumericKeysAreFiledAsCounters)
+{
+    // Every numeric key the parser has no field for lands in
+    // `counters`, in document order; the derived allocs_per_step does
+    // not, nor do non-numeric values.
+    const auto records = parseBenchResults(
+        "{\"schema\": \"mussti-bench-v1\", \"results\": [{\"suite\": "
+        "\"s\", \"routing_steps\": 8, \"steady_allocs\": 0, "
+        "\"allocs_per_step\": 0, \"jobs_retried\": 2, \"note\": \"x\", "
+        "\"cache_disk_hits\": -1}]}");
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].routingSteps, 8);
+    const std::vector<std::pair<std::string, long long>> want = {
+        {"jobs_retried", 2}, {"cache_disk_hits", -1}};
+    EXPECT_EQ(records[0].counters, want);
 }
 
 TEST(BenchJson, UnicodeEscapesDecodeToUtf8)

@@ -1,16 +1,21 @@
 /**
  * @file
  * Unit tests for the common library: RNG determinism, log-domain
- * fidelity, string helpers, CSV/table output, and summary statistics.
+ * fidelity, the LRU map, string helpers, CSV/table output, and summary
+ * statistics.
  */
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/csv.h"
 #include "common/error.h"
 #include "common/log_fidelity.h"
+#include "common/lru_map.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -123,6 +128,46 @@ TEST(LogFidelity, MultiplyLnDirect)
     LogFidelity f;
     f.multiplyLn(std::log(0.25));
     EXPECT_NEAR(f.value(), 0.25, 1e-12);
+}
+
+TEST(LruMap, FindRefreshesRecencyContainsDoesNot)
+{
+    LruMap<int, std::string> lru;
+    EXPECT_TRUE(lru.insert(1, "a"));
+    EXPECT_TRUE(lru.insert(2, "b"));
+    EXPECT_TRUE(lru.insert(3, "c"));
+    EXPECT_FALSE(lru.insert(2, "other")); // incumbent kept
+    EXPECT_EQ(*lru.find(2), "b");
+
+    // find(1) makes 1 the newest; contains(3) leaves 3 the oldest.
+    ASSERT_NE(lru.find(1), nullptr);
+    EXPECT_TRUE(lru.contains(3));
+    EXPECT_FALSE(lru.contains(4));
+    EXPECT_EQ(lru.find(4), nullptr);
+    EXPECT_EQ(lru.popOldest().first, 3);
+}
+
+TEST(LruMap, PopOldestFollowsUseOrderAndClearEmpties)
+{
+    LruMap<int, int> lru;
+    for (int key = 1; key <= 4; ++key)
+        lru.insert(key, 10 * key);
+    lru.find(2);
+    lru.find(1);
+    // Use order, oldest first: 3, 4, 2, 1.
+    std::vector<std::pair<int, int>> popped;
+    while (lru.size() > 1)
+        popped.push_back(lru.popOldest());
+    const std::vector<std::pair<int, int>> want = {
+        {3, 30}, {4, 40}, {2, 20}};
+    EXPECT_EQ(popped, want);
+
+    lru.insert(5, 50);
+    lru.clear();
+    EXPECT_TRUE(lru.empty());
+    EXPECT_EQ(lru.size(), 0u);
+    EXPECT_FALSE(lru.contains(1));
+    EXPECT_EQ(lru.find(5), nullptr);
 }
 
 TEST(StringUtil, Trim)

@@ -561,6 +561,37 @@ TEST(CompileService, CacheStatsTrackBothTiers)
     EXPECT_FALSE(stats.deltaQuarantined);
 }
 
+TEST(CompileService, SnapshotTierEvictsPastItsCapacity)
+{
+    // The same base-then-extension history at capacity 64 and at
+    // capacity 2: the small tier holds exactly two snapshots, every
+    // capture it dropped is counted as an eviction, and the two it
+    // kept (the most recently used) still resume the extension.
+    MusstiConfig config;
+    config.deltaCompile = true;
+    config.deltaCheckpointGates = 16;
+    const auto backend = makeMusstiBackend(config);
+
+    auto run = [&backend](std::size_t capacity) {
+        CompileServiceConfig service_config;
+        service_config.numThreads = 1;
+        service_config.snapshotCacheCapacity = capacity;
+        CompileService service(service_config);
+        (void)service.submit(backend, makeIsing(24, 40)).get();
+        const CompileResult extended =
+            service.submit(backend, makeIsing(24, 41)).get();
+        EXPECT_TRUE(extended.deltaResumed) << "capacity " << capacity;
+        return service.cacheStats();
+    };
+
+    const CompileService::CacheStats roomy = run(64);
+    EXPECT_EQ(roomy.snapshotEvictions, 0u);
+    const CompileService::CacheStats tight = run(2);
+    EXPECT_EQ(tight.snapshotCount, 2u);
+    EXPECT_EQ(tight.snapshotCount + tight.snapshotEvictions,
+              roomy.snapshotCount);
+}
+
 TEST(CompileService, ParseThreadCountValidatesInput)
 {
     // Auto (hardware concurrency) cases.

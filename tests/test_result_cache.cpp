@@ -130,6 +130,47 @@ TEST(ResultSerializer, EveryTruncationIsRejectedNotCrashed)
     EXPECT_FALSE(deserializeCompileResult(bytes + "x").has_value());
 }
 
+TEST(MemoryCache, EvictsTheLeastRecentlyUsedEntry)
+{
+    // Capacity 2: the lookup of A makes B the oldest, so storing C
+    // evicts B, not A.
+    MemoryResultCache cache(2);
+    cache.store(sampleKey(1), sampleResult());
+    cache.store(sampleKey(2), sampleResult());
+    EXPECT_TRUE(cache.lookup(sampleKey(1)).has_value());
+    cache.store(sampleKey(3), sampleResult());
+
+    EXPECT_EQ(cache.stats().evictions, 1u);
+    EXPECT_FALSE(cache.lookup(sampleKey(2)).has_value());
+    EXPECT_TRUE(cache.lookup(sampleKey(1)).has_value());
+    EXPECT_TRUE(cache.lookup(sampleKey(3)).has_value());
+}
+
+TEST(MemoryCache, DuplicateStoreIsANoOp)
+{
+    // Re-storing a present key neither evicts nor refreshes it: with A
+    // re-stored after B, A is still the oldest and C evicts it.
+    MemoryResultCache cache(2);
+    cache.store(sampleKey(1), sampleResult());
+    cache.store(sampleKey(2), sampleResult());
+    cache.store(sampleKey(1), sampleResult());
+    EXPECT_EQ(cache.stats().evictions, 0u);
+
+    cache.store(sampleKey(3), sampleResult());
+    EXPECT_EQ(cache.stats().evictions, 1u);
+    EXPECT_FALSE(cache.lookup(sampleKey(1)).has_value());
+    EXPECT_TRUE(cache.lookup(sampleKey(2)).has_value());
+}
+
+TEST(MemoryCache, CapacityZeroStoresNothing)
+{
+    MemoryResultCache cache(0);
+    cache.store(sampleKey(), sampleResult());
+    EXPECT_FALSE(cache.lookup(sampleKey()).has_value());
+    EXPECT_EQ(cache.stats().hits, 0u);
+    EXPECT_EQ(cache.stats().evictions, 0u);
+}
+
 TEST(DiskCache, StoreThenLookupHitsAndCounts)
 {
     const ScratchDir dir;

@@ -360,6 +360,38 @@ TEST(Serve, CompileMatchesALocalCompileBitForBit)
     server.stop();
 }
 
+TEST(Serve, StatsAreTheServiceCountersThenAdmission)
+{
+    // The stats endpoint is CompileService::counters() verbatim, then
+    // the admission layer's seven keys — one counter list, no copy.
+    CompileServerConfig config;
+    config.port = 0;
+    config.numThreads = 1;
+    CompileServer server(config);
+    ASSERT_TRUE(server.start());
+
+    CompileClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+    ASSERT_TRUE(client.await(client.send(familyRequest("ghz", 12))).ok);
+    const ServeResponse stats = client.stats();
+    ASSERT_TRUE(stats.ok);
+
+    const auto service = server.service().counters();
+    const std::vector<std::string> admission = {
+        "admission_submitted", "admission_dispatched",
+        "admission_completed", "admission_cancelled_queued",
+        "admission_queued",    "admission_in_flight",
+        "admission_active_clients"};
+    ASSERT_EQ(stats.stats.size(), service.size() + admission.size());
+    for (std::size_t i = 0; i < service.size(); ++i)
+        EXPECT_EQ(stats.stats[i], service[i]) << i;
+    for (std::size_t i = 0; i < admission.size(); ++i)
+        EXPECT_EQ(stats.stats[service.size() + i].first, admission[i]);
+    EXPECT_EQ(counter(stats, "jobs_executed"), 1);
+
+    server.stop();
+}
+
 /** A raw loopback client socket with Nagle left on, as perfbench uses. */
 int
 connectWithNagle(int port)
