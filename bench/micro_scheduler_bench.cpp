@@ -7,10 +7,18 @@
  * across four workload tiers — small (64q), medium (160q), large
  * (288q), huge (576q) — taking the best of N repeats, and emits
  * machine-readable results (common/bench_json.h) including the
- * per-pass trace of the best run. The huge tier runs the heavy
+ * per-pass trace of the best run. The huge tier runs the wide
  * families (adder/qaoa) plus a 12-module heterogeneous EML device
  * built through the registry, so both the homogeneous ceil(n/32)
  * topology and the hetero `maxq` path stay covered at scale.
+ *
+ * A micro_scheduler/heavy tier runs the paper-scale circuits whose
+ * compiles actually cost something — qft:160, qft:288, sqrt:576 and
+ * ran:576 — with the same paper defaults. Their look-ahead windows are
+ * the widest of any suite, so --assert-zero-allocs over this tier is
+ * the strongest proof that the hot loop stays allocation-free. It sits
+ * outside the --require-speedup gate, so it needs no baseline entry.
+ * (qft:576 is left out: one compile takes over a second.)
  *
  * A grid_router suite times the grid baseline compilers
  * (murali/dai/mqt) on a registry-spec'd 8x8 grid whose relocation inner
@@ -186,6 +194,15 @@ constexpr const char *kHugeHeteroName = "qaoa-hetero12";
 constexpr const char *kHugeHeteroSpec =
     "eml:hetero=3.1.2-2.1.1-3.1.2-2.1.1-3.1.2-2.1.1-3.1.2-2.1.1-"
     "3.1.2-2.1.1-3.1.2-2.1.1,cap=16,maxq=48";
+
+// The heavy tier: deep circuits at paper scale (see the file header).
+struct HeavyWorkload
+{
+    const char *family;
+    int qubits;
+};
+constexpr HeavyWorkload kHeavyWorkloads[] = {
+    {"qft", 160}, {"qft", 288}, {"sqrt", 576}, {"ran", 576}};
 
 // The tiers the --require-speedup gate aggregates over.
 constexpr const char *kGatedTiers[] = {"micro_scheduler/large",
@@ -762,6 +779,12 @@ main(int argc, char **argv)
                                      "micro_scheduler/huge",
                                      kHugeHeteroName, kHugeQubits,
                                      repeats));
+    }
+
+    // Heavy tier: informational wall time, live zero-alloc gate.
+    for (const HeavyWorkload &w : kHeavyWorkloads) {
+        submit("heavy", measureMussti(compiler, "micro_scheduler/heavy",
+                                      w.family, w.qubits, repeats));
     }
 
     // Delta-recompilation tier: warm resume vs cold recompile of an

@@ -303,7 +303,7 @@ executeGate(PassState &st, const MusstiConfig &config, DagNodeId id,
     if (st.retiredOrder != nullptr)
         st.retiredOrder->push_back(id);
     if (config.incrementalFrontier) {
-        for (DagNodeId succ : node.succs) {
+        for (DagNodeId succ : st.dag.successors(id)) {
             if (st.dag.isReady(succ))
                 st.worklist.noteReady(succ);
         }
@@ -388,19 +388,25 @@ drainFullRescan(PassState &st, const MusstiConfig &config,
 // only on their (prefix) predecessors, hence agree between the old and
 // new DAGs.
 
+/** Highest circuit index among the unfinished nodes inside the
+    look-ahead window, or -1 when the window is empty. */
+int
+windowMaxCircuitIndex(const DependencyDag &dag)
+{
+    int max_index = -1;
+    dag.forEachWindowNode([&](DagNodeId id) {
+        max_index = std::max(max_index, dag.node(id).circuitIndex);
+    });
+    return max_index;
+}
+
 /** No unfinished node at or beyond the shared prefix is visible inside
     the look-ahead window. */
 bool
 windowClean(const DependencyDag &dag, std::size_t shared_gates)
 {
-    for (int d = 0; d < dag.windowHorizon(); ++d) {
-        for (DagNodeId id : dag.windowLayer(d)) {
-            if (static_cast<std::size_t>(dag.node(id).circuitIndex) >=
-                shared_gates)
-                return false;
-        }
-    }
-    return true;
+    return static_cast<std::size_t>(windowMaxCircuitIndex(dag) + 1) <=
+        shared_gates;
 }
 
 /** Shape guards a snapshot must pass before any replay is attempted. */
@@ -439,7 +445,7 @@ replayRetired(PassState &st, const ResumeCandidate &cand,
         if (id < 0 || id >= st.dag.size())
             return false;
         const DagNode &node = st.dag.node(id);
-        if (node.done || !st.dag.isReady(id) ||
+        if (!st.dag.isReady(id) ||
             static_cast<std::size_t>(node.circuitIndex) >=
                 cand.sharedLoweredGates)
             return false;
@@ -543,14 +549,9 @@ captureSnapshot(const PassState &st,
     // is either retired or inside the look-ahead window (see the proof
     // comment above), so any circuit agreeing on gates [0, watermark)
     // can resume here.
-    int max_index = -1;
+    int max_index = windowMaxCircuitIndex(st.dag);
     for (const int id : retired_order)
         max_index = std::max(max_index, st.dag.node(id).circuitIndex);
-    for (int d = 0; d < st.dag.windowHorizon(); ++d) {
-        for (DagNodeId id : st.dag.windowLayer(d))
-            max_index = std::max(max_index,
-                                 st.dag.node(id).circuitIndex);
-    }
     if (max_index >= last_node_index)
         return false;
     snap.loweredPrefixGates = static_cast<std::size_t>(max_index + 1);

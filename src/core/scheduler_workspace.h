@@ -48,7 +48,7 @@ struct SchedulerWorkspace
     /** Per-DAG-node worklist membership state. */
     std::vector<std::uint8_t> worklistState;
 
-    /** Donated DependencyDag window scratch. */
+    /** Donated DependencyDag arrays. */
     DagScratch dag;
 
     /**

@@ -7,71 +7,41 @@
 namespace mussti {
 
 void
-DependencyDag::adoptScratch()
+DependencyDag::tradeScratch()
 {
     if (donor_ == nullptr)
         return;
+    // Swap-and-clear serves both directions: at construction the DAG
+    // takes the donor's warm buffers (emptied, capacity kept); on
+    // destruction they go back and the DAG keeps the empty ones.
     DagScratch &s = *donor_;
-    nodes_ = std::move(s.nodes);
-    lead1qGates_ = std::move(s.lead1qGates);
-    trailing1q_ = std::move(s.trailing1q);
-    nodes_.clear();
-    lead1qGates_.clear();
-    trailing1q_.clear();
-    depth_ = std::move(s.depth);
-    nextUse_ = std::move(s.nextUse);
-    nextUseLog_ = std::move(s.nextUseLog);
-    nextUseLog_.clear();
-    chainOffsets_ = std::move(s.chainOffsets);
-    chainNodes_ = std::move(s.chainNodes);
-    chainHead_ = std::move(s.chainHead);
-    frontier_ = std::move(s.frontier);
-    worklist_ = std::move(s.worklist);
-    inWave_ = std::move(s.inWave);
-    bucketPos_ = std::move(s.bucketPos);
-    pendingRetired_ = std::move(s.pendingRetired);
-    dirtyQubits_ = std::move(s.dirtyQubits);
-    windowBuckets_ = std::move(s.windowBuckets);
-    peelPreds_ = std::move(s.peelPreds);
-    peelTouched_ = std::move(s.peelTouched);
-    frontier_.clear();
-    worklist_.clear();
-    pendingRetired_.clear();
-    dirtyQubits_.clear();
-    peelTouched_.clear();
-    for (auto &bucket : windowBuckets_)
-        bucket.clear();
-}
-
-void
-DependencyDag::returnScratch()
-{
-    if (donor_ == nullptr)
-        return;
-    DagScratch &s = *donor_;
-    s.nodes = std::move(nodes_);
-    s.lead1qGates = std::move(lead1qGates_);
-    s.trailing1q = std::move(trailing1q_);
-    s.depth = std::move(depth_);
-    s.nextUse = std::move(nextUse_);
-    s.nextUseLog = std::move(nextUseLog_);
-    s.chainOffsets = std::move(chainOffsets_);
-    s.chainNodes = std::move(chainNodes_);
-    s.chainHead = std::move(chainHead_);
-    s.frontier = std::move(frontier_);
-    s.worklist = std::move(worklist_);
-    s.inWave = std::move(inWave_);
-    s.bucketPos = std::move(bucketPos_);
-    s.pendingRetired = std::move(pendingRetired_);
-    s.dirtyQubits = std::move(dirtyQubits_);
-    s.windowBuckets = std::move(windowBuckets_);
-    s.peelPreds = std::move(peelPreds_);
-    s.peelTouched = std::move(peelTouched_);
+    const auto trade = [](auto &mine, auto &theirs) {
+        mine.swap(theirs);
+        mine.clear();
+    };
+    trade(nodes_, s.nodes);
+    trade(links_, s.links);
+    trade(done_, s.done);
+    trade(lead1qGates_, s.lead1qGates);
+    trade(trailing1q_, s.trailing1q);
+    trade(depth_, s.depth);
+    trade(nextUse_, s.nextUse);
+    trade(nextUseLog_, s.nextUseLog);
+    trade(chainOffsets_, s.chainOffsets);
+    trade(chainNodes_, s.chainNodes);
+    trade(chainHead_, s.chainHead);
+    trade(frontier_, s.frontier);
+    trade(worklist_, s.worklist);
+    trade(inWave_, s.inWave);
+    trade(pendingRetired_, s.pendingRetired);
+    trade(dirtyQubits_, s.dirtyQubits);
+    trade(peelPreds_, s.peelPreds);
+    trade(peelTouched_, s.peelTouched);
 }
 
 DependencyDag::~DependencyDag()
 {
-    returnScratch();
+    tradeScratch();
 }
 
 DependencyDag::DependencyDag(const Circuit &circuit, int window_horizon,
@@ -81,29 +51,48 @@ DependencyDag::DependencyDag(const Circuit &circuit, int window_horizon,
     MUSSTI_REQUIRE(window_horizon >= 1,
                    "DAG window horizon must be >= 1, got "
                    << window_horizon);
-    adoptScratch();
+    tradeScratch();
 
     const int n = circuit.numQubits();
-    // lastNode[q]: most recent 2q node touching qubit q, or -1.
-    std::vector<DagNodeId> last_node(n, -1);
     // Pending 1q gates per qubit, attached to the next 2q node on that
     // qubit (or to trailing1q_ if none follows). Inner vectors keep
     // their capacity across clears, so churn is bounded by the qubit
     // count, not the gate count.
     std::vector<std::vector<Gate>> pending_1q(n);
 
-    // Size the node and leading-1q stores up front: DagNode growth
-    // would otherwise re-copy the node array log(gates) times.
+    // Counting pass: sizes the node stores (DagNode growth would
+    // otherwise re-copy the node array log(gates) times) and the
+    // per-qubit dependency chains, which are CSR — one flat array plus
+    // offsets, no per-qubit vectors.
     std::size_t two_qubit = 0;
     std::size_t single_qubit = 0;
+    chainOffsets_.assign(n + 1, 0);
     for (std::size_t i = 0; i < circuit.size(); ++i) {
-        if (circuit[i].twoQubit())
-            ++two_qubit;
-        else
+        const Gate &g = circuit[i];
+        if (!g.twoQubit()) {
             ++single_qubit;
+            continue;
+        }
+        ++two_qubit;
+        ++chainOffsets_[g.q0 + 1];
+        ++chainOffsets_[g.q1 + 1];
     }
+    for (int q = 0; q < n; ++q)
+        chainOffsets_[q + 1] += chainOffsets_[q];
     nodes_.reserve(two_qubit);
+    links_.reserve(two_qubit);
+    done_.reserve(two_qubit);
+    depth_.reserve(two_qubit);
     lead1qGates_.reserve(single_qubit);
+    chainNodes_.resize(chainOffsets_[n]);
+    // Chain fill cursor; reset to the chain heads (0) below. The last
+    // entry written on q's chain is q's previous two-qubit gate.
+    chainHead_.assign(n, 0);
+    // Frontier capacity bound: frontier nodes are chain heads of their
+    // operand qubits, and each qubit has at most one chain head, so the
+    // frontier never exceeds floor(n / 2) nodes. Reserving it here keeps
+    // insertSortedFrontier allocation-free for the whole run.
+    frontier_.reserve(static_cast<std::size_t>(n) / 2 + 1);
 
     for (std::size_t i = 0; i < circuit.size(); ++i) {
         const Gate &g = circuit[i];
@@ -128,22 +117,35 @@ DependencyDag::DependencyDag(const Circuit &circuit, int window_horizon,
             node.lead1qOffset;
 
         const DagNodeId id = static_cast<DagNodeId>(nodes_.size());
-        for (int q : {g.q0, g.q1}) {
-            const DagNodeId prev = last_node[q];
-            if (prev >= 0) {
-                // Avoid duplicate edges when both operands share the
-                // same predecessor.
-                auto &succs = nodes_[prev].succs;
-                if (std::find(succs.begin(), succs.end(), id) ==
-                    succs.end()) {
-                    succs.push_back(id);
-                    node.preds.push_back(prev);
-                    ++node.pendingPreds;
-                }
+        DagLinks link;
+        int deepest = -1; // Deepest predecessor's window depth.
+        for (int k = 0; k < 2; ++k) {
+            const int q = k == 0 ? g.q0 : g.q1;
+            const int slot = chainOffsets_[q] + chainHead_[q]++;
+            const DagNodeId prev = slot > chainOffsets_[q]
+                ? chainNodes_[slot - 1]
+                : -1;
+            chainNodes_[slot] = id;
+            link.pred[k] = prev;
+            link.qubit[k] = q;
+            // Avoid duplicate edges when both operands share the same
+            // predecessor.
+            if (prev >= 0 && (k == 0 || prev != link.pred[0])) {
+                links_[prev].succs.push_back(id);
+                ++node.pendingPreds;
+                deepest = std::max(deepest, depth_[prev]);
             }
-            last_node[q] = id;
         }
         nodes_.push_back(node);
+        links_.push_back(link);
+        done_.push_back(0);
+        // Ids are in topological order, so every predecessor's window
+        // depth is final: one past the deepest, clamped to the horizon.
+        depth_.push_back(std::min(horizon_, deepest + 1));
+        // Ids are also in circuit order, so the frontier built here is
+        // already FCFS-sorted.
+        if (node.pendingPreds == 0)
+            frontier_.push_back(id);
     }
 
     for (auto &rest : pending_1q) {
@@ -152,65 +154,13 @@ DependencyDag::DependencyDag(const Circuit &circuit, int window_horizon,
 
     remaining_ = static_cast<int>(nodes_.size());
 
-    // Frontier capacity bound: frontier nodes are chain heads of their
-    // operand qubits, and each qubit has at most one chain head, so the
-    // frontier never exceeds floor(n / 2) nodes. Reserving it here keeps
-    // insertSortedFrontier allocation-free for the whole run.
-    frontier_.reserve(static_cast<std::size_t>(n) / 2 + 1);
-    for (DagNodeId id = 0; id < size(); ++id) {
-        if (nodes_[id].pendingPreds == 0)
-            frontier_.push_back(id);
-    }
-    // Node ids are created in circuit order, so the frontier built by an
-    // id scan is already FCFS-sorted.
-
-    // Window depths in one topological sweep (ids are already in
-    // topological order): a node's layer is one past its deepest
-    // predecessor, clamped to the horizon.
-    depth_.resize(nodes_.size());
-    for (DagNodeId id = 0; id < size(); ++id)
-        depth_[id] = recomputeDepth(id);
-
-    // Per-qubit dependency chains in CSR form: the nodes touching a
-    // qubit are totally ordered through it, so the first unfinished one
-    // always carries the qubit's minimum window depth. Counting pass,
-    // prefix sum, fill pass — two flat arrays, no per-qubit vectors.
-    chainOffsets_.assign(n + 1, 0);
-    for (const DagNode &node : nodes_) {
-        ++chainOffsets_[node.gate.q0 + 1];
-        ++chainOffsets_[node.gate.q1 + 1];
-    }
-    for (int q = 0; q < n; ++q)
-        chainOffsets_[q + 1] += chainOffsets_[q];
-    chainNodes_.resize(chainOffsets_[n]);
-    {
-        std::vector<int> fill(chainOffsets_.begin(),
-                              chainOffsets_.end() - 1);
-        for (DagNodeId id = 0; id < size(); ++id) {
-            chainNodes_[fill[nodes_[id].gate.q0]++] = id;
-            chainNodes_[fill[nodes_[id].gate.q1]++] = id;
-        }
-    }
-    chainHead_.assign(n, 0);
+    // The nodes touching a qubit are totally ordered through it, so the
+    // first unfinished one always carries the qubit's minimum window
+    // depth.
+    std::fill(chainHead_.begin(), chainHead_.end(), 0);
     nextUse_.assign(n, horizon_);
     for (int q = 0; q < n; ++q)
         refreshQubitNextUse(q);
-
-    // Window buckets: unfinished nodes grouped by depth, for the
-    // order-independent windowLayer() view. Nodes of one bucket are
-    // qubit-disjoint (same-qubit nodes are chain-ordered, so their
-    // depths differ), which bounds each bucket by floor(n / 2); the
-    // reserve keeps the flush wave's bucket moves allocation-free.
-    windowBuckets_.resize(horizon_);
-    const std::size_t bucket_bound =
-        std::min(static_cast<std::size_t>(n) / 2 + 1, nodes_.size());
-    for (auto &bucket : windowBuckets_)
-        bucket.reserve(bucket_bound);
-    bucketPos_.assign(nodes_.size(), -1);
-    for (DagNodeId id = 0; id < size(); ++id) {
-        if (depth_[id] < horizon_)
-            bucketInsert(id, depth_[id]);
-    }
 
     // Relaxation/retirement queues: bounded by the touched cone, itself
     // bounded by the node count (the wave re-pushes a successor only
@@ -221,31 +171,16 @@ DependencyDag::DependencyDag(const Circuit &circuit, int window_horizon,
     dirtyQubits_.reserve(2 * nodes_.size() + 2);
 }
 
-void
-DependencyDag::bucketRemove(DagNodeId id) const
+DagEdgeList
+DependencyDag::predecessors(DagNodeId id) const
 {
-    const int pos = bucketPos_[id];
-    if (pos < 0)
-        return;
-    auto &bucket = windowBuckets_[depth_[id]];
-    const DagNodeId moved = bucket.back();
-    bucket[pos] = moved;
-    bucketPos_[moved] = pos;
-    bucket.pop_back();
-    bucketPos_[id] = -1;
-}
-
-void
-DependencyDag::bucketInsert(DagNodeId id, int d) const
-{
-    bucketPos_[id] = static_cast<int>(windowBuckets_[d].size());
-    windowBuckets_[d].push_back(id);
-}
-
-bool
-DependencyDag::isReady(DagNodeId id) const
-{
-    return !nodes_[id].done && nodes_[id].pendingPreds == 0;
+    const DagLinks &link = links_[id];
+    DagEdgeList preds;
+    if (link.pred[0] >= 0)
+        preds.push_back(link.pred[0]);
+    if (link.pred[1] >= 0 && link.pred[1] != link.pred[0])
+        preds.push_back(link.pred[1]);
+    return preds;
 }
 
 void
@@ -254,17 +189,6 @@ DependencyDag::insertSortedFrontier(DagNodeId id)
     // Frontier stays sorted by circuitIndex == node id order.
     auto it = std::lower_bound(frontier_.begin(), frontier_.end(), id);
     frontier_.insert(it, id);
-}
-
-int
-DependencyDag::recomputeDepth(DagNodeId id) const
-{
-    int deepest = -1;
-    for (DagNodeId pred : nodes_[id].preds) {
-        if (!nodes_[pred].done)
-            deepest = std::max(deepest, depth_[pred]);
-    }
-    return std::min(horizon_, deepest + 1);
 }
 
 void
@@ -291,49 +215,74 @@ DependencyDag::flushWindow() const
     // gates therefore costs one wave, not n.
     // A node may be reachable through both operand chains and through
     // several retirements of one burst; the inWave_ flag queues it once
-    // per wave. Deduping is sound because recomputeDepth reads the live
+    // per wave. Deduping is sound because the visit reads the live
     // pred depths at pop time: one visit after the duplicate pushes
     // lands on the same value, and any later pred decrease re-queues
     // the node (the push below fires on every actual decrease).
+    // Successors of an unfinished node are unfinished, so only the
+    // seeds (successors of this burst's retirements) need a done check.
     worklist_.clear();
     const auto enqueue = [this](DagNodeId succ) {
-        if (!nodes_[succ].done && !inWave_[succ]) {
+        if (!inWave_[succ]) {
             inWave_[succ] = 1;
             worklist_.push_back(succ);
         }
     };
     for (DagNodeId id : pendingRetired_) {
-        for (DagNodeId succ : nodes_[id].succs)
-            enqueue(succ);
+        for (DagNodeId succ : links_[id].succs) {
+            if (!done_[succ])
+                enqueue(succ);
+        }
     }
     pendingRetired_.clear();
     while (!worklist_.empty()) {
         const DagNodeId n = worklist_.back();
         worklist_.pop_back();
         inWave_[n] = 0;
-        const int fresh = recomputeDepth(n);
+        // One read per chain predecessor yields both n's depth (one past
+        // its deepest unfinished predecessor) and whether n heads that
+        // qubit's chain (predecessor absent or retired).
+        const DagLinks &link = links_[n];
+        int deepest = -1;
+        bool heads[2] = {false, false};
+        for (int k = 0; k < 2; ++k) {
+            const DagNodeId pred = link.pred[k];
+            heads[k] = pred < 0 || done_[pred];
+            if (!heads[k])
+                deepest = std::max(deepest, depth_[pred]);
+        }
+        const int fresh = std::min(horizon_, deepest + 1);
         if (fresh >= depth_[n])
             continue;
-        bucketRemove(n);
         depth_[n] = fresh;
-        bucketInsert(n, fresh);
-        const DagNode &node = nodes_[n];
-        for (int q : {node.gate.q0, node.gate.q1}) {
-            const QubitChainView chain = qubitChain(q);
-            const int head = chainHead_[q];
-            if (head < chain.size() && chain[head] == n) {
-                nextUse_[q] = fresh;
+        for (int k = 0; k < 2; ++k) {
+            if (heads[k]) {
+                nextUse_[link.qubit[k]] = fresh;
                 if (logNextUse_)
-                    nextUseLog_.push_back(q);
+                    nextUseLog_.push_back(link.qubit[k]);
             }
         }
-        for (DagNodeId succ : node.succs)
+        for (DagNodeId succ : link.succs)
             enqueue(succ);
     }
 
     for (int q : dirtyQubits_)
         refreshQubitNextUse(q);
     dirtyQubits_.clear();
+}
+
+std::vector<DagNodeId>
+DependencyDag::windowLayer(int depth) const
+{
+    MUSSTI_ASSERT(depth >= 0 && depth < horizon_,
+                  "window layer " << depth << " outside horizon "
+                  << horizon_);
+    std::vector<DagNodeId> layer;
+    forEachWindowNode([&](DagNodeId id) {
+        if (depth_[id] == depth)
+            layer.push_back(id);
+    });
+    return layer;
 }
 
 void
@@ -345,12 +294,11 @@ DependencyDag::complete(DagNodeId id)
     MUSSTI_ASSERT(it != frontier_.end() && *it == id,
                   "complete() on non-frontier node " << id);
     frontier_.erase(it);
-    DagNode &node = nodes_[id];
-    MUSSTI_ASSERT(!node.done, "double completion of node " << id);
-    node.done = true;
+    MUSSTI_ASSERT(!done_[id], "double completion of node " << id);
+    done_[id] = 1;
     --remaining_;
-    bucketRemove(id);
-    for (DagNodeId succ : node.succs) {
+    const DagLinks &link = links_[id];
+    for (DagNodeId succ : link.succs) {
         if (--nodes_[succ].pendingPreds == 0)
             insertSortedFrontier(succ);
     }
@@ -359,11 +307,8 @@ DependencyDag::complete(DagNodeId id)
     // head of both its qubits (frontier nodes have no unfinished
     // ancestors), so advance their heads now (O(1)) and queue the depth
     // relaxation for the next window read (flushWindow).
-    for (int q : {node.gate.q0, node.gate.q1}) {
-        const QubitChainView chain = qubitChain(q);
-        int &head = chainHead_[q];
-        while (head < chain.size() && nodes_[chain[head]].done)
-            ++head;
+    for (int q : link.qubit) {
+        ++chainHead_[q];
         dirtyQubits_.push_back(q);
     }
     pendingRetired_.push_back(id);
@@ -380,9 +325,10 @@ DependencyDag::frontLayers(int k) const
     // the nodes actually reached. The scratch persists across calls
     // (entries reset on exit), so no O(total-gates) allocation happens
     // per call. The MUSS-TI scheduler itself reads the incremental
-    // window (nextUse/windowLayer, horizon 64 by default) instead of
-    // peeling; this remains for consumers that need layer-internal FCFS
-    // order (the Dai baseline) or look-aheads beyond the horizon.
+    // window (nextUse and the per-qubit chains, horizon 64 by default)
+    // instead of peeling; this remains for consumers that need
+    // layer-internal FCFS order (the Dai baseline) or look-aheads beyond
+    // the horizon.
     if (peelPreds_.size() != nodes_.size())
         peelPreds_.assign(nodes_.size(), -1);
 
@@ -390,7 +336,7 @@ DependencyDag::frontLayers(int k) const
     for (int layer = 0; layer < k && !current.empty(); ++layer) {
         std::vector<DagNodeId> next;
         for (DagNodeId id : current) {
-            for (DagNodeId succ : nodes_[id].succs) {
+            for (DagNodeId succ : links_[id].succs) {
                 if (peelPreds_[succ] < 0) {
                     peelPreds_[succ] = nodes_[succ].pendingPreds;
                     peelTouched_.push_back(succ);

@@ -26,28 +26,37 @@
  * the DAG maintains this state persistently:
  *
  *  - `windowDepth(node)`: the node's layer, clamped to the horizon,
- *    initialised by one topological sweep at construction and updated on
- *    every complete()/retire by a decrease-only worklist over the
- *    affected cone (depths never increase as nodes retire);
+ *    set during construction and updated after complete() by a
+ *    decrease-only worklist over the affected cone (depths never
+ *    increase as nodes retire);
  *  - `nextUse()`: per qubit, the layer of its first unfinished gate (the
  *    head of its dependency chain), or the horizon sentinel when the
  *    qubit is idle throughout the window. Because the gates touching a
  *    qubit form a chain in the DAG, the chain head always carries the
  *    minimum depth, so this is an O(1)-per-qubit read.
  *
- * frontLayers(k) keeps the non-destructive peel (the SWAP-insertion
- * weight table wants explicit layer lists) but reuses persistent scratch
+ * The relaxation wave is the DAG's hottest loop (tens of depth
+ * decrements per node per scheduling run), so it reads only compact
+ * per-node arrays — a DagLinks record, a `done` byte, the depth — and
+ * never a DagNode. A node heads qubit q's chain exactly when its
+ * predecessor on q is absent or done: that is how the wave knows which
+ * nextUse entries a depth decrease moves. No per-depth node sets are
+ * kept; windowLayer() and forEachWindowNode() walk the qubit chains on
+ * demand (only delta capture needs them, not the scheduling loop).
+ *
+ * frontLayers(k) keeps the non-destructive peel (the Dai baseline wants
+ * explicit, FCFS-ordered layer lists) but reuses persistent scratch
  * buffers, so it performs no O(total-gates) allocation per call.
  *
  * ## Allocation discipline
  *
  * The scheduler's hot loop (drain, route, complete) must perform zero
  * heap allocations in steady state. Everything that grows during that
- * loop — the frontier, the relaxation worklist, the window buckets, the
- * retirement queues — is reserved to its proven bound at construction,
- * and a DagScratch (core/scheduler_workspace.h) may donate warm buffers
- * so even construction reuses the previous run's capacity. Per-qubit
- * chains are CSR (one flat array + offsets), not a vector-of-vectors.
+ * loop — the frontier, the relaxation worklist, the retirement queues —
+ * is reserved to its proven bound at construction. Every array can come
+ * from a DagScratch (core/scheduler_workspace.h) and goes back to it on
+ * destruction, so each rebuild reuses the previous run's capacity.
+ * Per-qubit chains are CSR (one flat array + offsets).
  */
 #ifndef MUSSTI_DAG_DAG_H
 #define MUSSTI_DAG_DAG_H
@@ -68,7 +77,7 @@ using DagNodeId = int;
  * direction — its qubits each contribute one previous and one next gate
  * (deduplicated when both operands share the neighbour) — so edges live
  * inside the node, sparing two heap allocations per gate and a pointer
- * chase per traversal.
+ * chase per traversal. Unused slots hold -1 and trail the used ones.
  */
 class DagEdgeList
 {
@@ -76,19 +85,18 @@ class DagEdgeList
     void
     push_back(DagNodeId id)
     {
-        MUSSTI_ASSERT(count_ < 2, "a DAG node has at most 2 edges per "
+        MUSSTI_ASSERT(ids_[1] < 0, "a DAG node has at most 2 edges per "
                       "direction (one per operand qubit)");
-        ids_[count_++] = id;
+        ids_[ids_[0] < 0 ? 0 : 1] = id;
     }
 
     const DagNodeId *begin() const { return ids_; }
-    const DagNodeId *end() const { return ids_ + count_; }
-    std::size_t size() const { return static_cast<std::size_t>(count_); }
-    bool empty() const { return count_ == 0; }
+    const DagNodeId *end() const { return ids_ + size(); }
+    std::size_t size() const { return (ids_[0] >= 0) + (ids_[1] >= 0); }
+    bool empty() const { return ids_[0] < 0; }
 
   private:
     DagNodeId ids_[2] = {-1, -1};
-    int count_ = 0;
 };
 
 /** One two-qubit gate node. */
@@ -97,13 +105,18 @@ struct DagNode
     Gate gate;                       ///< The two-qubit gate.
     int circuitIndex = -1;           ///< Position in the source circuit
                                      ///< (FCFS tie-breaking key).
-    DagEdgeList succs;               ///< Dependent nodes.
-    DagEdgeList preds;               ///< Prerequisite nodes (mirror of
-                                     ///< succs; drives window updates).
     int pendingPreds = 0;            ///< Unresolved predecessor count.
     int lead1qOffset = 0;            ///< Slice of the DAG's flat leading-
     int lead1qCount = 0;             ///< 1q gate store (leading1q(id)).
-    bool done = false;
+};
+
+/** A node's 24-byte record for the window relaxation wave. */
+struct DagLinks
+{
+    DagNodeId pred[2] = {-1, -1}; ///< Previous gate on qubit[k]'s chain
+                                  ///< or -1 (may name one node twice).
+    DagEdgeList succs;            ///< Dependent nodes.
+    int qubit[2] = {-1, -1};      ///< Operands (gate.q0, gate.q1).
 };
 
 /** Read-only slice of the DAG's flat single-qubit gate store. */
@@ -118,18 +131,20 @@ struct GateSpan
 };
 
 /**
- * Recycled storage for the DependencyDag's incremental-window state.
- * The MUSS-TI scheduler rebuilds the DAG for every run (three per SABRE
- * compile); donating these buffers lets each rebuild reuse the previous
- * run's capacity instead of re-growing from empty, and keeps the
- * window-maintenance wave (flushWindow) allocation-free once warm.
- * Moved into the DAG at construction and handed back on destruction;
- * contents are opaque capacity, never information — a DAG built with a
- * used scratch is identical to one built without.
+ * Recycled storage for every DependencyDag array. The MUSS-TI scheduler
+ * rebuilds the DAG for every run (three per SABRE compile); donating
+ * these buffers lets each rebuild reuse the previous run's capacity
+ * instead of re-growing from empty, and keeps the window-maintenance
+ * wave (flushWindow) allocation-free once warm. Moved into the DAG at
+ * construction and handed back on destruction; contents are opaque
+ * capacity, never information — a DAG built with a used scratch is
+ * identical to one built without.
  */
 struct DagScratch
 {
     std::vector<DagNode> nodes;      ///< Node storage.
+    std::vector<DagLinks> links;     ///< Per-node wave record.
+    std::vector<std::uint8_t> done;  ///< Per-node retired flag.
     std::vector<Gate> lead1qGates;   ///< Flat leading-1q store.
     std::vector<Gate> trailing1q;    ///< Trailing-1q list.
     std::vector<int> depth;          ///< Per-node clamped window layer.
@@ -141,10 +156,8 @@ struct DagScratch
     std::vector<DagNodeId> frontier; ///< Ready-node list (sorted by id).
     std::vector<DagNodeId> worklist; ///< Depth-relaxation wave scratch.
     std::vector<std::uint8_t> inWave; ///< Wave-membership dedup flags.
-    std::vector<int> bucketPos;      ///< Node position in its bucket.
     std::vector<DagNodeId> pendingRetired; ///< Retirements pre-flush.
     std::vector<int> dirtyQubits;    ///< Qubits whose chain head moved.
-    std::vector<std::vector<DagNodeId>> windowBuckets; ///< Per-depth sets.
     std::vector<int> peelPreds;      ///< frontLayers scratch (-1 = clean).
     std::vector<DagNodeId> peelTouched; ///< frontLayers reset list.
 };
@@ -248,20 +261,36 @@ class DependencyDag
 
     /**
      * Unfinished nodes whose window depth is exactly `depth`
-     * (0 <= depth < windowHorizon()), maintained incrementally. The
-     * order is arbitrary — use frontLayers() when layer-internal FCFS
-     * order matters; use this for order-independent aggregation like
-     * the SWAP-insertion weight table. For depth < k <= horizon the set
-     * equals layer `depth` of frontLayers(k).
+     * (0 <= depth < windowHorizon()), in no particular order; for
+     * depth < k <= horizon, layer `depth` of frontLayers(k) as a set.
+     * Built on demand by one forEachWindowNode() walk.
      */
-    const std::vector<DagNodeId> &
-    windowLayer(int depth) const
+    std::vector<DagNodeId> windowLayer(int depth) const;
+
+    /**
+     * Call visit(id) once for every unfinished node inside the window
+     * (window depth < windowHorizon()), in no particular order. One walk
+     * over the qubit chains: an unfinished chain's depths increase from
+     * its head, so each chain's window nodes are a prefix of it, and a
+     * node is visited from the chain of its first operand. O(qubits +
+     * window nodes); allocation-free.
+     */
+    template <typename Visit>
+    void
+    forEachWindowNode(Visit &&visit) const
     {
-        MUSSTI_ASSERT(depth >= 0 && depth < horizon_,
-                      "window layer " << depth << " outside horizon "
-                      << horizon_);
         flushWindow();
-        return windowBuckets_[depth];
+        const int qubits = static_cast<int>(chainHead_.size());
+        for (int q = 0; q < qubits; ++q) {
+            const int end = chainOffsets_[q + 1];
+            for (int i = chainOffsets_[q] + chainHead_[q]; i < end; ++i) {
+                const DagNodeId id = chainNodes_[i];
+                if (depth_[id] >= horizon_)
+                    break;
+                if (links_[id].qubit[0] == q)
+                    visit(id);
+            }
+        }
     }
 
     /**
@@ -362,11 +391,30 @@ class DependencyDag
      */
     const std::vector<Gate> &trailing1q() const { return trailing1q_; }
 
-    /** Sum of pendingPreds==0 checks; exposed for tests. */
-    bool isReady(DagNodeId id) const;
+    /** Dependent nodes of `id` (at most two, deduplicated). */
+    const DagEdgeList &successors(DagNodeId id) const
+    {
+        return links_[id].succs;
+    }
+
+    /** Prerequisite nodes of `id` (at most two, deduplicated). */
+    DagEdgeList predecessors(DagNodeId id) const;
+
+    /**
+     * True when `id` is unfinished and every predecessor has retired —
+     * the readiness test of the scheduler's phase-1 drain and frontier
+     * worklist, the grid baselines and the validator.
+     */
+    bool
+    isReady(DagNodeId id) const
+    {
+        return !done_[id] && nodes_[id].pendingPreds == 0;
+    }
 
   private:
     std::vector<DagNode> nodes_;
+    std::vector<DagLinks> links_;      ///< Per-node wave record.
+    std::vector<std::uint8_t> done_;   ///< Per-node retired flag.
     std::vector<Gate> lead1qGates_; ///< Flat leading-1q store (see
                                     ///< leading1q()).
     std::vector<DagNodeId> frontier_;
@@ -378,8 +426,8 @@ class DependencyDag
     // ---- incremental window state ------------------------------------
     // Depths are a pure function of the retired set, so maintenance is
     // lazy: complete() queues the retirement and the next read settles
-    // every queued one in a single decrease-only wave. All mutable: the
-    // flush happens under const readers.
+    // every queued one in a single decrease-only wave. Mutable where the
+    // flush writes: it happens under const readers.
     mutable std::vector<int> depth_;   ///< Clamped remaining-graph layer.
     mutable std::vector<int> nextUse_; ///< Per-qubit chain-head depth
                                        ///< (or horizon).
@@ -393,9 +441,6 @@ class DependencyDag
     mutable std::vector<DagNodeId> worklist_; ///< Depth-update scratch.
     mutable std::vector<std::uint8_t> inWave_; ///< Node queued in the
                                  ///< current relaxation wave (dedup).
-    mutable std::vector<std::vector<DagNodeId>> windowBuckets_;
-                                 ///< Unfinished nodes per depth < horizon.
-    mutable std::vector<int> bucketPos_; ///< Index in bucket, or -1.
     mutable std::vector<DagNodeId> pendingRetired_; ///< Retirements not
                                  ///< yet folded into depths/nextUse.
     mutable std::vector<int> dirtyQubits_; ///< Qubits whose chain head
@@ -407,24 +452,14 @@ class DependencyDag
 
     void insertSortedFrontier(DagNodeId id);
 
-    /** Recompute one node's depth from its unfinished predecessors. */
-    int recomputeDepth(DagNodeId id) const;
-
     /** Refresh nextUse_[q] from q's chain head. */
     void refreshQubitNextUse(int q) const;
 
-    /** Fold every queued retirement into depths/buckets/nextUse. */
+    /** Fold every queued retirement into depths and nextUse. */
     void flushWindow() const;
 
-    /** Remove a node from its window bucket (no-op when outside). */
-    void bucketRemove(DagNodeId id) const;
-
-    /** Insert a node into the bucket of depth d (d < horizon). */
-    void bucketInsert(DagNodeId id, int d) const;
-
-    /** Move the donated buffers in/out of the scratch. */
-    void adoptScratch();
-    void returnScratch();
+    /** Swap every array with the donor's (no-op without one). */
+    void tradeScratch();
 };
 
 } // namespace mussti

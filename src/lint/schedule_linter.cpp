@@ -561,7 +561,7 @@ lintDagOrder(const Schedule &schedule, const std::vector<char> &valid,
             sink.add(lint_rules::kCoverage, "whole schedule", msg(out));
             continue;
         }
-        for (DagNodeId pred : node.preds) {
+        for (DagNodeId pred : dag.predecessors(id)) {
             const std::size_t pred_op =
                 first_op[static_cast<std::size_t>(pred)];
             if (pred_op != kUnseen && pred_op > mine) {

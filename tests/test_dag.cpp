@@ -75,13 +75,24 @@ TEST(Dag, DoubleCompletionPanics)
 TEST(Dag, SharedPredecessorSingleEdge)
 {
     // Both operands of the second gate come from the same predecessor;
-    // the edge must be deduplicated so pendingPreds is 1.
-    Circuit qc(2);
+    // the edge must be deduplicated so pendingPreds is 1, and both of
+    // its chain predecessors name that one gate. Qubit 2 stays idle.
+    Circuit qc(3);
     qc.cx(0, 1);
     qc.cx(1, 0);
+    qc.cx(0, 1);
     DependencyDag dag(qc);
+    EXPECT_EQ(dag.successors(0).size(), 1u);
+    EXPECT_EQ(*dag.successors(0).begin(), 1);
+    ASSERT_EQ(dag.predecessors(1).size(), 1u);
+    EXPECT_EQ(*dag.predecessors(1).begin(), 0);
+    EXPECT_TRUE(dag.predecessors(0).empty());
+    EXPECT_EQ(dag.windowDepth(2), 2);
+    EXPECT_EQ(dag.nextUse(), (std::vector<int>{0, 0, 64}));
     dag.complete(0);
     EXPECT_TRUE(dag.isReady(1));
+    EXPECT_EQ(dag.nextUse(), (std::vector<int>{0, 0, 64}));
+    EXPECT_EQ(dag.windowDepth(2), 1);
 }
 
 TEST(Dag, LeadingOneQubitGatesAttach)
@@ -281,6 +292,163 @@ TEST(Dag, WindowDepthZeroIsTheFrontier)
     }
 }
 
+/**
+ * Clamped layer of every node in a fresh frontLayers peel: its layer
+ * index inside the first `horizon` layers, the horizon beyond them.
+ * Retired nodes also read as the horizon; callers skip them.
+ */
+std::vector<int>
+peelDepths(const DependencyDag &dag, int horizon)
+{
+    std::vector<int> depth(dag.size(), horizon);
+    const auto layers = dag.frontLayers(horizon);
+    for (int d = 0; d < static_cast<int>(layers.size()); ++d) {
+        for (DagNodeId id : layers[d])
+            depth[id] = d;
+    }
+    return depth;
+}
+
+/**
+ * Check the whole incremental window against a fresh peel: every
+ * unfinished node's depth, nextUse() and a syncNextUse()-patched copy,
+ * and (when `check_layers`) every windowLayer(d) as a set.
+ */
+void
+expectWindowMatchesPeel(const DependencyDag &dag,
+                        const std::vector<bool> &retired, int num_qubits,
+                        std::vector<int> &synced, bool check_layers)
+{
+    const int horizon = dag.windowHorizon();
+    const std::vector<int> peel = peelDepths(dag, horizon);
+    for (DagNodeId id = 0; id < dag.size(); ++id) {
+        if (!retired[id]) {
+            ASSERT_EQ(dag.windowDepth(id), peel[id]) << "node " << id;
+        }
+    }
+    const std::vector<int> reference =
+        referenceNextUse(dag, num_qubits, horizon);
+    ASSERT_EQ(dag.nextUse(), reference);
+    dag.syncNextUse(synced, false);
+    ASSERT_EQ(synced, reference);
+    if (!check_layers)
+        return;
+    const auto layers = dag.frontLayers(horizon);
+    for (int d = 0; d < horizon; ++d) {
+        std::vector<DagNodeId> window = dag.windowLayer(d);
+        std::sort(window.begin(), window.end());
+        const std::vector<DagNodeId> expected =
+            d < static_cast<int>(layers.size())
+                ? layers[d]
+                : std::vector<DagNodeId>{};
+        ASSERT_EQ(window, expected) << "layer " << d;
+    }
+}
+
+TEST(Dag, CompactWindowMatchesPeelAtEveryRetirementAndBurst)
+{
+    // The compact relaxation wave against the reference peel, at a
+    // horizon that clamps almost everything (1), a small one (4) and the
+    // default. Bursts of up to three retirements between reads exercise
+    // the batched flush. The hand-built circuit has a node whose two
+    // chain predecessors are the same gate (cx(1,0) after cx(0,1), and
+    // again for the third gate) and idle qubits (4 and 5).
+    Circuit twin(6);
+    twin.cx(0, 1);
+    twin.cx(1, 0);
+    twin.cx(0, 1);
+    twin.cx(2, 3);
+    twin.cx(1, 2);
+    twin.cx(3, 0);
+    const Circuit circuits[] = {twin, makeRandomCircuit(14, 140, 3),
+                                makeAdder(16)};
+    for (const int horizon : {1, 4, DependencyDag::kDefaultWindowHorizon}) {
+        for (const Circuit &qc : circuits) {
+            for (const int burst : {1, 3}) {
+                DependencyDag dag(qc, horizon);
+                dag.enableNextUseLog();
+                std::vector<int> synced;
+                dag.syncNextUse(synced, true);
+                std::vector<bool> retired(dag.size(), false);
+                const bool check_layers = horizon <= 4 || burst == 3;
+                SCOPED_TRACE(testing::Message()
+                             << "horizon " << horizon << " burst "
+                             << burst << " on " << qc.size()
+                             << " gates");
+                ASSERT_NO_FATAL_FAILURE(expectWindowMatchesPeel(
+                    dag, retired, qc.numQubits(), synced, check_layers));
+                std::size_t pick = 0;
+                while (!dag.empty()) {
+                    for (int b = 0; b < burst && !dag.empty(); ++b) {
+                        const auto &frontier = dag.frontier();
+                        const DagNodeId id =
+                            frontier[pick % frontier.size()];
+                        pick += 2;
+                        retired[id] = true;
+                        dag.complete(id);
+                    }
+                    ASSERT_NO_FATAL_FAILURE(expectWindowMatchesPeel(
+                        dag, retired, qc.numQubits(), synced,
+                        check_layers));
+                }
+            }
+        }
+    }
+}
+
+/** Window depths of every node, then nextUse, as one vector. */
+std::vector<int>
+windowState(const DependencyDag &dag)
+{
+    std::vector<int> state;
+    for (DagNodeId id = 0; id < dag.size(); ++id)
+        state.push_back(dag.windowDepth(id));
+    const std::vector<int> &next_use = dag.nextUse();
+    state.insert(state.end(), next_use.begin(), next_use.end());
+    return state;
+}
+
+TEST(Dag, ScratchRoundTripKeepsCapacityAndChangesNothing)
+{
+    const Circuit big = makeRandomCircuit(24, 400, 9);
+    DagScratch scratch;
+    std::size_t nodes = 0;
+    {
+        DependencyDag dag(big, 8, &scratch);
+        nodes = static_cast<std::size_t>(dag.size());
+        (void)dag.frontLayers(3); // Sizes the peel scratch too.
+        while (!dag.empty()) {
+            dag.complete(dag.frontier().front());
+            (void)dag.nextUse();
+        }
+    }
+    // Every per-node array the DAG adopted is back, still sized for it.
+    EXPECT_GE(scratch.nodes.capacity(), nodes);
+    EXPECT_GE(scratch.links.capacity(), nodes);
+    EXPECT_GE(scratch.done.capacity(), nodes);
+    EXPECT_GE(scratch.depth.capacity(), nodes);
+    EXPECT_GE(scratch.inWave.capacity(), nodes);
+    EXPECT_GE(scratch.worklist.capacity(), nodes);
+    EXPECT_GE(scratch.pendingRetired.capacity(), nodes);
+    EXPECT_GE(scratch.peelPreds.capacity(), nodes);
+    EXPECT_GE(scratch.chainNodes.capacity(), 2 * nodes);
+
+    // A smaller DAG on the warm scratch matches a cold one step for
+    // step, stale contents notwithstanding.
+    const Circuit small = makeRandomCircuit(12, 150, 4);
+    DependencyDag warm(small, 8, &scratch);
+    DependencyDag cold(small, 8);
+    ASSERT_EQ(warm.size(), cold.size());
+    while (!cold.empty()) {
+        ASSERT_EQ(warm.frontier(), cold.frontier());
+        ASSERT_EQ(windowState(warm), windowState(cold));
+        const DagNodeId id = cold.frontier().back();
+        warm.complete(id);
+        cold.complete(id);
+    }
+    EXPECT_EQ(windowState(warm), windowState(cold));
+}
+
 TEST(Dag, QubitChainsArePerQubitAndOrdered)
 {
     Circuit qc(4);
@@ -327,7 +495,7 @@ TEST(Dag, TopologicalInvariantUnderRandomDrain)
         dag.complete(id);
     }
     for (DagNodeId id = 0; id < dag.size(); ++id) {
-        for (DagNodeId succ : dag.node(id).succs)
+        for (DagNodeId succ : dag.successors(id))
             EXPECT_TRUE(done[succ]);
     }
 }
