@@ -30,11 +30,11 @@
  *
  * This binary overrides the global operator new to count heap
  * allocations into common/alloc_counter.h; the scheduler reports the
- * delta observed inside its main loop. MUSS-TI repeats share one
- * SchedulerWorkspace, so the LAST repeat runs with a warm arena — its
- * count is the steady state, recorded per record as steady_allocs /
- * allocs_per_step and asserted zero by --assert-zero-allocs (the CI
- * gate for the allocation-free hot path).
+ * delta observed inside its main loop. MUSS-TI repeats run on one
+ * thread and share its scheduler arena, so the LAST repeat runs with a
+ * warm arena — its count is the steady state, recorded per record as
+ * steady_allocs / allocs_per_step and asserted zero by
+ * --assert-zero-allocs (the CI gate for the allocation-free hot path).
  *
  * Compilations go straight through the backends, NOT the shared
  * CompileService, so the result cache cannot fake the timings.
@@ -94,7 +94,6 @@
 #include "core/mapper.h"
 #include "core/pipeline.h"
 #include "core/scheduler.h"
-#include "core/scheduler_workspace.h"
 #include "workloads/workloads.h"
 
 // ---- instrumented global allocator ---------------------------------------
@@ -222,9 +221,10 @@ toMs(std::chrono::steady_clock::duration d)
 }
 
 /**
- * Time `repeats` compilations of one MUSS-TI workload through a shared
- * workspace: wall time is best-of-repeats; the allocation count is
- * taken from the LAST repeat, when the arena is warm (steady state).
+ * Time `repeats` compilations of one MUSS-TI workload on this thread:
+ * wall time is best-of-repeats; the allocation count is taken from the
+ * LAST repeat, when the thread's scheduler arena is warm (steady
+ * state).
  */
 BenchRecord
 measureMussti(const MusstiCompiler &compiler, const std::string &suite,
@@ -232,7 +232,6 @@ measureMussti(const MusstiCompiler &compiler, const std::string &suite,
 {
     const Circuit qc = makeBenchmark(
         name.rfind("qaoa", 0) == 0 ? "qaoa" : name, qubits);
-    const auto workspace = std::make_shared<SchedulerWorkspace>();
 
     BenchRecord record;
     record.suite = suite;
@@ -243,8 +242,7 @@ measureMussti(const MusstiCompiler &compiler, const std::string &suite,
 
     for (int rep = 0; rep < repeats; ++rep) {
         const auto t0 = std::chrono::steady_clock::now();
-        const CompileResult result =
-            compiler.compile(qc, {.workspace = workspace});
+        const CompileResult result = compiler.compile(qc);
         const auto t1 = std::chrono::steady_clock::now();
         const double wall_ms = toMs(t1 - t0);
         if (record.wallMs < 0.0 || wall_ms < record.wallMs) {
@@ -334,7 +332,7 @@ reparamTail(const Circuit &base)
  * once, untimed, with checkpoint capture on; the edited circuit is
  * then scheduled `repeats` times cold (no candidates) and `repeats`
  * times warm (resuming from the capture run's snapshots), both
- * best-of-repeats through one shared workspace. Every warm run must
+ * best-of-repeats on this thread's scheduler arena. Every warm run must
  * actually resume, and with `soak` > 0 the warm path re-runs that many
  * extra times asserting resume + zero loop allocations on each
  * iteration. A CompileService pass over the same (base, edited) pair
@@ -362,13 +360,12 @@ measureDelta(const DeltaTier &tier, bool append, int repeats, int soak,
     const Circuit low_base = base.withSwapsDecomposed();
     const Circuit low_edit = edited.withSwapsDecomposed();
     const Placement initial = trivialPlacement(*device, tier.qubits);
-    SchedulerWorkspace ws;
 
     // Untimed capture run over the base circuit supplies the snapshots.
     DeltaRequest capture;
     capture.checkpointEvery = 64;
     const MusstiScheduler::RunOutput captured =
-        scheduler.run(low_base, initial, &ws, &capture);
+        scheduler.run(low_base, initial, &capture);
 
     // Shared lowered prefix between base and edit, by direct compare —
     // the bench plays the role the compile pass's prefix-hash lookup
@@ -395,7 +392,7 @@ measureDelta(const DeltaTier &tier, bool append, int repeats, int soak,
     for (int rep = 0; rep < repeats; ++rep) {
         const auto t0 = std::chrono::steady_clock::now();
         const MusstiScheduler::RunOutput out =
-            scheduler.run(low_edit, initial, &ws);
+            scheduler.run(low_edit, initial);
         const auto t1 = std::chrono::steady_clock::now();
         const double wall_ms = toMs(t1 - t0);
         if (cold_ms < 0.0 || wall_ms < cold_ms)
@@ -411,7 +408,7 @@ measureDelta(const DeltaTier &tier, bool append, int repeats, int soak,
     for (int rep = 0; rep < warm_runs; ++rep) {
         const auto t0 = std::chrono::steady_clock::now();
         const MusstiScheduler::RunOutput out =
-            scheduler.run(low_edit, initial, &ws, &resume);
+            scheduler.run(low_edit, initial, &resume);
         const auto t1 = std::chrono::steady_clock::now();
         const double wall_ms = toMs(t1 - t0);
         if (record.wallMs < 0.0 || wall_ms < record.wallMs)
@@ -672,7 +669,7 @@ main(int argc, char **argv)
         // arena. --quick already guarantees 2.
         if (assert_zero_allocs && repeats < 2)
             fatal("--assert-zero-allocs needs --repeats >= 2 (the first "
-                  "repeat warms the workspace)");
+                  "repeat warms the scheduler arena)");
     };
     try {
         parse_args();

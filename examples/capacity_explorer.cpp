@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "arch/device_registry.h"
+#include "common/error.h"
 #include "common/string_util.h"
 #include "core/compiler.h"
 #include "workloads/workloads.h"
@@ -50,10 +51,8 @@ hubSpec(int modules, int hub, const EmlModuleMix &hub_mix, int capacity)
     return DeviceRegistry::heteroSpec(mixes, capacity);
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+cliMain(int argc, char **argv)
 {
     std::string family = "bv";
     int qubits = 128;
@@ -139,4 +138,12 @@ main(int argc, char **argv)
     std::cout << "\n(heterogeneous specs: eml:hetero=S.O.X-... — see "
                  "src/arch/README.md)\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain(argc, argv, cliMain);
 }

@@ -35,6 +35,7 @@
 #include "arch/device_registry.h"
 #include "baselines/backend_factory.h"
 #include "circuit/qasm.h"
+#include "common/error.h"
 #include "common/string_util.h"
 #include "core/compile_service.h"
 #include "core/compiler.h"
@@ -58,10 +59,8 @@ usage()
         "           --trace [N] --validate\n";
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+cliMain(int argc, char **argv)
 {
     MusstiConfig config;
     std::string backend_name = "mussti";
@@ -204,4 +203,12 @@ main(int argc, char **argv)
         return report ? 0 : 1;
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain(argc, argv, cliMain);
 }

@@ -22,7 +22,8 @@
  *   --stats          print the daemon's counters instead of compiling
  *
  * Exit status: 0 if every response was ok, 1 otherwise — so scripts can
- * assert a deadline was met without parsing.
+ * assert a deadline was met without parsing; 2 on a usage error or
+ * invalid local input.
  *
  * The fingerprint in every ok response is resultFingerprint() of the
  * server-side compile; compile_cli prints the same digest for a local
@@ -35,6 +36,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/error.h"
 #include "serve/compile_client.h"
 #include "serve/protocol.h"
 
@@ -77,10 +79,8 @@ printResponse(const ServeResponse &response, bool json)
     return true;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+cliMain(int argc, char **argv)
 {
     std::string host = "127.0.0.1";
     int port = 7717;
@@ -184,4 +184,12 @@ main(int argc, char **argv)
         all_ok = printResponse(client.await(ids[i]), json) && all_ok;
     }
     return all_ok ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain(argc, argv, cliMain);
 }

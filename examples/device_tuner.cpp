@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "common/bench_json.h"
+#include "common/error.h"
 #include "common/string_util.h"
 #include "tune/tuner.h"
 
@@ -76,10 +77,8 @@ trajectoryRecords(const TunerConfig &config, const TuneOutcome &outcome)
     return records;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+cliMain(int argc, char **argv)
 {
     TunerConfig config;
     std::string json_path;
@@ -167,4 +166,12 @@ main(int argc, char **argv)
         std::cout << "trajectory   : " << json_path << "\n";
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain(argc, argv, cliMain);
 }

@@ -282,7 +282,7 @@ GridCompilerBase::compile(Circuit circuit,
     }
     // The seed is unused but a value must flow to the context.
     return makePipeline().compile(std::move(circuit), params_, 0, nullptr,
-                                  nullptr, options.control);
+                                  options.control);
 }
 
 void

@@ -44,10 +44,9 @@ class GridCompilerBase : public ICompilerBackend
 
     /**
      * Compile a circuit and evaluate it on the grid device. The grid
-     * strategies are deterministic and have no scheduler arena or delta
-     * path: the seed and workspace are ignored, a delta exchange is left
-     * with nothing captured, and the control is checked at every pass
-     * boundary of the pipeline.
+     * strategies are deterministic and have no delta path: the seed is
+     * ignored, a delta exchange is left with nothing captured, and the
+     * control is checked at every pass boundary of the pipeline.
      */
     CompileResult compile(Circuit circuit,
                           const CompileOptions &options = {}) const override;

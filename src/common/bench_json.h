@@ -66,9 +66,9 @@ struct BenchRecord
      * `routingSteps` counts phase-2 routed gates across the whole
      * compile; `steadyAllocs` is the heap-allocation count inside the
      * scheduling loops of the LAST repeat — the steady state, with the
-     * workspace warm — as seen by the harness's instrumented operator
-     * new. `allocs_per_step` in the JSON is their ratio; the CI perf
-     * smoke asserts it stays 0.
+     * scheduler arena warm — as seen by the harness's instrumented
+     * operator new. `allocs_per_step` in the JSON is their ratio; the
+     * CI perf smoke asserts it stays 0.
      */
     long long routingSteps = -1;
     long long steadyAllocs = -1;

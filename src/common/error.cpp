@@ -1,5 +1,6 @@
 #include "common/error.h"
 
+#include <iostream>
 #include <new>
 
 namespace mussti {
@@ -16,6 +17,14 @@ errorCategoryName(ErrorCategory category)
       case ErrorCategory::Internal: return "Internal";
     }
     return "Internal";
+}
+
+bool
+isQuietCategory(ErrorCategory category)
+{
+    return category == ErrorCategory::Timeout ||
+           category == ErrorCategory::Cancelled ||
+           category == ErrorCategory::Transient;
 }
 
 void
@@ -50,6 +59,32 @@ describeCurrentException()
     } catch (...) {
         return MusstiError(ErrorCategory::Internal, "internal.unknown",
                            "unknown exception");
+    }
+}
+
+namespace {
+
+/** Print `error` unless raising it echoed it; return its exit code. */
+int
+exitCodeOf(const MusstiError &error, bool echoed)
+{
+    if (!echoed)
+        std::cerr << error.categoryName() << " (" << error.code()
+                  << "): " << error.message() << std::endl;
+    return error.category() == ErrorCategory::InvalidInput ? 2 : 1;
+}
+
+} // namespace
+
+int
+runMain(int argc, char **argv, int (*body)(int argc, char **argv))
+{
+    try {
+        return body(argc, argv);
+    } catch (const MusstiError &error) {
+        return exitCodeOf(error, !isQuietCategory(error.category()));
+    } catch (...) {
+        return exitCodeOf(describeCurrentException(), false);
     }
 }
 

@@ -39,6 +39,13 @@ enum class ErrorCategory {
 const char *errorCategoryName(ErrorCategory category);
 
 /**
+ * Timeout/Cancelled/Transient are expected control-flow outcomes of a
+ * managed compile job, not diagnostics: raising one never echoes to
+ * stderr (common/logging.h).
+ */
+bool isQuietCategory(ErrorCategory category);
+
+/**
  * Structured error payload: category + stable code + diagnostic.
  *
  * Deliberately NOT derived from std::exception — it is a copyable value
@@ -115,5 +122,14 @@ class MusstiPanic : public std::logic_error, public MusstiError
  * ResourceExhausted, anything else Internal).
  */
 MusstiError describeCurrentException();
+
+/**
+ * The shared `main` of the command-line tools: returns body(argc, argv),
+ * turning an error that escapes it into an exit code instead of
+ * std::terminate — 2 for InvalidInput, 1 for every other category. The
+ * error reaches stderr once: fatal() and panic() echo theirs when
+ * raised, so only quiet categories and foreign exceptions print here.
+ */
+int runMain(int argc, char **argv, int (*body)(int argc, char **argv));
 
 } // namespace mussti

@@ -45,18 +45,6 @@ emitLine(const std::string &line)
     std::cerr << line << std::endl;
 }
 
-/**
- * Timeout/Cancelled/Transient are expected control-flow outcomes of a
- * managed compile job, not diagnostics — they never echo to stderr.
- */
-bool
-quietCategory(ErrorCategory category)
-{
-    return category == ErrorCategory::Timeout ||
-           category == ErrorCategory::Cancelled ||
-           category == ErrorCategory::Transient;
-}
-
 } // namespace
 
 ScopedFatalSilence::ScopedFatalSilence(bool silence_warns)
@@ -82,7 +70,7 @@ die(ErrorCategory category, const std::string &code,
 {
     const bool is_panic = category == ErrorCategory::Internal;
     const bool silenced = !is_panic &&
-        (quietCategory(category) ||
+        (isQuietCategory(category) ||
          fatal_silence_depth.load(std::memory_order_relaxed) > 0);
     if (!silenced)
         emitLine(std::string(is_panic ? "panic" : "fatal") + ": " + message);

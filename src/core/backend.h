@@ -13,15 +13,12 @@
 #define MUSSTI_CORE_BACKEND_H
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 
 #include "core/pipeline.h"
 
 namespace mussti {
-
-struct SchedulerWorkspace; // core/scheduler_workspace.h
 
 /**
  * Everything a caller may add to a compile besides the circuit. The
@@ -35,15 +32,6 @@ struct CompileOptions
      * Deterministic backends ignore it.
      */
     std::optional<std::uint64_t> seed{};
-
-    /**
-     * Donated scheduler arena. The CompileService keeps one per worker
-     * thread, so consecutive jobs reuse warm buffers instead of
-     * re-growing them. Purely an allocation cache: the result is
-     * bit-identical without it, and backends without a scheduler hot
-     * path ignore it.
-     */
-    std::shared_ptr<SchedulerWorkspace> workspace{};
 
     /**
      * Delta-compilation exchange (may be null): resume candidates in,

@@ -8,7 +8,6 @@
 #include "common/fault_injection.h"
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "core/scheduler_workspace.h"
 
 namespace mussti {
 
@@ -254,21 +253,13 @@ CompileService::runJob(CompileRequest &request)
                 }
             }
 
-            // One scheduler arena per worker thread: consecutive jobs
-            // on a worker reuse warm buffers (a pure allocation cache —
-            // results are bit-identical, pinned by test_compile_service
-            // / test_scheduler_workspace). Thread-local rather than
-            // per-service so the arena survives as long as the worker.
-            thread_local auto workspace =
-                std::make_shared<SchedulerWorkspace>();
-
             // Retries need the circuit again, so only the last allowed
             // attempt may consume it.
             Circuit circuit = attempt < max_attempts
                                   ? request.circuit
                                   : std::move(request.circuit);
             CompileResult result = compileOnce(request, std::move(circuit),
-                                               key, workspace, control);
+                                               key, control);
             jobsExecuted_.fetch_add(1);
 
             // A failed job never reaches this store — the result tiers
@@ -294,9 +285,7 @@ CompileService::runJob(CompileRequest &request)
 CompileResult
 CompileService::compileOnce(
     const CompileRequest &request, Circuit circuit,
-    const ResultCacheKey &key,
-    const std::shared_ptr<SchedulerWorkspace> &workspace,
-    const JobControl &control)
+    const ResultCacheKey &key, const JobControl &control)
 {
     DeltaCompileIO delta;
     const bool tier_on = snapshots_.enabled();
@@ -307,7 +296,6 @@ CompileService::compileOnce(
 
     CompileResult compiled = request.backend->compile(
         std::move(circuit), {.seed = request.seed,
-                             .workspace = workspace,
                              .delta = &delta,
                              .control = &control});
 

@@ -351,9 +351,7 @@ class CompileService
     /** One compile attempt, with the delta exchange and control. */
     CompileResult
     compileOnce(const CompileRequest &request, Circuit circuit,
-                const ResultCacheKey &key,
-                const std::shared_ptr<SchedulerWorkspace> &workspace,
-                const JobControl &control);
+                const ResultCacheKey &key, const JobControl &control);
 
     /**
      * Book the failure/retry counters and hand the outcome to the job's

@@ -26,15 +26,6 @@ seededConfig(const MusstiConfig &config, std::uint64_t seed)
     return seeded;
 }
 
-/** The job's scheduler buffer cache, created on first use. */
-SchedulerWorkspace &
-schedulerWorkspaceOf(CompileContext &ctx)
-{
-    if (!ctx.schedulerWorkspace)
-        ctx.schedulerWorkspace = std::make_shared<SchedulerWorkspace>();
-    return *ctx.schedulerWorkspace;
-}
-
 /**
  * Lowered-gate count of the first `prefix` input gates: lowering
  * rewrites each SWAP into 3 CX and keeps every other gate 1:1
@@ -143,8 +134,7 @@ class MusstiSchedulePass : public CompilerPass
         }
 
         auto output = scheduler.run(ctx.requireLowered(),
-                                    ctx.requirePlacement(),
-                                    &schedulerWorkspaceOf(ctx), delta,
+                                    ctx.requirePlacement(), delta,
                                     ctx.control);
         ctx.schedule = std::move(output.schedule);
         ctx.finalPlacement = std::move(output.finalPlacement);
@@ -217,13 +207,12 @@ class SabreTwoFoldPass : public CompilerPass
         MUSSTI_ASSERT(ctx.finalPlacement.has_value(),
                       "sabre-two-fold needs the forward pass's final "
                       "placement");
-        SchedulerWorkspace &workspace = schedulerWorkspaceOf(ctx);
         const Circuit reversed = ctx.requireLowered().reversed();
         auto backward = scheduler.run(reversed, *ctx.finalPlacement,
-                                      &workspace, nullptr, ctx.control);
+                                      nullptr, ctx.control);
         auto refined = scheduler.run(ctx.requireLowered(),
-                                     backward.finalPlacement, &workspace,
-                                     nullptr, ctx.control);
+                                     backward.finalPlacement, nullptr,
+                                     ctx.control);
         const Metrics refined_metrics = evaluator.evaluate(
             refined.schedule, device.zoneInfos());
 
@@ -274,8 +263,7 @@ MusstiCompiler::compile(Circuit circuit, const CompileOptions &options) const
 {
     return makePipeline().compile(std::move(circuit), params_,
                                   options.seed.value_or(config_.seed),
-                                  options.workspace, options.delta,
-                                  options.control);
+                                  options.delta, options.control);
 }
 
 const std::string &

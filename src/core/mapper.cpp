@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "core/scheduler.h"
 
 namespace mussti {
 
@@ -37,28 +36,6 @@ trivialPlacement(const EmlDevice &device, int num_qubits)
                        "qubit share");
     }
     return placement;
-}
-
-Placement
-sabrePlacement(const EmlDevice &device, const PhysicalParams &params,
-               const MusstiConfig &config, const Circuit &lowered)
-{
-    MusstiScheduler scheduler(device, params, config);
-    SchedulerWorkspace workspace;
-
-    // Forward pass from the trivial mapping.
-    const Placement trivial = trivialPlacement(device,
-                                               lowered.numQubits());
-    auto forward = scheduler.run(lowered, trivial, &workspace);
-
-    // Reverse pass seeded by the forward pass's final placement: the
-    // placement it ends in is one that serves the *start* of the
-    // circuit well.
-    const Circuit reversed = lowered.reversed();
-    auto backward = scheduler.run(reversed, forward.finalPlacement,
-                                  &workspace);
-
-    return backward.finalPlacement;
 }
 
 } // namespace mussti

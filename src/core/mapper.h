@@ -6,34 +6,22 @@
  * zones from the highest level downward (optical, operation, storage) —
  * "zones with higher levels typically offer superior functionality".
  *
- * SABRE: a two-fold search. The circuit is scheduled once from the
- * trivial mapping; the resulting final placement seeds a pass over the
- * reversed circuit; that pass's final placement becomes the real initial
- * mapping. This pre-loads qubits into the working zones before use, like
- * memory-block pre-loading.
+ * SABRE: a two-fold search over full scheduling runs, implemented once
+ * as SabreTwoFoldPass (core/compiler.cpp). The forward schedule's final
+ * placement seeds a pass over the reversed circuit, whose final
+ * placement seeds a refined forward pass — pre-loading qubits into the
+ * working zones before use, like memory-block pre-loading.
  */
 #ifndef MUSSTI_CORE_MAPPER_H
 #define MUSSTI_CORE_MAPPER_H
 
 #include "arch/eml_device.h"
 #include "arch/placement.h"
-#include "circuit/circuit.h"
-#include "core/config.h"
-#include "sim/params.h"
 
 namespace mussti {
 
 /** Level-ordered sequential placement. */
 Placement trivialPlacement(const EmlDevice &device, int num_qubits);
-
-/**
- * SABRE-style two-fold-search placement. `lowered` must already have
- * SWAP gates decomposed. Internally runs the MUSS-TI scheduler twice.
- */
-Placement sabrePlacement(const EmlDevice &device,
-                         const PhysicalParams &params,
-                         const MusstiConfig &config,
-                         const Circuit &lowered);
 
 } // namespace mussti
 

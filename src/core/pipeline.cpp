@@ -80,13 +80,11 @@ PassPipeline::passNames() const
 
 CompileResult
 PassPipeline::compile(Circuit circuit, const PhysicalParams &params,
-                      std::uint64_t seed,
-                      std::shared_ptr<SchedulerWorkspace> workspace,
-                      DeltaCompileIO *delta, const JobControl *control) const
+                      std::uint64_t seed, DeltaCompileIO *delta,
+                      const JobControl *control) const
 {
     const auto t0 = std::chrono::steady_clock::now();
     CompileContext ctx(std::move(circuit), params, seed);
-    ctx.schedulerWorkspace = std::move(workspace);
     ctx.delta = delta;
     ctx.control = control;
 

@@ -34,9 +34,8 @@
 
 namespace mussti {
 
-class EmlDevice;           // arch/eml_device.h
-class GridDevice;          // arch/grid_device.h
-struct SchedulerWorkspace; // core/scheduler_workspace.h
+class EmlDevice;  // arch/eml_device.h
+class GridDevice; // arch/grid_device.h
 
 /** Wall-clock record of one executed pass. */
 struct PassTiming
@@ -171,13 +170,6 @@ struct CompileContext
     bool metricsValid = false; ///< Set by whichever pass evaluated last.
 
     /**
-     * Scheduler buffer cache shared by the scheduling passes of one job
-     * (created by the first pass that runs a scheduler, reused by the
-     * SABRE legs). Per-context, so concurrent jobs never share it.
-     */
-    std::shared_ptr<SchedulerWorkspace> schedulerWorkspace;
-
-    /**
      * Delta-compilation exchange (may be null): candidates in,
      * captured checkpoints and the resume verdict out. Owned by the
      * compile() caller; the scheduling pass is the only reader/writer.
@@ -253,9 +245,6 @@ class PassPipeline
     /**
      * Run every pass over a fresh context and assemble the result.
      * Panics unless a lowering pass and an evaluation pass both ran.
-     * `workspace`, when given, seeds the context's scheduler arena so
-     * repeated compilations reuse warm buffers (results are identical
-     * either way; see core/scheduler_workspace.h for the contract).
      * `delta`, when given, is wired into the context for the scheduling
      * pass (resume candidates in, captured checkpoints out). `control`,
      * when given, is checkpointed before every pass (and inside the
@@ -264,9 +253,7 @@ class PassPipeline
      */
     CompileResult
     compile(Circuit circuit, const PhysicalParams &params,
-            std::uint64_t seed,
-            std::shared_ptr<SchedulerWorkspace> workspace = nullptr,
-            DeltaCompileIO *delta = nullptr,
+            std::uint64_t seed, DeltaCompileIO *delta = nullptr,
             const JobControl *control = nullptr) const;
 
   private:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -17,6 +18,38 @@
 namespace mussti {
 
 namespace {
+
+/**
+ * The scheduler's per-thread arena (run() keeps one per thread): every
+ * growable buffer of the hot path, recycled across the SABRE legs and
+ * across compiles on the same thread, so a warm scheduling loop makes
+ * zero heap allocations. Capacity only, never information: consumers
+ * re-initialise whatever they read, so a warm thread's results equal a
+ * cold one's (tests/test_scheduler_workspace.cpp).
+ */
+struct SchedulerWorkspace
+{
+    std::vector<int> nextUseScratch; ///< The per-pass nextUse snapshot.
+
+    /** Op count of the largest run so far; seeds Schedule::ops reserve. */
+    std::size_t opReserveHint = 0;
+
+    /** Frontier-worklist round buffers and per-node membership state. */
+    std::vector<int> worklistCur;
+    std::vector<int> worklistNext;
+    std::vector<std::uint8_t> worklistState;
+
+    DagScratch dag; ///< Donated DependencyDag arrays.
+
+    /**
+     * Delta capture's retirement-order record, reserved to the DAG size
+     * before the hot loop (empty while deltaCompile is off).
+     */
+    std::vector<int> retiredOrderScratch;
+
+    /** Per-qubit depths of the resume sweep (suffixWindowClean). */
+    std::vector<int> sweepScratch;
+};
 
 /**
  * The incrementally maintained executable-ready worklist behind the
@@ -46,7 +79,7 @@ namespace {
  * sequence is therefore bit-identical (pinned by the golden
  * fingerprints and the cross-check in tests/test_scheduler.cpp).
  *
- * Buffers are borrowed from the SchedulerWorkspace, so steady-state
+ * Buffers are borrowed from the thread's arena, so steady-state
  * rounds allocate nothing.
  */
 class FrontierWorklist : public QubitMoveListener
@@ -601,15 +634,13 @@ captureSnapshot(const PassState &st,
 
 MusstiScheduler::RunOutput
 MusstiScheduler::run(const Circuit &lowered, const Placement &initial,
-                     SchedulerWorkspace *workspace,
                      const DeltaRequest *delta,
                      const JobControl *control) const
 {
     MUSSTI_REQUIRE(initial.allPlaced(),
                    "initial mapping leaves qubits unplaced");
 
-    SchedulerWorkspace local;
-    SchedulerWorkspace &ws = workspace ? *workspace : local;
+    thread_local SchedulerWorkspace ws;
     // Heap-held (not optional-held) so the dirty-resume rebuild is a
     // plain reset, and because GCC's flow analysis mis-flags optional
     // payload reads here. The allocation sits outside the measured
@@ -707,7 +738,7 @@ MusstiScheduler::run(const Circuit &lowered, const Placement &initial,
 
     // Everything beyond this point is the steady-state hot path; the
     // delta of the (bench-instrumented) allocation counter proves it
-    // performs no heap allocation once the workspace is warm. Snapshot
+    // performs no heap allocation once the arena is warm. Snapshot
     // capture inside the loop books its own allocations separately —
     // it copies state by design — so the counter still pins the
     // scheduling work itself.
@@ -794,8 +825,8 @@ MusstiScheduler::run(const Circuit &lowered, const Placement &initial,
     const std::uint64_t loop_allocs =
         AllocCounter::now() - allocs_at_start - capture_allocs;
 
-    // Hand the reusable buffers back so the next run (the SABRE
-    // reverse/refine legs) starts pre-sized.
+    // Hand the reusable buffers back so the next run on this thread
+    // (the SABRE reverse/refine legs, the next compile) starts pre-sized.
     ws.opReserveHint = std::max(ws.opReserveHint, st->schedule.ops.size());
     ws.nextUseScratch = std::move(st->nextUse);
     st->retiredOrder = nullptr;

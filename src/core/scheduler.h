@@ -18,7 +18,6 @@
 #include "core/config.h"
 #include "core/job_control.h"
 #include "core/schedule_snapshot.h"
-#include "core/scheduler_workspace.h"
 #include "sim/params.h"
 #include "sim/schedule.h"
 
@@ -118,9 +117,9 @@ class MusstiScheduler
     /**
      * Schedule `lowered` (SWAPs already decomposed) starting from
      * `initial` placement. The initial placement must place all qubits.
-     * `workspace`, when given, donates reusable buffers and receives
-     * them back on return (see SchedulerWorkspace); output is identical
-     * either way. `delta`, when given, may request snapshot capture
+     * Buffers come from an arena the scheduler keeps per thread, so
+     * repeated runs start warm; output is identical either way (see
+     * scheduler.cpp). `delta`, when given, may request snapshot capture
      * and/or a resume from a prior run's snapshot — a successful resume
      * produces the bit-identical schedule in time proportional to the
      * unshared suffix. `control`, when given, is checkpointed every
@@ -129,7 +128,6 @@ class MusstiScheduler
      * so the zero-steady-state-alloc invariant holds with control on.
      */
     RunOutput run(const Circuit &lowered, const Placement &initial,
-                  SchedulerWorkspace *workspace = nullptr,
                   const DeltaRequest *delta = nullptr,
                   const JobControl *control = nullptr) const;
 

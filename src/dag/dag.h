@@ -54,8 +54,9 @@
  * heap allocations in steady state. Everything that grows during that
  * loop — the frontier, the relaxation worklist, the retirement queues —
  * is reserved to its proven bound at construction. Every array can come
- * from a DagScratch (core/scheduler_workspace.h) and goes back to it on
- * destruction, so each rebuild reuses the previous run's capacity.
+ * from a DagScratch (the scheduler's per-thread arena, core/
+ * scheduler.cpp) and goes back to it on destruction, so each rebuild
+ * reuses the previous run's capacity.
  * Per-qubit chains are CSR (one flat array + offsets).
  */
 #ifndef MUSSTI_DAG_DAG_H

@@ -509,5 +509,40 @@ TEST(ErrorTaxonomy, CategoryNamesAreStable)
     EXPECT_STREQ(errorCategoryName(ErrorCategory::Internal), "Internal");
 }
 
+TEST(ErrorTaxonomy, RunMainMapsEscapedErrorsToExitCodes)
+{
+    // The body's own exit code passes through; an escaped error becomes
+    // 2 (InvalidInput) or 1 (anything else) and reaches stderr once.
+    const auto run = [](int (*body)(int, char **), std::string &err) {
+        testing::internal::CaptureStderr();
+        const int rc = runMain(0, nullptr, body);
+        err = testing::internal::GetCapturedStderr();
+        return rc;
+    };
+    std::string err;
+    EXPECT_EQ(run(+[](int, char **) { return 7; }, err), 7);
+    EXPECT_EQ(err, "");
+
+    EXPECT_EQ(run(+[](int, char **) -> int { fatal("bad input"); }, err),
+              2);
+    EXPECT_EQ(err, "fatal: bad input\n"); // die() echoed; no second line
+
+    EXPECT_EQ(run(+[](int, char **) -> int { panic("broken"); }, err), 1);
+    EXPECT_EQ(err, "panic: broken\n");
+
+    EXPECT_EQ(run(+[](int, char **) -> int {
+                  raiseError(ErrorCategory::Timeout, "job.deadline-exceeded",
+                             "too slow");
+              }, err),
+              1);
+    EXPECT_EQ(err, "Timeout (job.deadline-exceeded): too slow\n");
+
+    EXPECT_EQ(run(+[](int, char **) -> int {
+                  throw std::runtime_error("foreign");
+              }, err),
+              1);
+    EXPECT_EQ(err, "Internal (internal.uncaught): foreign\n");
+}
+
 } // namespace
 } // namespace mussti

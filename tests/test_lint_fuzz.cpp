@@ -136,8 +136,8 @@ TEST(LintFuzz, ThreadedServiceMatchesSerialCompiles)
 {
     // The same random circuits, compiled directly (serial oracle) and
     // through a 4-thread CompileService submitted all at once: worker
-    // scheduling, the per-thread workspaces, and the cache layers must
-    // never leak into the output.
+    // scheduling, the per-thread scheduler arenas, and the cache layers
+    // must never leak into the output.
     MusstiConfig config;
     const auto backend = makeMusstiBackend(config);
 

@@ -56,32 +56,6 @@ TEST(TrivialMapping, CapacityNeverExceeded)
         EXPECT_LE(p.sizeOf(z), device.zone(z).capacity);
 }
 
-TEST(SabreMapping, ProducesCompletePlacement)
-{
-    MusstiConfig config;
-    const Circuit qc = makeAdder(64).withSwapsDecomposed();
-    const EmlDevice device(config.device, 64);
-    const PhysicalParams params;
-    const Placement p = sabrePlacement(device, params, config, qc);
-    EXPECT_TRUE(p.allPlaced());
-    for (int z = 0; z < device.numZones(); ++z)
-        EXPECT_LE(p.sizeOf(z), device.zone(z).capacity);
-}
-
-TEST(SabreMapping, DiffersFromTrivialOnStructuredCircuits)
-{
-    MusstiConfig config;
-    const Circuit qc = makeQft(48).withSwapsDecomposed();
-    const EmlDevice device(config.device, 48);
-    const PhysicalParams params;
-    const Placement trivial = trivialPlacement(device, 48);
-    const Placement sabre = sabrePlacement(device, params, config, qc);
-    int moved = 0;
-    for (int q = 0; q < 48; ++q)
-        moved += trivial.zoneOf(q) != sabre.zoneOf(q);
-    EXPECT_GT(moved, 0);
-}
-
 TEST(SabreMapping, CompilesValidSchedules)
 {
     MusstiConfig config;

@@ -199,7 +199,7 @@ struct GoldenCase
  * Golden fingerprints captured from the pre-incremental-window
  * implementation (the PR-1 tree, whose scheduler recomputed the whole
  * look-ahead window per routing step). The incremental DAG window,
- * nextUse snapshotting, lazy weight rows, distance table, and workspace
+ * nextUse snapshotting, lazy weight rows, distance table, and arena
  * reuse must all be pure optimisations: schedules and metrics stay
  * bit-identical. If an INTENTIONAL behaviour change ever lands, refresh
  * these constants in the same commit and say so in its message.

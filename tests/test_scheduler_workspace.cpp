@@ -1,135 +1,130 @@
 /**
  * @file
- * The SchedulerWorkspace reuse contract: a workspace is an allocation
- * cache, never information. Reusing one arena across the three SABRE
- * legs, across repeated compilations, across different circuits, and
- * across CompileService jobs must yield bit-identical results to fresh
- * state every time, and handing buffers back must leave no state bleed.
+ * The scheduler's per-thread arena contract. MusstiScheduler::run keeps
+ * one buffer arena per thread, and that arena is an allocation cache,
+ * never information. Every reference result here is computed on a fresh
+ * thread, whose arena starts cold, and compared with the same work on a
+ * thread whose arena already served other circuits: repeats of one
+ * circuit, a shrink-then-grow sequence, raw scheduler legs,
+ * CompileService jobs, and a delta capture + resume.
  */
+#include <algorithm>
+#include <future>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/hash.h"
+#include "arch/device_registry.h"
 #include "core/compile_service.h"
 #include "core/compiler.h"
 #include "core/mapper.h"
 #include "core/scheduler.h"
-#include "core/scheduler_workspace.h"
 #include "workloads/workloads.h"
 
 namespace mussti {
 namespace {
 
-/** Same full-compilation digest as tests/test_scheduler.cpp. */
-std::uint64_t
-scheduleFingerprint(const CompileResult &r)
+/** Run `work` on a new thread, whose scheduler arena starts cold. */
+template <typename Work>
+auto
+onColdThread(Work work)
 {
-    Fnv1a h;
-    h.update(static_cast<std::uint64_t>(r.schedule.ops.size()));
-    for (const ScheduledOp &op : r.schedule.ops) {
-        h.update(static_cast<int>(op.kind));
-        h.update(op.q0);
-        h.update(op.q1);
-        h.update(op.zoneFrom);
-        h.update(op.zoneTo);
-        h.update(op.durationUs);
-        h.update(op.nbar);
-        h.update(op.circuitGate);
-        h.update(op.inserted);
-        h.update(op.enterFront);
-    }
-    for (const auto &chain : r.schedule.initialChains) {
-        h.update(static_cast<std::uint64_t>(chain.size()));
-        for (int q : chain)
-            h.update(q);
-    }
-    for (const auto &chain : r.finalChains) {
-        h.update(static_cast<std::uint64_t>(chain.size()));
-        for (int q : chain)
-            h.update(q);
-    }
-    h.update(r.schedule.shuttleCount);
-    h.update(r.schedule.ionSwapCount);
-    h.update(r.schedule.insertedSwapGates);
-    h.update(r.swapInsertions);
-    h.update(r.evictions);
-    h.update(r.metrics.shuttleCount);
-    h.update(r.metrics.executionTimeUs);
-    h.update(r.metrics.lnFidelity);
-    return h.digest();
+    return std::async(std::launch::async, std::move(work)).get();
+}
+
+/** Warm the calling thread's arena with an unrelated compile. */
+void
+warmThisThread()
+{
+    (void)MusstiCompiler().compile(makeBenchmark("qft", 64));
+}
+
+/** resultFingerprint over one raw scheduler run of `lowered`. */
+std::uint64_t
+runFingerprint(const Circuit &lowered,
+               const MusstiScheduler::RunOutput &out)
+{
+    CompileResult result(lowered);
+    result.schedule = out.schedule;
+    result.swapInsertions = out.swapInsertions;
+    result.evictions = out.evictions;
+    result.finalChains = Schedule::snapshotChains(out.finalPlacement);
+    return resultFingerprint(result);
 }
 
 TEST(SchedulerWorkspaceReuse, RepeatedCompilesAreBitIdentical)
 {
-    // One arena, many compilations of the same circuit (the bench's
+    // Many compilations of one circuit on a warm thread (the bench's
     // steady-state measurement pattern): every repeat must equal the
-    // workspace-free compile.
+    // cold-thread compile.
     const Circuit qc = makeBenchmark("qaoa", 96);
     const MusstiCompiler compiler;
-    const std::uint64_t fresh = scheduleFingerprint(compiler.compile(qc));
+    const std::uint64_t cold = onColdThread(
+        [&] { return resultFingerprint(compiler.compile(qc)); });
 
-    const auto workspace = std::make_shared<SchedulerWorkspace>();
+    warmThisThread();
     for (int rep = 0; rep < 3; ++rep) {
-        EXPECT_EQ(scheduleFingerprint(
-                      compiler.compile(qc, {.workspace = workspace})),
-                  fresh)
-            << "repeat " << rep << " diverged through the shared arena";
+        EXPECT_EQ(resultFingerprint(compiler.compile(qc)), cold)
+            << "repeat " << rep << " diverged on a warm arena";
     }
 }
 
-TEST(SchedulerWorkspaceReuse, CrossCircuitReuseHasNoStateBleed)
+TEST(SchedulerWorkspaceReuse, ShrinkThenGrowHasNoStateBleed)
 {
-    // Interleave circuits of different families, sizes, and qubit
-    // counts through ONE arena; every result must match its fresh
-    // compile. Shrinking then growing exercises stale-capacity reuse in
-    // both directions (chain buffers, DAG scratch, worklist state).
+    // Interleave circuits of different families, sizes and qubit counts
+    // on one thread; every result must match its cold-thread compile.
+    // Shrinking then growing exercises stale-capacity reuse in both
+    // directions (chain buffers, DAG scratch, worklist state).
     const MusstiCompiler compiler;
-    const auto workspace = std::make_shared<SchedulerWorkspace>();
     const std::pair<const char *, int> sequence[] = {
         {"qaoa", 128}, {"ghz", 16}, {"adder", 96},
         {"bv", 48},    {"ran", 64}, {"qaoa", 128},
     };
     for (const auto &[family, qubits] : sequence) {
         const Circuit qc = makeBenchmark(family, qubits);
-        EXPECT_EQ(scheduleFingerprint(
-                      compiler.compile(qc, {.workspace = workspace})),
-                  scheduleFingerprint(compiler.compile(qc)))
+        const std::uint64_t cold = onColdThread(
+            [&] { return resultFingerprint(compiler.compile(qc)); });
+        EXPECT_EQ(resultFingerprint(compiler.compile(qc)), cold)
             << family << "_n" << qubits
             << " diverged after the arena served a different circuit";
     }
 }
 
-TEST(SchedulerWorkspaceReuse, DirectSchedulerRunsShareOneArena)
+TEST(SchedulerWorkspaceReuse, DirectSchedulerLegsMatchColdThread)
 {
-    // The raw scheduler API, as the SABRE legs use it: repeated runs
-    // through one workspace equal runs with none, and the workspace's
-    // buffers come back (opReserveHint reflects the largest run).
+    // The raw scheduler API, as the SABRE legs use it: forward, reverse
+    // and refined-forward runs on a warm thread equal the same legs on a
+    // cold one, repeat after repeat.
     MusstiConfig config;
     const Circuit qc = makeBenchmark("adder", 48).withSwapsDecomposed();
+    const Circuit reversed = qc.reversed();
     const EmlDevice device(config.device, qc.numQubits());
     const PhysicalParams params;
     const MusstiScheduler scheduler(device, params, config);
     const Placement initial = trivialPlacement(device, qc.numQubits());
 
-    const auto bare = scheduler.run(qc, initial);
-    SchedulerWorkspace workspace;
-    for (int rep = 0; rep < 3; ++rep) {
-        const auto reused = scheduler.run(qc, initial, &workspace);
-        EXPECT_EQ(reused.schedule.ops.size(), bare.schedule.ops.size());
-        EXPECT_EQ(reused.swapInsertions, bare.swapInsertions);
-        EXPECT_EQ(reused.evictions, bare.evictions);
-        EXPECT_EQ(reused.routingSteps, bare.routingSteps);
-    }
-    EXPECT_GE(workspace.opReserveHint, bare.schedule.ops.size());
-    // The donated DAG scratch really was used and returned.
-    EXPECT_FALSE(workspace.dag.chainOffsets.empty());
+    const auto legs = [&] {
+        const auto forward = scheduler.run(qc, initial);
+        const auto backward = scheduler.run(reversed,
+                                            forward.finalPlacement);
+        const auto refined = scheduler.run(qc, backward.finalPlacement);
+        return std::vector<std::uint64_t>{
+            runFingerprint(qc, forward), runFingerprint(reversed, backward),
+            runFingerprint(qc, refined)};
+    };
+    const std::vector<std::uint64_t> cold = onColdThread(legs);
+
+    warmThisThread();
+    for (int rep = 0; rep < 3; ++rep)
+        EXPECT_EQ(legs(), cold) << "repeat " << rep;
 }
 
-TEST(SchedulerWorkspaceReuse, CompileServiceJobsMatchDirectCompiles)
+TEST(SchedulerWorkspaceReuse, CompileServiceJobsMatchColdThreadCompiles)
 {
-    // Jobs on the service run through per-worker-thread arenas; results
-    // must match direct workspace-free compiles regardless of how many
+    // Jobs on the service run through their worker thread's arena;
+    // results must match cold-thread compiles regardless of how many
     // jobs an arena already served. Cache disabled so every submission
     // actually compiles.
     CompileServiceConfig service_config;
@@ -138,7 +133,7 @@ TEST(SchedulerWorkspaceReuse, CompileServiceJobsMatchDirectCompiles)
     CompileService service(service_config);
     const auto backend = std::make_shared<MusstiCompiler>();
 
-    std::vector<std::pair<const char *, int>> jobs = {
+    const std::vector<std::pair<const char *, int>> jobs = {
         {"qaoa", 96}, {"adder", 64}, {"ghz", 48},  {"bv", 32},
         {"qaoa", 96}, {"ran", 40},   {"adder", 64}, {"qaoa", 96},
     };
@@ -148,14 +143,95 @@ TEST(SchedulerWorkspaceReuse, CompileServiceJobsMatchDirectCompiles)
             service.submit(backend, makeBenchmark(family, qubits)));
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const auto &[family, qubits] = jobs[i];
-        const auto direct =
-            backend->compile(makeBenchmark(family, qubits));
-        EXPECT_EQ(scheduleFingerprint(futures[i].get()),
-                  scheduleFingerprint(direct))
+        const std::uint64_t cold = onColdThread([&] {
+            return resultFingerprint(
+                backend->compile(makeBenchmark(family, qubits)));
+        });
+        EXPECT_EQ(resultFingerprint(futures[i].get()), cold)
             << family << "_n" << qubits
             << " diverged through the service's per-thread arena";
     }
     EXPECT_EQ(service.jobsExecuted(), jobs.size());
+}
+
+/**
+ * `base` with one CX inserted at the checkpoint's watermark, between the
+ * two qubits with the shallowest live chains there. That gate would
+ * have sat inside the checkpoint's look-ahead window, so a resume's
+ * selection sweep has to reject the checkpoint for an earlier one.
+ */
+Circuit
+insertShallowGate(const Circuit &base, const ScheduleSnapshot &snap)
+{
+    std::vector<int> qubits;
+    for (int q = 0; q < base.numQubits(); ++q) {
+        if (snap.chainTailDepth[q] >= 0)
+            qubits.push_back(q);
+    }
+    std::stable_sort(qubits.begin(), qubits.end(), [&](int a, int b) {
+        return snap.chainTailDepth[a] < snap.chainTailDepth[b];
+    });
+    Circuit edited(base.numQubits(), base.name());
+    for (std::size_t i = 0; i < base.size(); ++i) {
+        if (i == snap.loweredPrefixGates)
+            edited.cx(qubits[0], qubits[1]);
+        edited.add(base[i]);
+    }
+    return edited;
+}
+
+TEST(SchedulerWorkspaceReuse, DeltaResumeAfterLargerCircuitMatchesColdThread)
+{
+    // A delta capture followed by a resume, on a thread that has just
+    // done the same for a LARGER circuit: the retirement-order and
+    // resume-sweep scratch buffers come back oversized and full of the
+    // previous run's entries, and the resumed schedule must still equal
+    // a cold-thread compile of the edited circuit.
+    MusstiConfig config;
+    config.mapping = MappingKind::Trivial;
+    const PhysicalParams params;
+
+    // Capture checkpoints, edit the circuit inside the last one's window
+    // and resume the edit. Returns the edited circuit and the resumed
+    // run's fingerprint.
+    const auto captureEditResume = [&](const char *family, int qubits) {
+        const auto device = DeviceRegistry::createEml(config.device, qubits);
+        const MusstiScheduler scheduler(*device, params, config);
+        const Placement initial = trivialPlacement(*device, qubits);
+        const Circuit base =
+            makeBenchmark(family, qubits).withSwapsDecomposed();
+
+        DeltaRequest capture;
+        capture.checkpointEvery = 16;
+        const auto captured = scheduler.run(base, initial, &capture);
+        EXPECT_GE(captured.snapshots.size(), 2u);
+        if (captured.snapshots.empty())
+            return std::pair(base, std::uint64_t{0});
+        const Circuit edit =
+            insertShallowGate(base, captured.snapshots.back());
+
+        std::size_t shared = 0;
+        while (base[shared] == edit[shared])
+            ++shared;
+        DeltaRequest resume;
+        for (const ScheduleSnapshot &snap : captured.snapshots) {
+            if (snap.loweredPrefixGates <= shared)
+                resume.candidates.push_back({&snap, shared});
+        }
+        const auto resumed = scheduler.run(edit, initial, &resume);
+        EXPECT_TRUE(resumed.resumed) << family << "_n" << qubits;
+        return std::pair(edit, runFingerprint(edit, resumed));
+    };
+
+    (void)captureEditResume("adder", 96);
+    const auto [edit, resumed] = captureEditResume("adder", 64);
+    const std::uint64_t cold = onColdThread([&] {
+        const auto device = DeviceRegistry::createEml(config.device, 64);
+        const MusstiScheduler scheduler(*device, params, config);
+        return runFingerprint(
+            edit, scheduler.run(edit, trivialPlacement(*device, 64)));
+    });
+    EXPECT_EQ(resumed, cold);
 }
 
 } // namespace
