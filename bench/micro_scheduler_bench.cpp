@@ -63,6 +63,12 @@
  * exits 0; a bad or unknown argument prints the error and the usage and
  * exits 2.
  *
+ * Every MUSS-TI record carries window_visits, the DAG relaxation-wave
+ * visits of its compile (CompileResult::windowVisits): a deterministic
+ * work counter, the same on any machine. With --baseline, a record
+ * whose window_visits exceeds its baseline entry's fails the run — an
+ * exact gate, unlike the wall-time ratios below.
+ *
  * With --baseline, each record gains speedup_vs_baseline against the
  * matching (suite, name, qubits) entry of the old file, and the summary
  * reports the large and huge tiers' aggregate speedups (summed wall
@@ -253,6 +259,8 @@ measureMussti(const MusstiCompiler &compiler, const std::string &suite,
                     {timing.pass, 1e3 * timing.seconds});
         }
         record.routingSteps = result.routingSteps;
+        record.windowVisits =
+            static_cast<long long>(result.windowVisits);
         record.steadyAllocs =
             static_cast<long long>(result.schedulerHeapAllocs);
     }
@@ -434,6 +442,7 @@ measureDelta(const DeltaTier &tier, bool append, int repeats, int soak,
             break;
         }
         record.routingSteps = out.routingSteps;
+        record.windowVisits = static_cast<long long>(out.windowVisits);
         record.steadyAllocs = static_cast<long long>(out.loopHeapAllocs);
     }
     record.deltaColdMs = cold_ms;
@@ -694,6 +703,7 @@ main(int argc, char **argv)
     std::vector<BenchRecord> records;
     bool gate_ok = true;
     bool allocs_ok = true;
+    bool visits_ok = true;
     std::map<std::string, std::pair<double, double>> gated; // wall, base
 
     const auto submit = [&](const char *tier, BenchRecord record) {
@@ -705,6 +715,15 @@ main(int argc, char **argv)
             std::snprintf(buf, sizeof(buf), "%.2fx",
                           record.speedupVsBaseline);
             speedup_cell = buf;
+            if (base->windowVisits >= 0 &&
+                record.windowVisits > base->windowVisits) {
+                std::printf("FAIL: %s/%s n=%d window_visits %lld above "
+                            "the baseline's %lld\n",
+                            record.suite.c_str(), record.name.c_str(),
+                            record.qubits, record.windowVisits,
+                            base->windowVisits);
+                visits_ok = false;
+            }
         }
         if (isGatedTier(record.suite)) {
             if (base != nullptr) {
@@ -860,5 +879,6 @@ main(int argc, char **argv)
         }
     }
 
-    return gate_ok && allocs_ok && delta_ok && cache_ok ? 0 : 1;
+    const bool ok = gate_ok && allocs_ok && visits_ok && delta_ok && cache_ok;
+    return ok ? 0 : 1;
 }

@@ -18,8 +18,12 @@
  *                    compiling anything (never parses, never fatal()s)
  *
  * Exit status: 0 when the report has no errors, 1 when it does, 2 on
- * usage errors. CI smokes both directions: a golden compile must exit
- * 0 with an empty findings array, and a --corrupt run must exit 1 with
+ * usage or input errors (a bad flag, an unknown family, an unreadable
+ * or malformed input file). main runs through runMain
+ * (common/error.h), so an error escaping the compile is one `fatal:`
+ * line and an exit code, never std::terminate; a non-input failure
+ * exits 1. CI smokes both directions: a golden compile must exit 0
+ * with an empty findings array, and a --corrupt run must exit 1 with
  * the planted rule id in the output.
  */
 #include <fstream>
@@ -30,6 +34,7 @@
 #include "arch/device_registry.h"
 #include "baselines/backend_factory.h"
 #include "circuit/qasm.h"
+#include "common/error.h"
 #include "common/string_util.h"
 #include "core/compiler.h"
 #include "lint/corrupt.h"
@@ -58,10 +63,8 @@ renderAndExit(const LintReport &report, bool json)
     return report.ok() ? 0 : 1;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+cliMain(int argc, char **argv)
 {
     std::string backend_name = "mussti";
     std::string device_spec;
@@ -153,4 +156,12 @@ main(int argc, char **argv)
         lintSchedule(result.schedule, result.lowered, *device);
     report.merge(lintDeviceSpec(spec, circuit.numQubits()));
     return renderAndExit(report, json);
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain(argc, argv, cliMain);
 }

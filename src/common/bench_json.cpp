@@ -61,6 +61,8 @@ parseRecord(JsonReader &p)
             record.speedupVsBaseline = p.parseNumber();
         } else if (key == "routing_steps") {
             record.routingSteps = static_cast<long long>(p.parseNumber());
+        } else if (key == "window_visits") {
+            record.windowVisits = static_cast<long long>(p.parseNumber());
         } else if (key == "steady_allocs") {
             record.steadyAllocs = static_cast<long long>(p.parseNumber());
         } else if (key == "shuttles") {
@@ -125,6 +127,8 @@ benchResultsToJson(const std::vector<BenchRecord> &records,
                                     static_cast<double>(r.routingSteps)
                               : 0.0);
         }
+        if (r.windowVisits >= 0)
+            out << ", \"window_visits\": " << r.windowVisits;
         if (r.shuttles >= 0) {
             out << ", \"shuttles\": " << r.shuttles
                 << ", \"makespan_us\": " << number(r.makespanUs)

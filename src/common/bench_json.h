@@ -64,13 +64,17 @@ struct BenchRecord
     /**
      * Scheduler-loop accounting (mussti suites only; absent = -1).
      * `routingSteps` counts phase-2 routed gates across the whole
-     * compile; `steadyAllocs` is the heap-allocation count inside the
+     * compile; `windowVisits` (JSON `window_visits`) counts the DAG's
+     * relaxation-wave visits (CompileResult::windowVisits), a
+     * deterministic work counter; `steadyAllocs` is the heap-allocation
+     * count inside the
      * scheduling loops of the LAST repeat — the steady state, with the
      * scheduler arena warm — as seen by the harness's instrumented
      * operator new. `allocs_per_step` in the JSON is their ratio; the
      * CI perf smoke asserts it stays 0.
      */
     long long routingSteps = -1;
+    long long windowVisits = -1;
     long long steadyAllocs = -1;
 
     /**

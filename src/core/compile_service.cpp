@@ -238,11 +238,17 @@ CompileService::runJob(CompileRequest &request)
             control.checkpoint();
             FaultInjector::maybeThrow(FaultSite::WorkerDequeue);
 
+            // The key is only read by the result and snapshot tiers;
+            // with both off, hashing the whole circuit buys nothing. A
+            // quarantined snapshot tier never comes back, so compileOnce
+            // cannot see the tier on once it was off here.
             ResultCacheKey key;
-            key.circuitHash = request.circuit.contentHash();
-            key.configDigest = request.backend->configDigest();
-            key.hasSeed = request.seed.has_value();
-            key.seed = request.seed.value_or(0);
+            if (resultCacheOn() || snapshots_.enabled()) {
+                key.circuitHash = request.circuit.contentHash();
+                key.configDigest = request.backend->configDigest();
+                key.hasSeed = request.seed.has_value();
+                key.seed = request.seed.value_or(0);
+            }
 
             if (resultCacheOn()) {
                 if (auto cached = cacheLookup(key)) {

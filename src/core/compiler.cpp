@@ -141,6 +141,7 @@ class MusstiSchedulePass : public CompilerPass
         ctx.swapInsertions = output.swapInsertions;
         ctx.evictions = output.evictions;
         ctx.routingSteps += output.routingSteps;
+        ctx.windowVisits += output.windowVisits;
         ctx.schedulerHeapAllocs += output.loopHeapAllocs;
 
         if (delta == nullptr)
@@ -219,6 +220,7 @@ class SabreTwoFoldPass : public CompilerPass
         // Perf counters cover the whole compile — both extra legs —
         // regardless of which candidate wins below.
         ctx.routingSteps += backward.routingSteps + refined.routingSteps;
+        ctx.windowVisits += backward.windowVisits + refined.windowVisits;
         ctx.schedulerHeapAllocs +=
             backward.loopHeapAllocs + refined.loopHeapAllocs;
 

@@ -113,6 +113,7 @@ PassPipeline::compile(Circuit circuit, const PhysicalParams &params,
     result.swapInsertions = ctx.swapInsertions;
     result.evictions = ctx.evictions;
     result.routingSteps = ctx.routingSteps;
+    result.windowVisits = ctx.windowVisits;
     result.schedulerHeapAllocs = ctx.schedulerHeapAllocs;
     result.deltaResumed = delta != nullptr && delta->resumed;
     if (ctx.finalPlacement)

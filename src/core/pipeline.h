@@ -98,12 +98,15 @@ struct CompileResult
     /**
      * Scheduler-loop perf counters, summed over every scheduler run of
      * the compilation (all three SABRE legs, whichever candidate won):
-     * phase-2 routing steps, and heap allocations observed inside the
-     * scheduling loops by common/alloc_counter.h (always zero unless
-     * the binary instruments operator new — micro_scheduler_bench does,
-     * and gates on allocations/step staying zero once warm).
+     * phase-2 routing steps, DAG relaxation-wave visits
+     * (DependencyDag::windowVisits, a deterministic work counter), and
+     * heap allocations observed inside the scheduling loops by
+     * common/alloc_counter.h (always zero unless the binary instruments
+     * operator new — micro_scheduler_bench does, and gates on
+     * allocations/step staying zero once warm).
      */
     int routingSteps = 0;
+    std::uint64_t windowVisits = 0;
     std::uint64_t schedulerHeapAllocs = 0;
 
     /**
@@ -164,6 +167,7 @@ struct CompileContext
     int swapInsertions = 0;
     int evictions = 0;
     int routingSteps = 0;      ///< Accumulated by the scheduling passes.
+    std::uint64_t windowVisits = 0; ///< Ditto (see CompileResult).
     std::uint64_t schedulerHeapAllocs = 0; ///< Ditto (see CompileResult).
 
     Metrics metrics;

@@ -266,6 +266,7 @@ serializeCompileResult(const CompileResult &result)
         putDouble(out, timing.seconds);
     }
     putI32(out, result.routingSteps);
+    putU64(out, result.windowVisits);
     putU64(out, result.schedulerHeapAllocs);
     putU8(out, result.deltaResumed ? 1 : 0);
     return out;
@@ -364,7 +365,8 @@ deserializeCompileResult(const std::string &bytes)
             return std::nullopt;
         result.passTrace.push_back(std::move(timing));
     }
-    if (!in.getI32(result.routingSteps) || !in.getU64(heap_allocs) ||
+    if (!in.getI32(result.routingSteps) ||
+        !in.getU64(result.windowVisits) || !in.getU64(heap_allocs) ||
         !in.getU8(delta_resumed) || delta_resumed > 1 || !in.atEnd())
         return std::nullopt;
     result.schedulerHeapAllocs = heap_allocs;

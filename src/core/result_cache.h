@@ -131,7 +131,7 @@ class DiskResultCache
     std::string entryPathFor(const ResultCacheKey &key) const;
 
     /** Entry format version stamped into every file header. */
-    static constexpr std::uint32_t kFormatVersion = 1;
+    static constexpr std::uint32_t kFormatVersion = 2;
 
     /** 8-byte magic tag opening every entry file. */
     static const char kMagic[9];

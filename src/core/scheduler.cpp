@@ -837,6 +837,7 @@ MusstiScheduler::run(const Circuit &lowered, const Placement &initial,
     out.swapInsertions = swap_insertions;
     out.evictions = st->router.evictionCount();
     out.routingSteps = routing_steps;
+    out.windowVisits = st->dag.windowVisits();
     out.loopHeapAllocs = loop_allocs;
     out.snapshots = std::move(snapshots);
     out.resumed = resumed;

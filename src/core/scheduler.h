@@ -82,6 +82,13 @@ class MusstiScheduler
         int routingSteps = 0;
 
         /**
+         * DAG relaxation-wave visits of this run
+         * (DependencyDag::windowVisits). A resumed run counts its own
+         * work, the replay included, not the cold run's.
+         */
+        std::uint64_t windowVisits = 0;
+
+        /**
          * Heap allocations observed inside the scheduling loop — after
          * the pass state (DAG build, placement copy, scratch adoption)
          * is fully constructed, up to the last emitted op — as counted

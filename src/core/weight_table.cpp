@@ -19,11 +19,12 @@ WeightTable::row(int qubit) const
         // first node at or beyond the look-ahead depth. Counts match an
         // eager frontLayers(lookAhead_) build exactly — that build
         // increments this row once per window gate touching the qubit,
-        // which is precisely this prefix.
+        // which is precisely this prefix. withinLayers is the DAG's
+        // threshold read: it settles only the layers the answer needs.
         const QubitChainView chain = dag_->qubitChain(qubit);
         for (int i = dag_->qubitChainHead(qubit); i < chain.size(); ++i) {
             const DagNodeId id = chain[i];
-            if (dag_->windowDepth(id) >= lookAhead_)
+            if (!dag_->withinLayers(id, lookAhead_))
                 break;
             const Gate &g = dag_->node(id).gate;
             const int partner = g.q0 == qubit ? g.q1 : g.q0;

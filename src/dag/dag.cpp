@@ -33,6 +33,8 @@ DependencyDag::tradeScratch()
     trade(frontier_, s.frontier);
     trade(worklist_, s.worklist);
     trade(inWave_, s.inWave);
+    trade(parkHead_, s.parkHead);
+    trade(parkNext_, s.parkNext);
     trade(pendingRetired_, s.pendingRetired);
     trade(dirtyQubits_, s.dirtyQubits);
     trade(peelPreds_, s.peelPreds);
@@ -162,13 +164,16 @@ DependencyDag::DependencyDag(const Circuit &circuit, int window_horizon,
     for (int q = 0; q < n; ++q)
         refreshQubitNextUse(q);
 
-    // Relaxation/retirement queues: bounded by the touched cone, itself
-    // bounded by the node count (the wave re-pushes a successor only
-    // after an actual depth decrease, and depths only shrink).
-    worklist_.reserve(nodes_.size() + 1);
+    // Wave and retirement queues: bounded by the node count (inWave_
+    // keeps a node on the wave or in a bucket at most once). The parking
+    // buckets are intrusive lists, a head per depth and a link per node:
+    // a stored depth exceeds neither the horizon nor the node count.
+    worklist_.resize(nodes_.size() + 1);
     inWave_.assign(nodes_.size(), 0);
     pendingRetired_.reserve(nodes_.size() + 1);
     dirtyQubits_.reserve(2 * nodes_.size() + 2);
+    parkHead_.assign(std::min<std::size_t>(horizon_, nodes_.size()) + 1, -1);
+    parkNext_.assign(nodes_.size(), -1);
 }
 
 DagEdgeList
@@ -204,9 +209,16 @@ DependencyDag::refreshQubitNextUse(int q) const
 void
 DependencyDag::flushWindow() const
 {
-    if (pendingRetired_.empty() && dirtyQubits_.empty())
-        return;
+    if (!pendingRetired_.empty() || parkedMax_ >= 0)
+        settle(horizon_); // Nothing is deeper than the horizon.
+    for (int q : dirtyQubits_)
+        refreshQubitNextUse(q);
+    dirtyQubits_.clear();
+}
 
+void
+DependencyDag::settle(int band) const
+{
     // Decrease-only worklist over the cone affected by every queued
     // retirement at once. Depths are a pure function of the retired
     // set, so one batched wave lands on the same fixpoint as per-
@@ -219,56 +231,108 @@ DependencyDag::flushWindow() const
     // pred depths at pop time: one visit after the duplicate pushes
     // lands on the same value, and any later pred decrease re-queues
     // the node (the push below fires on every actual decrease).
+    // An entry whose stored depth is above `band` is parked instead of
+    // pushed (see "Band settles" in dag.h). It keeps its inWave_ flag,
+    // and its bucket stays right: a stored depth changes only on a visit.
     // Successors of an unfinished node are unfinished, so only the
-    // seeds (successors of this burst's retirements) need a done check.
-    worklist_.clear();
-    const auto enqueue = [this](DagNodeId succ) {
-        if (!inWave_[succ]) {
-            inWave_[succ] = 1;
-            worklist_.push_back(succ);
+    // seeds (successors of this burst's retirements) and parked entries
+    // (which may have retired since) need a done check.
+    //
+    // The loop works on raw pointers and local copies: its byte-sized
+    // flag stores may alias any member, which would otherwise force a
+    // reload of every vector's data pointer after each of them.
+    const DagLinks *links = links_.data();
+    const std::uint8_t *done = done_.data();
+    std::uint8_t *in_wave = inWave_.data();
+    int *depth = depth_.data();
+    int *next_use = nextUse_.data();
+    DagNodeId *stack = worklist_.data();
+    DagNodeId *park_head = parkHead_.data();
+    DagNodeId *park_next = parkNext_.data();
+    const int horizon = horizon_;
+    const bool log_next_use = logNextUse_;
+    int top = 0;
+    int lo = parkedMin_;
+    int hi = parkedMax_;
+
+    // Unpark the buckets the band now covers, deepest first, so the
+    // LIFO wave reaches the deep entries after the cone above them.
+    for (int d = std::min(band, hi); d >= lo; --d) {
+        for (DagNodeId n = park_head[d]; n >= 0; n = park_next[n]) {
+            if (done[n])
+                in_wave[n] = 0;
+            else
+                stack[top++] = n;
         }
+        park_head[d] = -1;
+    }
+    if (hi <= band) {
+        lo = kNoneParked;
+        hi = -1;
+    } else {
+        lo = std::max(lo, band + 1);
+    }
+
+    const auto enqueue = [&](DagNodeId id) {
+        if (in_wave[id])
+            return;
+        in_wave[id] = 1;
+        const int d = depth[id];
+        if (d <= band) {
+            stack[top++] = id;
+            return;
+        }
+        park_next[id] = park_head[d];
+        park_head[d] = id;
+        lo = std::min(lo, d);
+        hi = std::max(hi, d);
     };
     for (DagNodeId id : pendingRetired_) {
-        for (DagNodeId succ : links_[id].succs) {
-            if (!done_[succ])
+        for (DagNodeId succ : links[id].succs) {
+            if (!done[succ])
                 enqueue(succ);
         }
     }
     pendingRetired_.clear();
-    while (!worklist_.empty()) {
-        const DagNodeId n = worklist_.back();
-        worklist_.pop_back();
-        inWave_[n] = 0;
-        // One read per chain predecessor yields both n's depth (one past
-        // its deepest unfinished predecessor) and whether n heads that
-        // qubit's chain (predecessor absent or retired).
-        const DagLinks &link = links_[n];
+
+    std::uint64_t visits = 0;
+    while (top > 0) {
+        const DagNodeId n = stack[--top];
+        in_wave[n] = 0;
+        ++visits;
+        // A retired node's depth reads -1, so one read per chain
+        // predecessor yields both n's depth (one past its deepest
+        // unfinished predecessor) and whether n heads that qubit's chain
+        // (predecessor absent or retired).
+        const DagLinks &link = links[n];
         int deepest = -1;
         bool heads[2] = {false, false};
         for (int k = 0; k < 2; ++k) {
             const DagNodeId pred = link.pred[k];
-            heads[k] = pred < 0 || done_[pred];
-            if (!heads[k])
-                deepest = std::max(deepest, depth_[pred]);
+            const int pred_depth = pred < 0 ? -1 : depth[pred];
+            heads[k] = pred_depth < 0;
+            deepest = std::max(deepest, pred_depth);
         }
-        const int fresh = std::min(horizon_, deepest + 1);
-        if (fresh >= depth_[n])
+        const int fresh = std::min(horizon, deepest + 1);
+        if (fresh >= depth[n])
             continue;
-        depth_[n] = fresh;
+        depth[n] = fresh;
         for (int k = 0; k < 2; ++k) {
             if (heads[k]) {
-                nextUse_[link.qubit[k]] = fresh;
-                if (logNextUse_)
+                next_use[link.qubit[k]] = fresh;
+                if (log_next_use)
                     nextUseLog_.push_back(link.qubit[k]);
             }
         }
         for (DagNodeId succ : link.succs)
             enqueue(succ);
     }
+    windowVisits_ += visits;
 
-    for (int q : dirtyQubits_)
-        refreshQubitNextUse(q);
-    dirtyQubits_.clear();
+    parkedMin_ = lo;
+    parkedMax_ = hi;
+    if (hi < 0)
+        retiredSinceExact_ = 0; // Nothing parked: every depth is exact.
 }
 
 std::vector<DagNodeId>
@@ -296,6 +360,7 @@ DependencyDag::complete(DagNodeId id)
     frontier_.erase(it);
     MUSSTI_ASSERT(!done_[id], "double completion of node " << id);
     done_[id] = 1;
+    depth_[id] = -1; // The wave's retired mark (see settle()).
     --remaining_;
     const DagLinks &link = links_[id];
     for (DagNodeId succ : link.succs) {
@@ -312,6 +377,7 @@ DependencyDag::complete(DagNodeId id)
         dirtyQubits_.push_back(q);
     }
     pendingRetired_.push_back(id);
+    ++retiredSinceExact_;
 }
 
 std::vector<std::vector<DagNodeId>>

@@ -27,8 +27,8 @@
  *
  *  - `windowDepth(node)`: the node's layer, clamped to the horizon,
  *    set during construction and updated after complete() by a
- *    decrease-only worklist over the affected cone (depths never
- *    increase as nodes retire);
+ *    decrease-only wave over the affected cone (depths never increase
+ *    as nodes retire);
  *  - `nextUse()`: per qubit, the layer of its first unfinished gate (the
  *    head of its dependency chain), or the horizon sentinel when the
  *    qubit is idle throughout the window. Because the gates touching a
@@ -40,9 +40,55 @@
  * per-node arrays — a DagLinks record, a `done` byte, the depth — and
  * never a DagNode. A node heads qubit q's chain exactly when its
  * predecessor on q is absent or done: that is how the wave knows which
- * nextUse entries a depth decrease moves. No per-depth node sets are
- * kept; windowLayer() and forEachWindowNode() walk the qubit chains on
- * demand (only delta capture needs them, not the scheduling loop).
+ * nextUse entries a depth decrease moves. complete() sets a retired
+ * node's depth to -1, so a predecessor's depth alone tells both. No
+ * per-layer node sets are kept; windowLayer() and forEachWindowNode()
+ * walk the qubit chains on demand (only delta capture needs them, not
+ * the scheduling loop).
+ *
+ * ### Band settles
+ *
+ * Two kinds of reader settle the window. The full readers —
+ * windowDepth(), nextUse(), syncNextUse(), forEachWindowNode() — run the
+ * wave to its fixpoint: every depth exact, every nextUse entry current.
+ * The scheduler takes one of those per routing step. The threshold
+ * reader withinLayers(id, k) only asks whether a depth is below k (the
+ * SWAP-insertion weight table asks it with k = lookAhead, 8 by default,
+ * on every check after a fiber gate), so it settles no deeper than the
+ * answer needs. Let r count the retirements since every depth was last
+ * exact. Then:
+ *
+ *  - the read answers from the stored depth s alone when s < k or
+ *    s - r >= k, since the true depth t obeys s - r <= t <= s;
+ *  - otherwise it runs a band settle: the wave visits only entries whose
+ *    stored depth is at most the band B = k - 1 + r, and parks deeper
+ *    ones, unvisited, in per-depth buckets. A later band settle pulls
+ *    back the buckets at or below its own band; the next full settle
+ *    drains them all. A parked node that retires in between is dropped
+ *    when its bucket is drained (its own retirement seeded its
+ *    successors).
+ *
+ * Why both answers are exact:
+ *
+ *  - Stored depths are upper bounds on the true ones. They start exact,
+ *    a retirement only lowers true depths, and the wave sets a depth to
+ *    one past its predecessors' stored depths, themselves upper bounds.
+ *  - One retirement lowers any true depth by at most 1 (a longest path
+ *    loses at most its first node). So t is at least the node's depth
+ *    when the window was last exact, minus r; and s, which only
+ *    decreases, is at most that old exact depth. Hence s - r <= t <= s.
+ *  - Every unfinished node that is neither on the wave nor parked is
+ *    locally consistent: its stored depth is one past its deepest
+ *    unfinished predecessor's (clamped). After a band settle the wave is
+ *    empty and every parked node's stored depth is above B.
+ *  - Take an unfinished node with t < k. Then s <= t + r <= B, so it is
+ *    not parked and is locally consistent. By induction on t its
+ *    unfinished predecessors (true depth < t) are exact, so it is exact.
+ *    A node with t >= k has s >= t >= k. Either way, s < k exactly when
+ *    t < k.
+ *
+ * When a settle leaves nothing parked, every depth is exact again and r
+ * restarts at 0.
  *
  * frontLayers(k) keeps the non-destructive peel (the Dai baseline wants
  * explicit, FCFS-ordered layer lists) but reuses persistent scratch
@@ -52,7 +98,8 @@
  *
  * The scheduler's hot loop (drain, route, complete) must perform zero
  * heap allocations in steady state. Everything that grows during that
- * loop — the frontier, the relaxation worklist, the retirement queues —
+ * loop — the frontier, the relaxation worklist and parking buckets, the
+ * retirement queues —
  * is reserved to its proven bound at construction. Every array can come
  * from a DagScratch (the scheduler's per-thread arena, core/
  * scheduler.cpp) and goes back to it on destruction, so each rebuild
@@ -63,6 +110,7 @@
 #define MUSSTI_DAG_DAG_H
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "circuit/circuit.h"
@@ -155,8 +203,10 @@ struct DagScratch
     std::vector<DagNodeId> chainNodes; ///< CSR payload of the chains.
     std::vector<int> chainHead;      ///< Per-qubit first-unfinished index.
     std::vector<DagNodeId> frontier; ///< Ready-node list (sorted by id).
-    std::vector<DagNodeId> worklist; ///< Depth-relaxation wave scratch.
+    std::vector<DagNodeId> worklist; ///< Depth-relaxation wave stack.
     std::vector<std::uint8_t> inWave; ///< Wave-membership dedup flags.
+    std::vector<DagNodeId> parkHead; ///< Per-depth parked-bucket heads.
+    std::vector<DagNodeId> parkNext; ///< Per-node parked-bucket links.
     std::vector<DagNodeId> pendingRetired; ///< Retirements pre-flush.
     std::vector<int> dirtyQubits;    ///< Qubits whose chain head moved.
     std::vector<int> peelPreds;      ///< frontLayers scratch (-1 = clean).
@@ -296,8 +346,8 @@ class DependencyDag
 
     /**
      * Layer of a node within the window, clamped to windowHorizon():
-     * 0 for frontier nodes, horizon for nodes at or beyond it. Retired
-     * nodes keep their last depth (callers filter on done).
+     * 0 for frontier nodes, horizon for nodes at or beyond it, -1 for
+     * retired nodes.
      */
     int
     windowDepth(DagNodeId id) const
@@ -305,6 +355,37 @@ class DependencyDag
         flushWindow();
         return depth_[id];
     }
+
+    /**
+     * Threshold read: true when the unfinished node `id` lies in the
+     * first `k` window layers (windowDepth(id) < k), for
+     * 1 <= k <= windowHorizon().
+     * Settles only the band the answer depends on (see "Band settles"
+     * above), so it is cheap to ask right after a burst of retirements.
+     */
+    bool
+    withinLayers(DagNodeId id, int k) const
+    {
+        // The stored depth s bounds the true one t from both sides,
+        // s - r <= t <= s, so settle only when the bounds straddle k.
+        const int stored = depth_[id];
+        if (stored < k)
+            return true;
+        if (stored - retiredSinceExact_ >= k)
+            return false;
+        const int band = k - 1 + retiredSinceExact_;
+        if (!pendingRetired_.empty() || parkedMin_ <= band)
+            settle(band);
+        return depth_[id] < k;
+    }
+
+    /**
+     * Relaxation-wave visits so far: nodes the wave re-evaluated against
+     * their predecessors, over every settle of this DAG. A deterministic
+     * work counter — the same circuit and the same read sequence always
+     * give the same count.
+     */
+    std::uint64_t windowVisits() const { return windowVisits_; }
 
     /**
      * Anticipated-usage table, maintained incrementally: nextUse()[q] is
@@ -439,13 +520,27 @@ class DependencyDag
     std::vector<DagNodeId> chainNodes_; ///< CSR payload: nodes touching
                                         ///< q, in circuit order.
     std::vector<int> chainHead_; ///< Index of q's first unfinished node.
-    mutable std::vector<DagNodeId> worklist_; ///< Depth-update scratch.
-    mutable std::vector<std::uint8_t> inWave_; ///< Node queued in the
-                                 ///< current relaxation wave (dedup).
+    mutable std::vector<DagNodeId> worklist_; ///< Wave stack (sized
+                                 ///< to the node count).
+    mutable std::vector<std::uint8_t> inWave_; ///< Node on the wave or
+                                 ///< parked (dedup).
     mutable std::vector<DagNodeId> pendingRetired_; ///< Retirements not
                                  ///< yet folded into depths/nextUse.
     mutable std::vector<int> dirtyQubits_; ///< Qubits whose chain head
                                  ///< advanced since the last flush.
+    mutable std::vector<DagNodeId> parkHead_; ///< First parked node of
+                                 ///< stored depth d, or -1.
+    mutable std::vector<DagNodeId> parkNext_; ///< Next parked node in the
+                                 ///< same bucket, or -1.
+    /** parkedMin_ while every bucket is empty: above any band. */
+    static constexpr int kNoneParked = std::numeric_limits<int>::max();
+    mutable int parkedMin_ = kNoneParked; ///< No bucket below this is
+                                 ///< occupied.
+    mutable int parkedMax_ = -1; ///< Nor any above this one (-1: all
+                                 ///< buckets are empty).
+    mutable int retiredSinceExact_ = 0; ///< r: retirements since every
+                                 ///< depth was last exact.
+    mutable std::uint64_t windowVisits_ = 0; ///< See windowVisits().
 
     // ---- frontLayers peel scratch (reset after every call) -----------
     mutable std::vector<int> peelPreds_;      ///< -1 = untouched.
@@ -458,6 +553,12 @@ class DependencyDag
 
     /** Fold every queued retirement into depths and nextUse. */
     void flushWindow() const;
+
+    /**
+     * Run the wave, parking entries whose stored depth exceeds `band`
+     * (none when band >= horizon); see "Band settles".
+     */
+    void settle(int band) const;
 
     /** Swap every array with the donor's (no-op without one). */
     void tradeScratch();

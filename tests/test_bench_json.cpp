@@ -31,6 +31,7 @@ sampleRecords()
     a.passTrace = {{"lower-swaps", 0.01}, {"mussti-schedule", 1.25},
                    {"sabre-two-fold", 2.5}};
     a.routingSteps = 4321;
+    a.windowVisits = 7812345;
     a.steadyAllocs = 0;
 
     BenchRecord b; // no baseline, no trace, no scheduler counters
@@ -57,6 +58,7 @@ sampleRecords()
     d.repeats = 5;
     d.wallMs = 6.5;
     d.routingSteps = 2048;
+    d.windowVisits = 0;
     d.steadyAllocs = 0;
     d.deltaColdMs = 36.25;
     d.deltaSpeedup = 5.5769; // %.6g emitter: keep within 6 sig figs
@@ -90,6 +92,7 @@ expectSameRecords(const std::vector<BenchRecord> &x,
         EXPECT_NEAR(x[i].speedupVsBaseline, y[i].speedupVsBaseline,
                     1e-9);
         EXPECT_EQ(x[i].routingSteps, y[i].routingSteps);
+        EXPECT_EQ(x[i].windowVisits, y[i].windowVisits);
         EXPECT_EQ(x[i].steadyAllocs, y[i].steadyAllocs);
         EXPECT_EQ(x[i].shuttles, y[i].shuttles);
         EXPECT_NEAR(x[i].makespanUs, y[i].makespanUs, 1e-9);

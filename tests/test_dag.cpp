@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/rng.h"
 #include "dag/dag.h"
 #include "workloads/workloads.h"
 
@@ -429,6 +430,7 @@ TEST(Dag, ScratchRoundTripKeepsCapacityAndChangesNothing)
     EXPECT_GE(scratch.depth.capacity(), nodes);
     EXPECT_GE(scratch.inWave.capacity(), nodes);
     EXPECT_GE(scratch.worklist.capacity(), nodes);
+    EXPECT_GE(scratch.parkNext.capacity(), nodes);
     EXPECT_GE(scratch.pendingRetired.capacity(), nodes);
     EXPECT_GE(scratch.peelPreds.capacity(), nodes);
     EXPECT_GE(scratch.chainNodes.capacity(), 2 * nodes);
@@ -447,6 +449,114 @@ TEST(Dag, ScratchRoundTripKeepsCapacityAndChangesNothing)
         cold.complete(id);
     }
     EXPECT_EQ(windowState(warm), windowState(cold));
+}
+
+/**
+ * Threshold reads against a fresh peel: withinLayers(id, k) for every
+ * unfinished node, starting at a seeded position so the read that
+ * band-settles is not always the lowest id.
+ */
+void
+expectThresholdMatchesPeel(const DependencyDag &dag,
+                           const std::vector<bool> &retired, int k,
+                           Rng &rng)
+{
+    const std::vector<int> peel = peelDepths(dag, dag.windowHorizon());
+    const int n = dag.size();
+    const int start = rng.intIn(0, n - 1);
+    for (int i = 0; i < n; ++i) {
+        const DagNodeId id = (start + i) % n;
+        if (!retired[id]) {
+            ASSERT_EQ(dag.withinLayers(id, k), peel[id] < k)
+                << "node " << id << " at k " << k;
+        }
+    }
+}
+
+TEST(Dag, BandSettledThresholdReadsMatchPeel)
+{
+    // Seeded random drains that interleave threshold reads (band
+    // settles) with bursts of one to four retirements and, now and
+    // then, a full read. Threshold reads dominate, so parked entries
+    // pile up across several band settles before a full settle drains
+    // them. Every threshold answer must match a fresh peel, and every
+    // full read the whole reference: depths, nextUse() and a
+    // syncNextUse() copy.
+    const Circuit circuits[] = {makeRandomCircuit(14, 160, 11),
+                                makeAdder(16), makeBenchmark("qft", 12)};
+    for (const int horizon : {1, 4, DependencyDag::kDefaultWindowHorizon}) {
+        std::vector<int> ks;
+        for (const int k : {1, 8, horizon}) {
+            if (k <= horizon &&
+                std::find(ks.begin(), ks.end(), k) == ks.end())
+                ks.push_back(k);
+        }
+        for (const Circuit &qc : circuits) {
+            SCOPED_TRACE(testing::Message() << "horizon " << horizon
+                                            << " on " << qc.name());
+            Rng rng(0xBA5Eu + static_cast<unsigned>(horizon));
+            DependencyDag dag(qc, horizon);
+            dag.enableNextUseLog();
+            std::vector<int> synced;
+            dag.syncNextUse(synced, true);
+            std::vector<bool> retired(dag.size(), false);
+            while (!dag.empty()) {
+                const int burst = rng.intIn(1, 4);
+                for (int b = 0; b < burst && !dag.empty(); ++b) {
+                    const auto &frontier = dag.frontier();
+                    const DagNodeId id = frontier[rng.uniform(
+                        static_cast<std::uint64_t>(frontier.size()))];
+                    retired[id] = true;
+                    dag.complete(id);
+                }
+                if (rng.uniform(4) != 0) {
+                    const int k = ks[rng.uniform(ks.size())];
+                    ASSERT_NO_FATAL_FAILURE(
+                        expectThresholdMatchesPeel(dag, retired, k, rng));
+                } else {
+                    ASSERT_NO_FATAL_FAILURE(expectWindowMatchesPeel(
+                        dag, retired, qc.numQubits(), synced, false));
+                }
+            }
+            ASSERT_NO_FATAL_FAILURE(expectWindowMatchesPeel(
+                dag, retired, qc.numQubits(), synced, false));
+        }
+    }
+}
+
+TEST(Dag, ParkedNodeRetiringBeforeTheFullSettleIsSkipped)
+{
+    // One chain, nodes 0..4 at depths 0..4. Retiring node 0 and asking
+    // about node 1 at k = 1 band-settles with band 1: node 1 is visited
+    // (depth 0), node 2 (stored 2) is parked unvisited. Nodes 1 and 2
+    // then retire with no read in between, so node 2 reaches the
+    // frontier and retires while parked. The next band settle must drop
+    // it without a visit, and the full read must still be exact.
+    Circuit qc(2);
+    for (int i = 0; i < 5; ++i)
+        qc.cx(0, 1);
+    DependencyDag dag(qc);
+    dag.enableNextUseLog();
+    std::vector<int> synced;
+    dag.syncNextUse(synced, true);
+    std::vector<bool> retired(dag.size(), false);
+
+    dag.complete(0);
+    retired[0] = true;
+    EXPECT_TRUE(dag.withinLayers(1, 1));
+    EXPECT_EQ(dag.windowVisits(), 1u); // Node 2 parked, not visited.
+
+    for (const DagNodeId id : {1, 2}) {
+        dag.complete(id);
+        retired[id] = true;
+    }
+    EXPECT_TRUE(dag.withinLayers(3, 1));
+    EXPECT_FALSE(dag.withinLayers(4, 1));
+    EXPECT_EQ(dag.windowVisits(), 2u); // Node 3 only; node 2 skipped.
+
+    ASSERT_NO_FATAL_FAILURE(expectWindowMatchesPeel(
+        dag, retired, qc.numQubits(), synced, true));
+    EXPECT_EQ(dag.windowDepth(4), 1);
 }
 
 TEST(Dag, QubitChainsArePerQubitAndOrdered)

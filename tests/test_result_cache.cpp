@@ -105,6 +105,7 @@ TEST(ResultSerializer, RoundTripsBitExact)
     EXPECT_EQ(original.lowered.name(), back->lowered.name());
     EXPECT_EQ(original.compileTimeSec, back->compileTimeSec);
     EXPECT_EQ(original.routingSteps, back->routingSteps);
+    EXPECT_EQ(original.windowVisits, back->windowVisits);
     EXPECT_EQ(original.schedulerHeapAllocs, back->schedulerHeapAllocs);
     EXPECT_EQ(original.deltaResumed, back->deltaResumed);
     ASSERT_EQ(original.passTrace.size(), back->passTrace.size());
