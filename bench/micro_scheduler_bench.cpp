@@ -26,6 +26,16 @@
  * so regressions in the shared device layer show up here even when the
  * MUSS-TI tiers are unaffected.
  *
+ * A grid_router/heavy suite times the expensive grid cases of the
+ * paper evaluation: qft:288 on the large-suite paper grid
+ * (grid:5x4,cap=16) for all three baselines, plus ran:256 for dai.
+ * Every grid record carries routing_steps (the strategy steps of its
+ * compile) and window_visits (the DAG relaxation-wave visits, nonzero
+ * only for dai, the one strategy that reads the window): both
+ * deterministic, so --baseline gates window_visits exactly, as for the
+ * MUSS-TI records. Grid records measure no allocations and sit outside
+ * --require-speedup.
+ *
  * ## Allocation accounting
  *
  * This binary overrides the global operator new to count heap
@@ -220,6 +230,19 @@ constexpr const char *kGridSuite = "grid_router/8x8cap4";
 constexpr const char *kGridFamily = "qaoa";
 constexpr int kGridQubits = 96;
 
+// The heavy grid suite: the paper sweep's most expensive grid jobs.
+struct HeavyGridWorkload
+{
+    const char *backend;
+    const char *family;
+    int qubits;
+};
+constexpr const char *kHeavyGridSpec = "grid:5x4,cap=16";
+constexpr const char *kHeavyGridSuite = "grid_router/heavy";
+constexpr HeavyGridWorkload kHeavyGridWorkloads[] = {
+    {"murali", "qft", 288}, {"dai", "qft", 288}, {"mqt", "qft", 288},
+    {"dai", "ran", 256}};
+
 double
 toMs(std::chrono::steady_clock::duration d)
 {
@@ -267,17 +290,23 @@ measureMussti(const MusstiCompiler &compiler, const std::string &suite,
     return record;
 }
 
+/**
+ * Time `repeats` compilations of one grid-baseline workload, best of
+ * repeats, with the compile's deterministic step and window counters.
+ */
 BenchRecord
-measureGrid(const std::string &which, int repeats)
+measureGrid(const char *grid_spec, const std::string &which,
+            const std::string &suite, const std::string &name,
+            const char *family, int qubits, int repeats)
 {
-    const DeviceSpec spec = DeviceRegistry::parse(kGridSpec);
+    const DeviceSpec spec = DeviceRegistry::parse(grid_spec);
     const auto backend = makeGridBackend(which, spec.grid);
-    const Circuit qc = makeBenchmark(kGridFamily, kGridQubits);
+    const Circuit qc = makeBenchmark(family, qubits);
 
     BenchRecord record;
-    record.suite = kGridSuite;
-    record.name = which;
-    record.qubits = kGridQubits;
+    record.suite = suite;
+    record.name = name;
+    record.qubits = qubits;
     record.repeats = repeats;
     record.wallMs = -1.0;
 
@@ -293,6 +322,9 @@ measureGrid(const std::string &which, int repeats)
                 record.passTrace.push_back(
                     {timing.pass, 1e3 * timing.seconds});
         }
+        record.routingSteps = result.routingSteps;
+        record.windowVisits =
+            static_cast<long long>(result.windowVisits);
     }
     return record;
 }
@@ -584,7 +616,7 @@ printRecord(const char *tier, const BenchRecord &record,
             const std::string &speedup_cell)
 {
     char allocs_cell[32] = "-";
-    if (record.routingSteps > 0) {
+    if (record.steadyAllocs >= 0) {
         std::snprintf(allocs_cell, sizeof(allocs_cell), "%lld",
                       record.steadyAllocs);
     }
@@ -822,8 +854,16 @@ main(int argc, char **argv)
 
     // Grid-router suite (informational; the --require-speedup gate
     // stays on the MUSS-TI tiers).
-    for (const char *which : {"murali", "dai", "mqt"})
-        submit("grid", measureGrid(which, repeats));
+    for (const char *which : {"murali", "dai", "mqt"}) {
+        submit("grid", measureGrid(kGridSpec, which, kGridSuite, which,
+                                   kGridFamily, kGridQubits, repeats));
+    }
+    for (const HeavyGridWorkload &w : kHeavyGridWorkloads) {
+        submit("grid", measureGrid(kHeavyGridSpec, w.backend,
+                                   kHeavyGridSuite,
+                                   std::string(w.family) + "-" + w.backend,
+                                   w.family, w.qubits, repeats));
+    }
 
     std::string context = "micro_scheduler_bench --repeats " +
         std::to_string(repeats);

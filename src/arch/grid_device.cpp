@@ -35,23 +35,6 @@ GridDevice::GridDevice(const GridConfig &config)
     finalizeTopology(std::move(zones), edges);
 }
 
-std::vector<int>
-GridDevice::path(int from, int to) const
-{
-    std::vector<int> out;
-    int row = rowOf(from);
-    int col = colOf(from);
-    while (row != rowOf(to)) {
-        row += rowOf(to) > row ? 1 : -1;
-        out.push_back(trapAt(row, col));
-    }
-    while (col != colOf(to)) {
-        col += colOf(to) > col ? 1 : -1;
-        out.push_back(trapAt(row, col));
-    }
-    return out;
-}
-
 std::string
 gridSpecString(const GridConfig &config)
 {

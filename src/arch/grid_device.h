@@ -60,10 +60,25 @@ class GridDevice : public TargetDevice
     }
 
     /**
-     * A shortest hop path from `from` to `to`, excluding `from` and
-     * including `to`; row-first then column (deterministic).
+     * Call visit(trap) along a shortest hop path from `from` to `to`,
+     * excluding `from` and including `to`; row-first then column
+     * (deterministic). Allocation-free.
      */
-    std::vector<int> path(int from, int to) const;
+    template <typename Visit>
+    void
+    forEachPathTrap(int from, int to, Visit &&visit) const
+    {
+        int row = rowOf(from);
+        int col = colOf(from);
+        while (row != rowOf(to)) {
+            row += rowOf(to) > row ? 1 : -1;
+            visit(trapAt(row, col));
+        }
+        while (col != colOf(to)) {
+            col += colOf(to) > col ? 1 : -1;
+            visit(trapAt(row, col));
+        }
+    }
 
     std::string spec() const override;
     std::string describe() const override;

@@ -1,29 +1,44 @@
 #include "baselines/dai.h"
 
-#include <limits>
+#include <algorithm>
 
 #include "common/hash.h"
 #include "common/logging.h"
 
 namespace mussti {
 
-double
-DaiCompiler::futureCost(const Pass &pass,
-                        const std::vector<std::vector<DagNodeId>> &layers,
-                        int qubit, int trap) const
+DaiCompiler::DaiCompiler(const GridConfig &grid,
+                         const PhysicalParams &params, int look_ahead)
+    : GridCompilerBase("dai", grid, params), lookAhead_(look_ahead)
 {
-    double cost = 0.0;
     double discount = 1.0;
-    for (const auto &layer : layers) {
-        for (DagNodeId id : layer) {
-            const Gate &g = pass.dag.node(id).gate;
-            if (!g.touches(qubit))
-                continue;
-            const int partner_trap =
-                pass.placement.zoneOf(g.partnerOf(qubit));
-            cost += discount * device().hopDistance(trap, partner_trap);
-        }
+    for (int layer = 0; layer < lookAhead_; ++layer) {
+        discount_.push_back(discount);
         discount *= 0.7;
+    }
+}
+
+int
+DaiCompiler::windowHorizon() const
+{
+    return std::max(1, lookAhead_);
+}
+
+double
+DaiCompiler::futureCost(const Pass &pass, int qubit, int trap) const
+{
+    // The unfinished suffix of the chain has strictly increasing window
+    // depths, so the gates inside the look-ahead are its prefix.
+    double cost = 0.0;
+    const QubitChainView chain = pass.dag.qubitChain(qubit);
+    for (int i = pass.dag.qubitChainHead(qubit); i < chain.size(); ++i) {
+        const DagNodeId id = chain[i];
+        const int layer = pass.dag.windowDepth(id);
+        if (layer >= lookAhead_)
+            break;
+        const int partner_trap =
+            pass.placement.zoneOf(pass.dag.node(id).gate.partnerOf(qubit));
+        cost += discount_[layer] * device().hopDistance(trap, partner_trap);
     }
     return cost;
 }
@@ -43,49 +58,41 @@ DaiCompiler::scheduleStep(Pass &pass) const
     const int trap_b = pass.placement.zoneOf(gate.q1);
     MUSSTI_ASSERT(trap_a != trap_b, "scheduleStep on executable gate");
 
-    // One look-ahead peel per step, shared by every candidate plan
-    // (frontLayers is O(window gates); the per-plan re-peel used to
-    // dominate this strategy's compile time).
-    const auto layers = pass.dag.frontLayers(lookAhead_);
-
-    // Candidate plans: move q0 to trap_b, move q1 to trap_a, or meet in
-    // an intermediate trap on the path between them.
-    struct Plan { int moveA; int moveB; int target; double cost; };
-    std::vector<Plan> plans;
-
     auto congestion = [&](int trap, int arrivals) {
         const int free = device().config().trapCapacity -
             pass.placement.sizeOf(trap);
         return arrivals > free ? 2.0 * (arrivals - free) : 0.0;
     };
 
-    plans.push_back({1, 0, trap_b,
+    // Candidate plans, costed in a fixed order (the first cheapest
+    // wins): move q0 to trap_b, move q1 to trap_a, or meet in an
+    // intermediate trap on the path between them.
+    struct Plan { bool moveA; bool moveB; int target; double cost; };
+    Plan best{true, false, trap_b,
         device().hopDistance(trap_a, trap_b) +
-        futureCost(pass, layers, gate.q0, trap_b) + congestion(trap_b, 1)});
-    plans.push_back({0, 1, trap_a,
+        futureCost(pass, gate.q0, trap_b) + congestion(trap_b, 1)};
+    const auto consider = [&best](const Plan &plan) {
+        if (plan.cost < best.cost)
+            best = plan;
+    };
+    consider({false, true, trap_a,
         device().hopDistance(trap_a, trap_b) +
-        futureCost(pass, layers, gate.q1, trap_a) + congestion(trap_a, 1)});
+        futureCost(pass, gate.q1, trap_a) + congestion(trap_a, 1)});
 
-    for (int mid : device().path(trap_a, trap_b)) {
+    device().forEachPathTrap(trap_a, trap_b, [&](int mid) {
         if (mid == trap_b)
-            continue;
-        plans.push_back({1, 1, mid,
+            return;
+        consider({true, true, mid,
             device().hopDistance(trap_a, mid) +
             device().hopDistance(trap_b, mid) +
-            futureCost(pass, layers, gate.q0, mid) +
-            futureCost(pass, layers, gate.q1, mid) + congestion(mid, 2)});
-    }
+            futureCost(pass, gate.q0, mid) +
+            futureCost(pass, gate.q1, mid) + congestion(mid, 2)});
+    });
 
-    const Plan *best = &plans.front();
-    for (const Plan &p : plans) {
-        if (p.cost < best->cost)
-            best = &p;
-    }
-
-    if (best->moveA)
-        relocate(pass, gate.q0, best->target, {gate.q0, gate.q1});
-    if (best->moveB)
-        relocate(pass, gate.q1, best->target, {gate.q0, gate.q1});
+    if (best.moveA)
+        relocate(pass, gate.q0, best.target, gate.q0, gate.q1);
+    if (best.moveB)
+        relocate(pass, gate.q1, best.target, gate.q0, gate.q1);
     executeNode(pass, chosen);
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "arch/device_registry.h"
@@ -21,11 +22,13 @@ GridCompilerBase::GridCompilerBase(std::string name, const GridConfig &grid,
 GridCompilerBase::Pass::Pass(const GridDevice &device,
                              const PhysicalParams &params,
                              const Circuit &lowered,
-                             const Placement &initial)
+                             const Placement &initial,
+                             int window_horizon)
     : placement(initial),
       lru(lowered.numQubits()),
       emitter(device.zoneInfos(), params, placement, schedule),
-      dag(lowered),
+      dag(lowered, window_horizon),
+      worklist(dag),
       remainingDegree(lowered.twoQubitDegrees())
 {
     schedule.initialChains = Schedule::snapshotChains(initial);
@@ -51,7 +54,10 @@ class GridTargetPass : public CompilerPass
     std::shared_ptr<const GridDevice> device_;
 };
 
-/** Row-major initial fill over the context's grid device. */
+/**
+ * Row-major initial fill over the context's grid device, after
+ * rejecting a grid the strategies cannot shuttle on.
+ */
 class GridCompilerBase::PlacementPass : public CompilerPass
 {
   public:
@@ -64,9 +70,28 @@ class GridCompilerBase::PlacementPass : public CompilerPass
     void
     run(CompileContext &ctx) const override
     {
-        ctx.requireGridDevice();
-        ctx.placement =
-            strategy_.initialPlacement(ctx.input.numQubits());
+        const GridDevice &grid = ctx.requireGridDevice();
+        const int qubits = ctx.input.numQubits();
+        ctx.placement = strategy_.initialPlacement(qubits);
+
+        // A two-qubit gate needs two ions in one trap, and once more
+        // than one trap exists, bringing them together may spill a
+        // resident, which needs a free slot somewhere. Without either,
+        // the strategy would dead-lock mid-schedule.
+        const int capacity = grid.config().trapCapacity;
+        const bool no_pair = capacity < 2;
+        const bool no_spill = grid.numTraps() > 1 &&
+                              qubits == grid.slotCount();
+        if ((!no_pair && !no_spill) ||
+            ctx.requireLowered().twoQubitCount() == 0)
+            return;
+        fatalCoded("input.grid-infeasible",
+                   grid.spec() + " cannot run two-qubit gates: " +
+                   (no_pair ? "trap capacity " + std::to_string(capacity) +
+                                  " holds no ion pair"
+                            : std::to_string(qubits) + " qubits fill all " +
+                                  std::to_string(grid.slotCount()) +
+                                  " slots, leaving no room to spill"));
     }
 
   private:
@@ -87,14 +112,19 @@ class GridCompilerBase::SchedulePass : public CompilerPass
     run(CompileContext &ctx) const override
     {
         Pass pass(ctx.requireGridDevice(), ctx.params,
-                  ctx.requireLowered(), ctx.requirePlacement());
+                  ctx.requireLowered(), ctx.requirePlacement(),
+                  strategy_.windowHorizon());
 
+        int steps = 0;
         while (!pass.dag.empty()) {
             strategy_.drainExecutable(pass);
             if (pass.dag.empty())
                 break;
             strategy_.scheduleStep(pass);
+            ++steps;
         }
+        ctx.routingSteps += steps;
+        ctx.windowVisits += pass.dag.windowVisits();
 
         // Trailing single-qubit gates.
         for (const Gate &g1 : pass.dag.trailing1q()) {
@@ -165,30 +195,29 @@ GridCompilerBase::nearestTrapWithSpace(const Pass &pass, int from,
 
 void
 GridCompilerBase::relocate(Pass &pass, int qubit, int target_trap,
-                           const std::vector<int> &protect) const
+                           int keep0, int keep1) const
 {
     const int from = pass.placement.zoneOf(qubit);
     MUSSTI_ASSERT(from >= 0, "grid relocate of unplaced qubit");
     if (from == target_trap)
         return;
 
-    // Spill until the target has a slot.
-    std::vector<int> guarded = protect;
-    guarded.push_back(qubit);
+    // Spill until the target has a slot. The mover itself sits in
+    // `from`, so it is never among the target's candidates.
     while (pass.placement.sizeOf(target_trap) >=
            device_->config().trapCapacity) {
         const int victim = pass.lru.victim(pass.placement.chain(target_trap),
-                                           guarded);
-        // victim() returns -1 when every resident is protected — a
-        // capacity dead-lock (trap smaller than the protected working
-        // set), which must fail loudly instead of indexing with -1.
+                                           keep0, keep1);
+        // victim() returns -1 when every resident is kept — a capacity
+        // dead-lock (trap smaller than the gate's working set), which
+        // must fail loudly instead of indexing with -1.
         if (victim < 0) {
             panic("grid spill dead-lock in trap " +
                   std::to_string(target_trap) + ": all " +
                   std::to_string(pass.placement.sizeOf(target_trap)) +
-                  " residents are protected (" +
-                  std::to_string(guarded.size()) + " protected qubits); "
-                  "trap capacity too small for the gate's working set");
+                  " residents are the gate's operands (" +
+                  std::to_string(keep0) + ", " + std::to_string(keep1) +
+                  "); trap capacity too small for the gate's working set");
         }
         const int spill_to = nearestTrapWithSpace(pass, target_trap,
                                                   target_trap);
@@ -197,12 +226,14 @@ GridCompilerBase::relocate(Pass &pass, int qubit, int target_trap,
         pass.emitter.relocate(victim, spill_to,
                               hops * device_->config().pitchUm);
         pass.schedule.addExtraShuttles(hops - 1);
+        pass.worklist.onQubitMoved(victim);
     }
 
     const int hops = device_->hopDistance(from, target_trap);
     pass.emitter.relocate(qubit, target_trap,
                           hops * device_->config().pitchUm);
     pass.schedule.addExtraShuttles(hops - 1);
+    pass.worklist.onQubitMoved(qubit);
 }
 
 void
@@ -241,23 +272,16 @@ GridCompilerBase::executeNode(Pass &pass, DagNodeId id) const
     --pass.remainingDegree[gate.q0];
     --pass.remainingDegree[gate.q1];
     pass.dag.complete(id);
+    pass.worklist.noteCompleted(id);
 }
 
 void
 GridCompilerBase::drainExecutable(Pass &pass) const
 {
-    bool progressed = true;
-    while (progressed) {
-        progressed = false;
-        const std::vector<DagNodeId> snapshot = pass.dag.frontier();
-        for (DagNodeId id : snapshot) {
-            if (pass.dag.isReady(id) &&
-                executable(pass, pass.dag.node(id).gate)) {
-                executeNode(pass, id);
-                progressed = true;
-            }
-        }
-    }
+    pass.worklist.drain([&](DagNodeId id) {
+        if (executable(pass, pass.dag.node(id).gate))
+            executeNode(pass, id);
+    });
 }
 
 PassPipeline

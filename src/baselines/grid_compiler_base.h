@@ -12,6 +12,18 @@
  *               -> evaluate
  *
  * where grid-schedule drives the subclass's scheduleStep() strategy.
+ * grid-placement rejects a grid that cannot shuttle (InvalidInput) before
+ * any strategy runs.
+ *
+ * The schedule loop runs on the machinery the MUSS-TI scheduler uses:
+ * the drain is the shared FrontierWorklist (core/frontier_worklist.h),
+ * fed by executeNode() with every successor that becomes ready and by
+ * relocate() with every qubit it moves, and the DependencyDag keeps an
+ * incremental look-ahead window of windowHorizon() layers that
+ * strategies read per qubit chain instead of peeling layers. The
+ * schedule pass reports its strategy steps as
+ * CompileResult::routingSteps and the DAG's relaxation-wave visits as
+ * CompileResult::windowVisits.
  */
 #ifndef MUSSTI_BASELINES_GRID_COMPILER_BASE_H
 #define MUSSTI_BASELINES_GRID_COMPILER_BASE_H
@@ -24,6 +36,7 @@
 #include "arch/placement.h"
 #include "core/backend.h"
 #include "core/compiler.h"
+#include "core/frontier_worklist.h"
 #include "core/lru.h"
 #include "dag/dag.h"
 #include "sim/params.h"
@@ -78,10 +91,12 @@ class GridCompilerBase : public ICompilerBackend
         LruTracker lru;
         ShuttleEmitter emitter;
         DependencyDag dag;
+        FrontierWorklist worklist; ///< Drain candidates.
         std::vector<int> remainingDegree; ///< Future 2q gates per qubit.
 
         Pass(const GridDevice &device, const PhysicalParams &params,
-             const Circuit &lowered, const Placement &initial);
+             const Circuit &lowered, const Placement &initial,
+             int window_horizon = DependencyDag::kDefaultWindowHorizon);
     };
 
     /**
@@ -104,20 +119,39 @@ class GridCompilerBase : public ICompilerBackend
     virtual void hashConfigExtra(class Fnv1a &hash) const;
 
     /**
-     * Relocate a qubit to a target trap: spills LRU victims from the
-     * target to the nearest trap with space, then emits one relocation
-     * triple booking hop-count shuttles.
+     * Strategy hook: the look-ahead window (DAG layers) the strategy
+     * reads from Pass::dag. Defaults to the DAG's own default, which
+     * nothing reads; the Dai baseline sets its look-ahead.
      */
-    void relocate(Pass &pass, int qubit, int target_trap,
-                  const std::vector<int> &protect) const;
+    virtual int
+    windowHorizon() const
+    {
+        return DependencyDag::kDefaultWindowHorizon;
+    }
+
+    /**
+     * Relocate a qubit to a target trap: spills LRU victims other than
+     * the gate's operands `keep0`/`keep1` from the target to the
+     * nearest trap with space, then emits one relocation triple booking
+     * hop-count shuttles. Every moved qubit is reported to the
+     * worklist.
+     */
+    void relocate(Pass &pass, int qubit, int target_trap, int keep0,
+                  int keep1) const;
 
     /** Row-major initial fill. */
     Placement initialPlacement(int num_qubits) const;
 
-    /** Execute every currently executable frontier gate. */
+    /**
+     * Execute every executable frontier gate, in the order of the
+     * historical full re-scan, visiting only the worklist's candidates.
+     */
     void drainExecutable(Pass &pass) const;
 
-    /** Execute one ready node (gate + leading 1q costing). */
+    /**
+     * Execute one ready node (gate + leading 1q costing) and queue the
+     * successors it makes ready.
+     */
     void executeNode(Pass &pass, DagNodeId id) const;
 
     /** Nearest trap with a free slot, by hop distance from `from`. */

@@ -13,7 +13,7 @@ MqtLikeCompiler::scheduleStep(Pass &pass) const
     // Both operands must reach the processing trap.
     for (int q : {gate.q0, gate.q1}) {
         if (pass.placement.zoneOf(q) != processingTrap_)
-            relocate(pass, q, processingTrap_, {gate.q0, gate.q1});
+            relocate(pass, q, processingTrap_, gate.q0, gate.q1);
     }
     executeNode(pass, chosen);
 }

@@ -21,7 +21,7 @@ MuraliCompiler::scheduleStep(Pass &pass) const
         mover = gate.q1;
         dest = trap_a;
     }
-    relocate(pass, mover, dest, {gate.q0, gate.q1});
+    relocate(pass, mover, dest, gate.q0, gate.q1);
     executeNode(pass, chosen);
 }
 

@@ -118,9 +118,10 @@ benchResultsToJson(const std::vector<BenchRecord> &records,
             out << ", \"speedup_vs_baseline\": "
                 << number(r.speedupVsBaseline);
         }
-        if (r.routingSteps >= 0) {
-            out << ", \"routing_steps\": " << r.routingSteps
-                << ", \"steady_allocs\": " << r.steadyAllocs
+        if (r.routingSteps >= 0)
+            out << ", \"routing_steps\": " << r.routingSteps;
+        if (r.steadyAllocs >= 0) {
+            out << ", \"steady_allocs\": " << r.steadyAllocs
                 << ", \"allocs_per_step\": "
                 << number(r.routingSteps > 0
                               ? static_cast<double>(r.steadyAllocs) /

@@ -1,7 +1,5 @@
 #include "core/lru.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 
 namespace mussti {
@@ -30,13 +28,12 @@ LruTracker::stampOf(int qubit) const
 }
 
 int
-LruTracker::victim(const ZoneChain &candidates,
-                   const std::vector<int> &exclude) const
+LruTracker::victim(const ZoneChain &candidates, int keep0, int keep1) const
 {
     int best = -1;
     std::int64_t best_stamp = 0;
     for (int q : candidates) {
-        if (std::find(exclude.begin(), exclude.end(), q) != exclude.end())
+        if (q == keep0 || q == keep1)
             continue;
         if (best < 0 || stamps_[q] < best_stamp) {
             best = q;

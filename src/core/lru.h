@@ -28,13 +28,13 @@ class LruTracker
     std::int64_t stampOf(int qubit) const;
 
     /**
-     * Least-recently-used qubit among `candidates` that is not in
-     * `exclude`; -1 if every candidate is excluded. Ties (e.g. two
-     * never-used qubits) break toward the earlier candidate, which for
-     * chain containers means ions nearer the front edge.
+     * Least-recently-used qubit among `candidates` other than `keep0`
+     * and `keep1` (a gate's operands); -1 if no other candidate is
+     * left. Ties (e.g. two never-used qubits) break toward the earlier
+     * candidate, which for chain containers means ions nearer the front
+     * edge.
      */
-    int victim(const ZoneChain &candidates,
-               const std::vector<int> &exclude) const;
+    int victim(const ZoneChain &candidates, int keep0, int keep1) const;
 
     /** Current clock value (tests). */
     std::int64_t now() const { return clock_; }

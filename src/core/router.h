@@ -26,6 +26,7 @@
 #include "common/rng.h"
 #include "common/small_vec.h"
 #include "core/config.h"
+#include "core/frontier_worklist.h"
 #include "core/lru.h"
 #include "core/schedule_snapshot.h"
 #include "sim/params.h"
@@ -40,22 +41,6 @@ namespace mussti {
  * covers the worst case, so building one never allocates.
  */
 using ProtectSet = SmallVec<int, 4>;
-
-/**
- * Observer of qubit relocations. The scheduler's frontier worklist
- * registers one so that every placement change (shuttle or logical
- * SWAP) re-queues the affected frontier gate for an executability
- * check — the hook that lets the drain loop skip re-scanning
- * untouched gates.
- */
-class QubitMoveListener
-{
-  public:
-    virtual ~QubitMoveListener() = default;
-
-    /** The qubit's zone just changed. */
-    virtual void onQubitMoved(int qubit) = 0;
-};
 
 /** Routing engine bound to one in-progress compilation. */
 class Router

@@ -10,6 +10,7 @@
 #include "common/alloc_counter.h"
 #include "common/fault_injection.h"
 #include "common/logging.h"
+#include "core/frontier_worklist.h"
 #include "core/lru.h"
 #include "core/router.h"
 #include "core/swap_inserter.h"
@@ -34,10 +35,7 @@ struct SchedulerWorkspace
     /** Op count of the largest run so far; seeds Schedule::ops reserve. */
     std::size_t opReserveHint = 0;
 
-    /** Frontier-worklist round buffers and per-node membership state. */
-    std::vector<int> worklistCur;
-    std::vector<int> worklistNext;
-    std::vector<std::uint8_t> worklistState;
+    WorklistScratch worklist; ///< Frontier-worklist buffers.
 
     DagScratch dag; ///< Donated DependencyDag arrays.
 
@@ -51,154 +49,6 @@ struct SchedulerWorkspace
     std::vector<int> sweepScratch;
 };
 
-/**
- * The incrementally maintained executable-ready worklist behind the
- * phase-1 drain.
- *
- * The historical drain re-snapshotted the whole frontier and re-scanned
- * it until fixpoint — O(frontier²) work per routing step, almost all of
- * it re-checking gates whose operands had not moved. The worklist keeps
- * exactly the gates whose executability may have changed:
- *
- *  - every gate that just became ready (its last predecessor retired);
- *  - every ready gate with a relocated operand (the router and the
- *    SWAP-inserter report placement changes through QubitMoveListener;
- *    the only frontier gate a move of qubit q can affect is q's chain
- *    head, an O(1) lookup).
- *
- * Order is pinned to the historical drain: a round visits its
- * candidates in ascending node-id (= FCFS) order, exactly the order the
- * full re-scan visited them. A gate dirtied mid-round re-enters the
- * CURRENT round when its id is still ahead of the cursor (the re-scan
- * would reach it this pass, after the move) and the NEXT round
- * otherwise (the re-scan would catch it on the following pass). Gates
- * that merely became ready mid-round always wait for the next round —
- * they were absent from the re-scan's snapshot. Skipped gates are
- * exactly those whose operands sat still since their last check, for
- * which the re-scan's answer could not have changed; the executed gate
- * sequence is therefore bit-identical (pinned by the golden
- * fingerprints and the cross-check in tests/test_scheduler.cpp).
- *
- * Buffers are borrowed from the thread's arena, so steady-state
- * rounds allocate nothing.
- */
-class FrontierWorklist : public QubitMoveListener
-{
-  public:
-    FrontierWorklist(const DependencyDag &dag, SchedulerWorkspace &ws)
-        : dag_(dag), ws_(ws), cur_(std::move(ws.worklistCur)),
-          next_(std::move(ws.worklistNext)),
-          queued_(std::move(ws.worklistState))
-    {
-        cur_.clear();
-        next_.clear();
-        queued_.assign(static_cast<std::size_t>(dag.size()), 0);
-        for (DagNodeId id : dag.frontier())
-            noteReady(id);
-    }
-
-    ~FrontierWorklist() override
-    {
-        // Hand the buffers back so the next run starts warm.
-        ws_.worklistCur = std::move(cur_);
-        ws_.worklistNext = std::move(next_);
-        ws_.worklistState = std::move(queued_);
-    }
-
-    /**
-     * Start the next drain round: the queued candidates become the
-     * round's visit list (ascending id). False when nothing is queued —
-     * every ready gate is known non-executable and the drain is done.
-     */
-    bool
-    beginRound()
-    {
-        if (next_.empty())
-            return false;
-        cur_.swap(next_);
-        next_.clear();
-        std::sort(cur_.begin(), cur_.end());
-        cursor_ = 0;
-        cursorId_ = -1;
-        inRound_ = true;
-        return true;
-    }
-
-    /** Next candidate of the round, or -1 when the round is exhausted. */
-    DagNodeId
-    take()
-    {
-        if (cursor_ >= cur_.size()) {
-            inRound_ = false;
-            return -1;
-        }
-        const DagNodeId id = cur_[cursor_++];
-        queued_[id] = 0;
-        cursorId_ = id;
-        return id;
-    }
-
-    /**
-     * Re-seed from the DAG's current frontier, dropping any queued
-     * state — the delta-resume entry point. At a checkpoint the drain
-     * has just proven every frontier gate non-executable with nothing
-     * queued, so a resumed run's first drain round re-checks the full
-     * frontier, executes nothing (same placement, same DAG, same
-     * verdicts), and lands in exactly the captured worklist state.
-     */
-    void
-    reseed()
-    {
-        cur_.clear();
-        next_.clear();
-        std::fill(queued_.begin(), queued_.end(), 0);
-        inRound_ = false;
-        for (DagNodeId id : dag_.frontier())
-            noteReady(id);
-    }
-
-    /** A node's last predecessor retired; queue its first check. */
-    void
-    noteReady(DagNodeId id)
-    {
-        if (queued_[id])
-            return;
-        queued_[id] = 1;
-        next_.push_back(id);
-    }
-
-    void
-    onQubitMoved(int qubit) override
-    {
-        // The only frontier gate a move of `qubit` can affect is the
-        // head of its dependency chain; anything later depends on it.
-        const DagNodeId head = dag_.qubitChainHeadNode(qubit);
-        if (head < 0 || !dag_.isReady(head) || queued_[head])
-            return;
-        queued_[head] = 1;
-        if (inRound_ && head > cursorId_) {
-            // Ahead of the cursor: the historical re-scan would check
-            // this gate later in the current pass — keep that order.
-            const auto it = std::lower_bound(
-                cur_.begin() + static_cast<std::ptrdiff_t>(cursor_),
-                cur_.end(), head);
-            cur_.insert(it, head);
-        } else {
-            next_.push_back(head);
-        }
-    }
-
-  private:
-    const DependencyDag &dag_;
-    SchedulerWorkspace &ws_;
-    std::vector<DagNodeId> cur_;  ///< Current round, ascending ids.
-    std::vector<DagNodeId> next_; ///< Accumulating next round.
-    std::vector<std::uint8_t> queued_; ///< Node is in cur_ or next_.
-    std::size_t cursor_ = 0;
-    DagNodeId cursorId_ = -1;
-    bool inRound_ = false;
-};
-
 /** Shared mutable state of one scheduling pass. */
 struct PassState
 {
@@ -210,7 +60,7 @@ struct PassState
     Router router;
     SwapInserter inserter;
     DependencyDag dag;
-    FrontierWorklist worklist;
+    FrontierWorklist worklist; ///< Phase-1 drain candidates.
 
     std::vector<int> nextUse;
     bool nextUseSynced = false; ///< First snapshot copies the table.
@@ -232,7 +82,7 @@ struct PassState
                  cfg.seed),
           inserter(dev, par, cfg, placement, schedule, router, lru),
           dag(circuit, cfg.nextUseHorizon, &ws.dag),
-          worklist(dag, ws),
+          worklist(dag, &ws.worklist),
           nextUse(std::move(ws.nextUseScratch))
     {
         nextUse.assign(circuit.numQubits(), 0);
@@ -335,12 +185,8 @@ executeGate(PassState &st, const MusstiConfig &config, DagNodeId id,
     st.dag.complete(id);
     if (st.retiredOrder != nullptr)
         st.retiredOrder->push_back(id);
-    if (config.incrementalFrontier) {
-        for (DagNodeId succ : st.dag.successors(id)) {
-            if (st.dag.isReady(succ))
-                st.worklist.noteReady(succ);
-        }
-    }
+    if (config.incrementalFrontier)
+        st.worklist.noteCompleted(id);
 
     if (fiber && config.enableSwapInsertion)
         swap_insertions += st.inserter.maybeInsert(st.dag, gate.q0,
@@ -348,21 +194,18 @@ executeGate(PassState &st, const MusstiConfig &config, DagNodeId id,
 }
 
 /**
- * Phase-1 drain, worklist form: visit exactly the candidates whose
- * executability may have changed, in the historical re-scan order.
+ * Phase-1 drain, worklist form (core/frontier_worklist.h): visit
+ * exactly the candidates whose executability may have changed, in the
+ * historical re-scan order.
  */
 void
 drainIncremental(PassState &st, const MusstiConfig &config,
                  int &swap_insertions)
 {
-    while (st.worklist.beginRound()) {
-        DagNodeId id;
-        while ((id = st.worklist.take()) >= 0) {
-            if (st.dag.isReady(id) &&
-                executable(st, st.dag.node(id).gate))
-                executeGate(st, config, id, swap_insertions);
-        }
-    }
+    st.worklist.drain([&](DagNodeId id) {
+        if (executable(st, st.dag.node(id).gate))
+            executeGate(st, config, id, swap_insertions);
+    });
 }
 
 /**

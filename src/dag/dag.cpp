@@ -390,11 +390,10 @@ DependencyDag::frontLayers(int k) const
     // Simulate retirement on a scratch predecessor count, touching only
     // the nodes actually reached. The scratch persists across calls
     // (entries reset on exit), so no O(total-gates) allocation happens
-    // per call. The MUSS-TI scheduler itself reads the incremental
-    // window (nextUse and the per-qubit chains, horizon 64 by default)
-    // instead of peeling; this remains for consumers that need
-    // layer-internal FCFS order (the Dai baseline) or look-aheads beyond
-    // the horizon.
+    // per call. The MUSS-TI scheduler and the Dai baseline read the
+    // incremental window (nextUse and the per-qubit chains) instead of
+    // peeling; this remains for look-aheads beyond the horizon (the
+    // weight table's fallback) and as the tests' reference.
     if (peelPreds_.size() != nodes_.size())
         peelPreds_.assign(nodes_.size(), -1);
 

@@ -90,8 +90,10 @@
  * When a settle leaves nothing parked, every depth is exact again and r
  * restarts at 0.
  *
- * frontLayers(k) keeps the non-destructive peel (the Dai baseline wants
- * explicit, FCFS-ordered layer lists) but reuses persistent scratch
+ * frontLayers(k) keeps the non-destructive peel, now only for the
+ * SWAP-insertion weight table's eager fallback (a look-ahead beyond the
+ * horizon) and for tests that cross-check window reads against it; the
+ * Dai baseline reads the window instead. It reuses persistent scratch
  * buffers, so it performs no O(total-gates) allocation per call.
  *
  * ## Allocation discipline
@@ -303,7 +305,9 @@ class DependencyDag
      * Nodes in the first `k` layers of the remaining graph, layer by
      * layer: layer 0 is the frontier, layer i+1 are nodes unlocked when
      * layers <= i retire. Non-destructive; reuses internal scratch, so
-     * calls allocate only for the returned layers themselves.
+     * calls allocate only for the returned layers themselves. Serves
+     * the weight table's beyond-horizon fallback and tests; per-step
+     * readers use the window (windowDepth, qubitChain) instead.
      */
     std::vector<std::vector<DagNodeId>> frontLayers(int k) const;
 

@@ -3,6 +3,8 @@
  * Tests for the device models: zone taxonomy, EML module construction,
  * fiber links, geometry, and the grid substrate.
  */
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "arch/eml_device.h"
@@ -154,7 +156,8 @@ TEST(GridDevice, PathEndsAtTargetAndHasHopLength)
     const GridDevice grid(GridConfig{4, 4, 4});
     const int from = grid.trapAt(0, 0);
     const int to = grid.trapAt(2, 3);
-    const auto path = grid.path(from, to);
+    std::vector<int> path;
+    grid.forEachPathTrap(from, to, [&](int t) { path.push_back(t); });
     ASSERT_FALSE(path.empty());
     EXPECT_EQ(path.back(), to);
     EXPECT_EQ(static_cast<int>(path.size()), grid.hopDistance(from, to));

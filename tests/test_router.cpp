@@ -21,9 +21,9 @@ TEST(Lru, VictimIsOldest)
     lru.touch(1);
     lru.touch(2);
     const ZoneChain zone{0, 1, 2};
-    EXPECT_EQ(lru.victim(zone, {}), 0);
+    EXPECT_EQ(lru.victim(zone, -1, -1), 0);
     lru.touch(0);
-    EXPECT_EQ(lru.victim(zone, {}), 1);
+    EXPECT_EQ(lru.victim(zone, -1, -1), 1);
 }
 
 TEST(Lru, NeverUsedBeatsUsed)
@@ -31,15 +31,15 @@ TEST(Lru, NeverUsedBeatsUsed)
     LruTracker lru(4);
     lru.touch(0);
     const ZoneChain zone{0, 3};
-    EXPECT_EQ(lru.victim(zone, {}), 3);
+    EXPECT_EQ(lru.victim(zone, -1, -1), 3);
 }
 
 TEST(Lru, ExclusionRespected)
 {
     LruTracker lru(3);
     const ZoneChain zone{0, 1};
-    EXPECT_EQ(lru.victim(zone, {0}), 1);
-    EXPECT_EQ(lru.victim(zone, {0, 1}), -1);
+    EXPECT_EQ(lru.victim(zone, 0, -1), 1);
+    EXPECT_EQ(lru.victim(zone, 0, 1), -1);
 }
 
 TEST(Lru, AllCandidatesExcludedReturnsSentinel)
@@ -49,12 +49,12 @@ TEST(Lru, AllCandidatesExcludedReturnsSentinel)
     LruTracker lru(4);
     lru.touch(0);
     lru.touch(1);
-    const ZoneChain zone{0, 1, 2};
-    EXPECT_EQ(lru.victim(zone, {0, 1, 2}), -1);
-    EXPECT_EQ(lru.victim(zone, {2, 1, 0}), -1); // order irrelevant
-    EXPECT_EQ(lru.victim({}, {}), -1);          // empty chain
-    // Excess exclusions beyond the chain are harmless.
-    EXPECT_EQ(lru.victim(zone, {0, 1, 2, 3}), -1);
+    const ZoneChain zone{0, 1};
+    EXPECT_EQ(lru.victim(zone, 0, 1), -1);
+    EXPECT_EQ(lru.victim(zone, 1, 0), -1);  // order irrelevant
+    EXPECT_EQ(lru.victim({}, -1, -1), -1); // empty chain
+    // A kept qubit outside the chain is harmless.
+    EXPECT_EQ(lru.victim(ZoneChain{2}, 3, 2), -1);
 }
 
 /** Small 1-module fixture: capacity 4 per zone, 12 qubits. */
