@@ -14,7 +14,8 @@
  *   --no-swap-insert     disable section-3.3 SWAP insertion
  *   --capacity N         trap capacity (default 16)
  *   --optical N          optical zones per module (default 1)
- *   --lookahead K        weight-table window (default 8)
+ *   --lookahead K        weight-table window, 1..64 (at most the DAG
+ *                        window horizon, nextUseHorizon; default 8)
  *   --policy P           anticipatory-lru | lru | fifo | random
  *   --trace [N]          print the first N schedule ops (default 40)
  *   --validate           run the schedule validator and report
@@ -56,7 +57,10 @@ usage()
         "  families: adder bv ghz qaoa qft sqrt ran sc ising qv wstate\n"
         "  options: --device SPEC --backend B --trivial --no-swap-insert\n"
         "           --capacity N --optical N --lookahead K --policy P\n"
-        "           --trace [N] --validate\n";
+        "           --trace [N] --validate\n"
+        "  --lookahead K: 1.." << MusstiConfig{}.nextUseHorizon
+              << " (the DAG window horizon, nextUseHorizon), default "
+              << MusstiConfig{}.lookAhead << "\n";
 }
 
 int

@@ -14,8 +14,7 @@
  * = the look-ahead) rather than peeling layers per step: a qubit's
  * gates inside the window are a prefix of its dependency chain, one
  * gate per layer, so the future cost walks that prefix and weighs each
- * gate by 0.7^layer — the same terms, in the same order, as summing
- * over a frontLayers() peel.
+ * gate by 0.7^layer.
  */
 #ifndef MUSSTI_BASELINES_DAI_H
 #define MUSSTI_BASELINES_DAI_H

@@ -53,22 +53,11 @@ struct MusstiConfig
      * scheduler consults for anticipated qubit usage (section 3.4). Also
      * the "idle" sentinel: a qubit with no gate within the horizon
      * reports this value. Larger horizons approximate Belady better but
-     * widen the window the DAG maintains per retirement.
+     * widen the window the DAG maintains per retirement. Bounds the
+     * weight table's reach too: lookAhead <= nextUseHorizon, or the
+     * scheduler rejects the config as InvalidInput.
      */
     int nextUseHorizon = 64;
-
-    /**
-     * Drive the phase-1 drain from the incrementally maintained
-     * executable-ready worklist (the default) instead of re-scanning a
-     * snapshot of the whole frontier until fixpoint. The two drains are
-     * bit-identical by construction — the worklist re-examines exactly
-     * the gates whose operands moved, in the same order the full
-     * re-scan would have reached them — and tests pin the equivalence
-     * (tests/test_scheduler.cpp), so this knob exists only as the
-     * reference implementation for that cross-check and is deliberately
-     * excluded from configDigest().
-     */
-    bool incrementalFrontier = true;
 
     /** Initial mapping strategy. */
     MappingKind mapping = MappingKind::Sabre;

@@ -27,7 +27,9 @@
  * exactly those whose operands sat still since their last check, for
  * which the re-scan's answer could not have changed; the executed gate
  * sequence is therefore bit-identical (pinned by the golden
- * fingerprints and the cross-checks in tests/test_scheduler.cpp and
+ * fingerprints of tests/test_scheduler.cpp and by two re-scan oracles:
+ * FrontierWorklist.MatchesFullRescanUnderMidRoundMoves in
+ * tests/test_scheduler.cpp, GridBase.WorklistDrainMatchesFullRescan in
  * tests/test_baselines.cpp).
  *
  * Executability must be a pure function of the operands' zones (both

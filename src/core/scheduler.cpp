@@ -89,9 +89,8 @@ struct PassState
         schedule.initialChains = Schedule::snapshotChains(initial);
         schedule.ops.reserve(ws.opReserveHint);
         router.setNextUse(&nextUse);
-        dag.enableNextUseLog();
-        if (cfg.incrementalFrontier)
-            router.setMoveListener(&worklist);
+        dag.trackNextUse();
+        router.setMoveListener(&worklist);
         // Chains never outgrow their trap capacity, so one reserve here
         // makes every later push/pop allocation-free.
         placement.reserveChains(dev.zoneInfos());
@@ -185,50 +184,11 @@ executeGate(PassState &st, const MusstiConfig &config, DagNodeId id,
     st.dag.complete(id);
     if (st.retiredOrder != nullptr)
         st.retiredOrder->push_back(id);
-    if (config.incrementalFrontier)
-        st.worklist.noteCompleted(id);
+    st.worklist.noteCompleted(id);
 
     if (fiber && config.enableSwapInsertion)
         swap_insertions += st.inserter.maybeInsert(st.dag, gate.q0,
                                                    gate.q1);
-}
-
-/**
- * Phase-1 drain, worklist form (core/frontier_worklist.h): visit
- * exactly the candidates whose executability may have changed, in the
- * historical re-scan order.
- */
-void
-drainIncremental(PassState &st, const MusstiConfig &config,
-                 int &swap_insertions)
-{
-    st.worklist.drain([&](DagNodeId id) {
-        if (executable(st, st.dag.node(id).gate))
-            executeGate(st, config, id, swap_insertions);
-    });
-}
-
-/**
- * Phase-1 drain, reference form: re-snapshot the whole frontier and
- * re-scan until fixpoint. Kept verbatim as the cross-check oracle for
- * the worklist (config.incrementalFrontier == false).
- */
-void
-drainFullRescan(PassState &st, const MusstiConfig &config,
-                int &swap_insertions)
-{
-    bool progressed = true;
-    while (progressed) {
-        progressed = false;
-        const std::vector<DagNodeId> snapshot = st.dag.frontier();
-        for (DagNodeId id : snapshot) {
-            if (st.dag.isReady(id) &&
-                executable(st, st.dag.node(id).gate)) {
-                executeGate(st, config, id, swap_insertions);
-                progressed = true;
-            }
-        }
-    }
 }
 
 // ---- delta compilation: capture and resume ----------------------------
@@ -255,14 +215,14 @@ drainFullRescan(PassState &st, const MusstiConfig &config,
 // up to the checkpoint. Every decision input is either (a) a retired
 // node, (b) a node inside the look-ahead window (depth < horizon:
 // frontier membership, the nextUse table, the SWAP-insertion weight
-// table — which reads depths < lookAhead <= horizon, a guard below), or
-// (c) nothing. Window depths only DECREASE as nodes retire, so if a
-// suffix node's depth is >= horizon after the full replay, it was >=
-// horizon — invisible — at every earlier step too. windowClean() checks
-// exactly that on the new DAG; a candidate that fails falls back to the
-// cold path, never to a wrong schedule. Prefix nodes' depths depend
-// only on their (prefix) predecessors, hence agree between the old and
-// new DAGs.
+// table — which reads depths < lookAhead <= horizon, as the constructor
+// requires), or (c) nothing. Window depths only DECREASE as nodes
+// retire, so if a suffix node's depth is >= horizon after the full
+// replay, it was >= horizon — invisible — at every earlier step too.
+// windowClean() checks exactly that on the new DAG; a candidate that
+// fails falls back to the cold path, never to a wrong schedule. Prefix
+// nodes' depths depend only on their (prefix) predecessors, hence agree
+// between the old and new DAGs.
 
 /** Highest circuit index among the unfinished nodes inside the
     look-ahead window, or -1 when the window is empty. */
@@ -493,13 +453,7 @@ MusstiScheduler::run(const Circuit &lowered, const Placement &initial,
     int swap_insertions = 0;
     int routing_steps = 0;
 
-    // Delta resume is only sound when every window consumer's reach is
-    // bounded by the horizon (the weight table reads depths up to
-    // lookAhead); otherwise skip resuming, never produce a wrong
-    // schedule.
-    bool resumable =
-        delta != nullptr && !delta->candidates.empty() &&
-        config_.lookAhead <= config_.nextUseHorizon;
+    bool resumable = delta != nullptr && !delta->candidates.empty();
     // An injected resume fault degrades, never corrupts: the run falls
     // back to a cold compile of the whole circuit (bit-identical by the
     // delta contract). Consulted only when a resume was actually on the
@@ -598,11 +552,14 @@ MusstiScheduler::run(const Circuit &lowered, const Placement &initial,
 
     while (!st->dag.empty()) {
         // Gate selection, phase 1: drain every immediately executable
-        // frontier gate ("prioritize executable gates").
-        if (config_.incrementalFrontier)
-            drainIncremental(*st, config_, swap_insertions);
-        else
-            drainFullRescan(*st, config_, swap_insertions);
+        // frontier gate ("prioritize executable gates"). The worklist
+        // (core/frontier_worklist.h) visits exactly the candidates whose
+        // executability may have changed, in the historical re-scan
+        // order.
+        st->worklist.drain([&](DagNodeId id) {
+            if (executable(*st, st->dag.node(id).gate))
+                executeGate(*st, config_, id, swap_insertions);
+        });
         if (st->dag.empty())
             break;
 

@@ -15,6 +15,7 @@
 #include "arch/eml_device.h"
 #include "arch/placement.h"
 #include "circuit/circuit.h"
+#include "common/logging.h"
 #include "core/config.h"
 #include "core/job_control.h"
 #include "core/schedule_snapshot.h"
@@ -116,10 +117,21 @@ class MusstiScheduler
             : finalPlacement(std::move(placement)) {}
     };
 
+    /**
+     * Every window consumer must stay inside the DAG's horizon: the
+     * weight table reads depths below lookAhead, so a deeper look-ahead
+     * is an input error (InvalidInput, `input.require`).
+     */
     MusstiScheduler(const EmlDevice &device, const PhysicalParams &params,
                     const MusstiConfig &config)
         : device_(device), params_(params), config_(config)
-    {}
+    {
+        MUSSTI_REQUIRE(config.lookAhead <= config.nextUseHorizon,
+                       "the weight-table lookAhead " << config.lookAhead
+                       << " exceeds nextUseHorizon "
+                       << config.nextUseHorizon
+                       << ", the depth of the DAG window it reads");
+    }
 
     /**
      * Schedule `lowered` (SWAPs already decomposed) starting from

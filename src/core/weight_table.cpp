@@ -1,7 +1,5 @@
 #include "core/weight_table.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 
 namespace mussti {
@@ -14,42 +12,22 @@ WeightTable::row(int qubit) const
         return row_;
     row_.assign(numModules_, 0);
 
-    if (lookAhead_ <= dag_->windowHorizon()) {
-        // The qubit's window gates are a chain prefix: walk it until the
-        // first node at or beyond the look-ahead depth. Counts match an
-        // eager frontLayers(lookAhead_) build exactly — that build
-        // increments this row once per window gate touching the qubit,
-        // which is precisely this prefix. withinLayers is the DAG's
-        // threshold read: it settles only the layers the answer needs.
-        const QubitChainView chain = dag_->qubitChain(qubit);
-        for (int i = dag_->qubitChainHead(qubit); i < chain.size(); ++i) {
-            const DagNodeId id = chain[i];
-            if (!dag_->withinLayers(id, lookAhead_))
-                break;
-            const Gate &g = dag_->node(id).gate;
-            const int partner = g.q0 == qubit ? g.q1 : g.q0;
-            const int zone = placement_->zoneOf(partner);
-            MUSSTI_ASSERT(zone >= 0, "weight table over unplaced qubits");
-            ++row_[device_->zone(zone).module];
-        }
-    } else {
-        // Look-aheads beyond the DAG's incremental horizon cannot use
-        // the clamped depths; fall back to a peel (rare: the default
-        // horizon is far above the paper's k = 8).
-        for (const auto &layer : dag_->frontLayers(lookAhead_)) {
-            for (DagNodeId id : layer) {
-                const Gate &g = dag_->node(id).gate;
-                for (int partner : {g.q0 == qubit ? g.q1 : -1,
-                                    g.q1 == qubit ? g.q0 : -1}) {
-                    if (partner < 0)
-                        continue;
-                    const int zone = placement_->zoneOf(partner);
-                    MUSSTI_ASSERT(zone >= 0,
-                                  "weight table over unplaced qubits");
-                    ++row_[device_->zone(zone).module];
-                }
-            }
-        }
+    // The qubit's window gates are a chain prefix: walk it until the
+    // first node at or beyond the look-ahead depth. Counts match an
+    // eager layer-peel build exactly (tests/dag_reference.h) — that
+    // build increments this row once per window gate touching the
+    // qubit, which is precisely this prefix. withinLayers is the DAG's
+    // threshold read: it settles only the layers the answer needs.
+    const QubitChainView chain = dag_->qubitChain(qubit);
+    for (int i = dag_->qubitChainHead(qubit); i < chain.size(); ++i) {
+        const DagNodeId id = chain[i];
+        if (!dag_->withinLayers(id, lookAhead_))
+            break;
+        const Gate &g = dag_->node(id).gate;
+        const int partner = g.q0 == qubit ? g.q1 : g.q0;
+        const int zone = placement_->zoneOf(partner);
+        MUSSTI_ASSERT(zone >= 0, "weight table over unplaced qubits");
+        ++row_[device_->zone(zone).module];
     }
 
     rowQubit_ = qubit;

@@ -15,8 +15,10 @@
  * The SWAP-insertion hot path touches a handful of rows per fiber gate,
  * which makes the on-demand rows far cheaper than rebuilding the full
  * numQubits x numModules matrix each time. Values are identical to an
- * eager build from DependencyDag::frontLayers(k) — each row counts
- * exactly the window gates touching that qubit.
+ * eager build from a k-layer peel of the remaining DAG (the tests'
+ * reference peel, tests/dag_reference.h) — each row counts exactly the
+ * window gates touching that qubit. The look-ahead must stay inside
+ * the DAG's window: k <= windowHorizon().
  */
 #ifndef MUSSTI_CORE_WEIGHT_TABLE_H
 #define MUSSTI_CORE_WEIGHT_TABLE_H
@@ -27,6 +29,7 @@
 
 #include "arch/eml_device.h"
 #include "arch/placement.h"
+#include "common/logging.h"
 #include "dag/dag.h"
 
 namespace mussti {
@@ -55,6 +58,10 @@ class WeightTable
     bind(const DependencyDag &dag, const Placement &placement,
          const EmlDevice &device, int look_ahead)
     {
+        MUSSTI_ASSERT(look_ahead <= dag.windowHorizon(),
+                      "weight-table look-ahead " << look_ahead
+                      << " beyond the DAG window horizon "
+                      << dag.windowHorizon());
         dag_ = &dag;
         placement_ = &placement;
         device_ = &device;

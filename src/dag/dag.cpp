@@ -37,8 +37,6 @@ DependencyDag::tradeScratch()
     trade(parkNext_, s.parkNext);
     trade(pendingRetired_, s.pendingRetired);
     trade(dirtyQubits_, s.dirtyQubits);
-    trade(peelPreds_, s.peelPreds);
-    trade(peelTouched_, s.peelTouched);
 }
 
 DependencyDag::~DependencyDag()
@@ -156,13 +154,7 @@ DependencyDag::DependencyDag(const Circuit &circuit, int window_horizon,
 
     remaining_ = static_cast<int>(nodes_.size());
 
-    // The nodes touching a qubit are totally ordered through it, so the
-    // first unfinished one always carries the qubit's minimum window
-    // depth.
     std::fill(chainHead_.begin(), chainHead_.end(), 0);
-    nextUse_.assign(n, horizon_);
-    for (int q = 0; q < n; ++q)
-        refreshQubitNextUse(q);
 
     // Wave and retirement queues: bounded by the node count (inWave_
     // keeps a node on the wave or in a bucket at most once). The parking
@@ -171,7 +163,6 @@ DependencyDag::DependencyDag(const Circuit &circuit, int window_horizon,
     worklist_.resize(nodes_.size() + 1);
     inWave_.assign(nodes_.size(), 0);
     pendingRetired_.reserve(nodes_.size() + 1);
-    dirtyQubits_.reserve(2 * nodes_.size() + 2);
     parkHead_.assign(std::min<std::size_t>(horizon_, nodes_.size()) + 1, -1);
     parkNext_.assign(nodes_.size(), -1);
 }
@@ -197,12 +188,28 @@ DependencyDag::insertSortedFrontier(DagNodeId id)
 }
 
 void
+DependencyDag::trackNextUse()
+{
+    flushWindow(); // The fill reads settled depths.
+    // The nodes touching a qubit are totally ordered through it, so the
+    // first unfinished one always carries the qubit's minimum window
+    // depth. The fill is not logged: a caller's first sync copies the
+    // whole table.
+    const int qubits = static_cast<int>(chainHead_.size());
+    nextUse_.resize(qubits);
+    for (int q = 0; q < qubits; ++q)
+        refreshQubitNextUse(q);
+    dirtyQubits_.reserve(2 * nodes_.size() + 2);
+    nextUseTracked_ = true;
+}
+
+void
 DependencyDag::refreshQubitNextUse(int q) const
 {
     const QubitChainView chain = qubitChain(q);
     const int head = chainHead_[q];
     nextUse_[q] = head < chain.size() ? depth_[chain[head]] : horizon_;
-    if (logNextUse_)
+    if (nextUseTracked_)
         nextUseLog_.push_back(q);
 }
 
@@ -250,7 +257,7 @@ DependencyDag::settle(int band) const
     DagNodeId *park_head = parkHead_.data();
     DagNodeId *park_next = parkNext_.data();
     const int horizon = horizon_;
-    const bool log_next_use = logNextUse_;
+    const bool track_next_use = nextUseTracked_;
     int top = 0;
     int lo = parkedMin_;
     int hi = parkedMax_;
@@ -317,11 +324,10 @@ DependencyDag::settle(int band) const
         if (fresh >= depth[n])
             continue;
         depth[n] = fresh;
-        for (int k = 0; k < 2; ++k) {
+        for (int k = 0; k < 2 && track_next_use; ++k) {
             if (heads[k]) {
                 next_use[link.qubit[k]] = fresh;
-                if (log_next_use)
-                    nextUseLog_.push_back(link.qubit[k]);
+                nextUseLog_.push_back(link.qubit[k]);
             }
         }
         for (DagNodeId succ : link.succs)
@@ -333,20 +339,6 @@ DependencyDag::settle(int band) const
     parkedMax_ = hi;
     if (hi < 0)
         retiredSinceExact_ = 0; // Nothing parked: every depth is exact.
-}
-
-std::vector<DagNodeId>
-DependencyDag::windowLayer(int depth) const
-{
-    MUSSTI_ASSERT(depth >= 0 && depth < horizon_,
-                  "window layer " << depth << " outside horizon "
-                  << horizon_);
-    std::vector<DagNodeId> layer;
-    forEachWindowNode([&](DagNodeId id) {
-        if (depth_[id] == depth)
-            layer.push_back(id);
-    });
-    return layer;
 }
 
 void
@@ -374,51 +366,11 @@ DependencyDag::complete(DagNodeId id)
     // relaxation for the next window read (flushWindow).
     for (int q : link.qubit) {
         ++chainHead_[q];
-        dirtyQubits_.push_back(q);
+        if (nextUseTracked_)
+            dirtyQubits_.push_back(q);
     }
     pendingRetired_.push_back(id);
     ++retiredSinceExact_;
-}
-
-std::vector<std::vector<DagNodeId>>
-DependencyDag::frontLayers(int k) const
-{
-    std::vector<std::vector<DagNodeId>> layers;
-    if (k <= 0 || frontier_.empty())
-        return layers;
-
-    // Simulate retirement on a scratch predecessor count, touching only
-    // the nodes actually reached. The scratch persists across calls
-    // (entries reset on exit), so no O(total-gates) allocation happens
-    // per call. The MUSS-TI scheduler and the Dai baseline read the
-    // incremental window (nextUse and the per-qubit chains) instead of
-    // peeling; this remains for look-aheads beyond the horizon (the
-    // weight table's fallback) and as the tests' reference.
-    if (peelPreds_.size() != nodes_.size())
-        peelPreds_.assign(nodes_.size(), -1);
-
-    std::vector<DagNodeId> current = frontier_;
-    for (int layer = 0; layer < k && !current.empty(); ++layer) {
-        std::vector<DagNodeId> next;
-        for (DagNodeId id : current) {
-            for (DagNodeId succ : links_[id].succs) {
-                if (peelPreds_[succ] < 0) {
-                    peelPreds_[succ] = nodes_[succ].pendingPreds;
-                    peelTouched_.push_back(succ);
-                }
-                if (--peelPreds_[succ] == 0)
-                    next.push_back(succ);
-            }
-        }
-        std::sort(next.begin(), next.end());
-        layers.push_back(std::move(current));
-        current = std::move(next);
-    }
-
-    for (DagNodeId id : peelTouched_)
-        peelPreds_[id] = -1;
-    peelTouched_.clear();
-    return layers;
 }
 
 } // namespace mussti

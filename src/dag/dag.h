@@ -33,7 +33,10 @@
  *    head of its dependency chain), or the horizon sentinel when the
  *    qubit is idle throughout the window. Because the gates touching a
  *    qubit form a chain in the DAG, the chain head always carries the
- *    minimum depth, so this is an O(1)-per-qubit read.
+ *    minimum depth, so this is an O(1)-per-qubit read. Only the
+ *    MUSS-TI scheduler reads it, so the table is opt-in
+ *    (trackNextUse()); the grid baselines' and the validator's DAGs
+ *    keep depths alone.
  *
  * The relaxation wave is the DAG's hottest loop (tens of depth
  * decrements per node per scheduling run), so it reads only compact
@@ -42,15 +45,16 @@
  * predecessor on q is absent or done: that is how the wave knows which
  * nextUse entries a depth decrease moves. complete() sets a retired
  * node's depth to -1, so a predecessor's depth alone tells both. No
- * per-layer node sets are kept; windowLayer() and forEachWindowNode()
- * walk the qubit chains on demand (only delta capture needs them, not
- * the scheduling loop).
+ * per-layer node sets are kept; forEachWindowNode() walks the qubit
+ * chains on demand (only delta capture needs it, not the scheduling
+ * loop).
  *
  * ### Band settles
  *
  * Two kinds of reader settle the window. The full readers —
  * windowDepth(), nextUse(), syncNextUse(), forEachWindowNode() — run the
- * wave to its fixpoint: every depth exact, every nextUse entry current.
+ * wave to its fixpoint: every depth exact, every tracked nextUse entry
+ * current.
  * The scheduler takes one of those per routing step. The threshold
  * reader withinLayers(id, k) only asks whether a depth is below k (the
  * SWAP-insertion weight table asks it with k = lookAhead, 8 by default,
@@ -90,22 +94,23 @@
  * When a settle leaves nothing parked, every depth is exact again and r
  * restarts at 0.
  *
- * frontLayers(k) keeps the non-destructive peel, now only for the
- * SWAP-insertion weight table's eager fallback (a look-ahead beyond the
- * horizon) and for tests that cross-check window reads against it; the
- * Dai baseline reads the window instead. It reuses persistent scratch
- * buffers, so it performs no O(total-gates) allocation per call.
+ * No reader looks past the horizon: the weight table's look-ahead is
+ * at most the horizon (the scheduler rejects a deeper one), and Dai
+ * builds its DAG with horizon = its look-ahead. The non-destructive
+ * layer peel the window replaced survives only as the tests' reference
+ * (tests/dag_reference.h), built on the public API.
  *
  * ## Allocation discipline
  *
  * The scheduler's hot loop (drain, route, complete) must perform zero
  * heap allocations in steady state. Everything that grows during that
  * loop — the frontier, the relaxation worklist and parking buckets, the
- * retirement queues —
- * is reserved to its proven bound at construction. Every array can come
- * from a DagScratch (the scheduler's per-thread arena, core/
- * scheduler.cpp) and goes back to it on destruction, so each rebuild
- * reuses the previous run's capacity.
+ * retirement queue — is reserved to its proven bound at construction,
+ * and the dirty-qubit queue by trackNextUse(). Every array — nodes,
+ * links, flags, depths, the nextUse table and its log, chains, queues
+ * and buckets (the DagScratch fields) — can come from a DagScratch (the
+ * scheduler's per-thread arena, core/scheduler.cpp) and goes back to it
+ * on destruction, so each rebuild reuses the previous run's capacity.
  * Per-qubit chains are CSR (one flat array + offsets).
  */
 #ifndef MUSSTI_DAG_DAG_H
@@ -211,8 +216,6 @@ struct DagScratch
     std::vector<DagNodeId> parkNext; ///< Per-node parked-bucket links.
     std::vector<DagNodeId> pendingRetired; ///< Retirements pre-flush.
     std::vector<int> dirtyQubits;    ///< Qubits whose chain head moved.
-    std::vector<int> peelPreds;      ///< frontLayers scratch (-1 = clean).
-    std::vector<DagNodeId> peelTouched; ///< frontLayers reset list.
 };
 
 /**
@@ -250,9 +253,10 @@ class DependencyDag
     /**
      * Build from a circuit in O(g). `window_horizon` bounds the
      * incremental look-ahead window: depths and nextUse() values are
-     * clamped to it, and it doubles as the idle sentinel. `scratch`,
-     * when given, donates warm buffers for the window state (returned
-     * when the DAG is destroyed); output is identical either way.
+     * clamped to it, and it doubles as nextUse()'s idle sentinel.
+     * `scratch`, when given, donates warm buffers for the window state
+     * (returned when the DAG is destroyed); output is identical either
+     * way.
      */
     explicit DependencyDag(const Circuit &circuit,
                            int window_horizon = kDefaultWindowHorizon,
@@ -295,32 +299,14 @@ class DependencyDag
 
     /**
      * Retire a frontier node; its successors whose predecessors are all
-     * done join the frontier, and the incremental window (depths and
-     * nextUse) is updated in place. Panics if the node is not in the
-     * frontier.
+     * done join the frontier, and the incremental window (depths and,
+     * when tracked, nextUse) is updated in place. Panics if the node is
+     * not in the frontier.
      */
     void complete(DagNodeId id);
 
-    /**
-     * Nodes in the first `k` layers of the remaining graph, layer by
-     * layer: layer 0 is the frontier, layer i+1 are nodes unlocked when
-     * layers <= i retire. Non-destructive; reuses internal scratch, so
-     * calls allocate only for the returned layers themselves. Serves
-     * the weight table's beyond-horizon fallback and tests; per-step
-     * readers use the window (windowDepth, qubitChain) instead.
-     */
-    std::vector<std::vector<DagNodeId>> frontLayers(int k) const;
-
     /** The window horizon this DAG was built with. */
     int windowHorizon() const { return horizon_; }
-
-    /**
-     * Unfinished nodes whose window depth is exactly `depth`
-     * (0 <= depth < windowHorizon()), in no particular order; for
-     * depth < k <= horizon, layer `depth` of frontLayers(k) as a set.
-     * Built on demand by one forEachWindowNode() walk.
-     */
-    std::vector<DagNodeId> windowLayer(int depth) const;
 
     /**
      * Call visit(id) once for every unfinished node inside the window
@@ -394,8 +380,8 @@ class DependencyDag
     /**
      * Anticipated-usage table, maintained incrementally: nextUse()[q] is
      * the window depth of qubit q's first unfinished two-qubit gate, or
-     * windowHorizon() when q has none within the window. Always sized to
-     * the circuit's qubit count.
+     * windowHorizon() when q has none within the window. Sized to the
+     * circuit's qubit count. Requires trackNextUse().
      *
      * Retirements are batched: complete() only queues the update, and
      * the first read after a burst settles the window in one
@@ -405,31 +391,33 @@ class DependencyDag
     const std::vector<int> &
     nextUse() const
     {
+        MUSSTI_ASSERT(nextUseTracked_, "nextUse() without trackNextUse()");
         flushWindow();
         return nextUse_;
     }
 
     /**
-     * Turn on change-logging for nextUse so syncNextUse() can patch a
-     * caller's snapshot instead of re-copying the whole table. Off by
-     * default: consumers that never sync (validator, grid baselines)
-     * pay nothing and the log cannot grow unbounded.
+     * Start maintaining the nextUse() table (filled here from the chain
+     * heads) and logging its changes for syncNextUse(). Off by default:
+     * the grid baselines and the validator never read the table, so
+     * their retirements skip every nextUse write.
      */
-    void enableNextUseLog() { logNextUse_ = true; }
+    void trackNextUse();
 
     /**
      * Bring `copy` up to date with nextUse(). With `full` (the first
      * snapshot of a run) the whole table is copied; afterwards only the
      * qubits whose value changed since the previous sync are patched —
      * a routing step touches a handful of chain heads, not the whole
-     * qubit population. Requires enableNextUseLog(). The result is
-     * always exactly nextUse(); the log is an optimisation, not a
-     * source of truth.
+     * qubit population. Requires trackNextUse(). The result is always
+     * exactly nextUse(); the log is an optimisation, not a source of
+     * truth.
      */
     void
     syncNextUse(std::vector<int> &copy, bool full) const
     {
-        MUSSTI_ASSERT(logNextUse_, "syncNextUse without enableNextUseLog");
+        MUSSTI_ASSERT(nextUseTracked_,
+                      "syncNextUse() without trackNextUse()");
         flushWindow();
         if (full || copy.size() != nextUse_.size()) {
             copy = nextUse_;
@@ -516,10 +504,10 @@ class DependencyDag
     // flush writes: it happens under const readers.
     mutable std::vector<int> depth_;   ///< Clamped remaining-graph layer.
     mutable std::vector<int> nextUse_; ///< Per-qubit chain-head depth
-                                       ///< (or horizon).
+                                       ///< (or horizon); tracked only.
     mutable std::vector<int> nextUseLog_; ///< Qubits written since the
                                        ///< last sync (may repeat).
-    bool logNextUse_ = false;          ///< Log writes for syncNextUse.
+    bool nextUseTracked_ = false;      ///< See trackNextUse().
     std::vector<int> chainOffsets_;    ///< CSR offsets (numQubits + 1).
     std::vector<DagNodeId> chainNodes_; ///< CSR payload: nodes touching
                                         ///< q, in circuit order.
@@ -530,8 +518,8 @@ class DependencyDag
                                  ///< parked (dedup).
     mutable std::vector<DagNodeId> pendingRetired_; ///< Retirements not
                                  ///< yet folded into depths/nextUse.
-    mutable std::vector<int> dirtyQubits_; ///< Qubits whose chain head
-                                 ///< advanced since the last flush.
+    mutable std::vector<int> dirtyQubits_; ///< Tracked qubits whose chain
+                                 ///< head advanced since the last flush.
     mutable std::vector<DagNodeId> parkHead_; ///< First parked node of
                                  ///< stored depth d, or -1.
     mutable std::vector<DagNodeId> parkNext_; ///< Next parked node in the
@@ -546,16 +534,12 @@ class DependencyDag
                                  ///< depth was last exact.
     mutable std::uint64_t windowVisits_ = 0; ///< See windowVisits().
 
-    // ---- frontLayers peel scratch (reset after every call) -----------
-    mutable std::vector<int> peelPreds_;      ///< -1 = untouched.
-    mutable std::vector<DagNodeId> peelTouched_;
-
     void insertSortedFrontier(DagNodeId id);
 
     /** Refresh nextUse_[q] from q's chain head. */
     void refreshQubitNextUse(int q) const;
 
-    /** Fold every queued retirement into depths and nextUse. */
+    /** Fold every queued retirement into depths and tracked nextUse. */
     void flushWindow() const;
 
     /**

@@ -345,8 +345,8 @@ lintMusstiConfig(const MusstiConfig &config, int workload_qubits)
         out << "lookAhead " << config.lookAhead
             << " exceeds nextUseHorizon " << config.nextUseHorizon
             << ": the weight table asks for layers the DAG window "
-            << "never maintains";
-        report.add(lint_rules::kCfgHorizon, LintSeverity::Warning, where,
+            << "never maintains, and the scheduler rejects it";
+        report.add(lint_rules::kCfgHorizon, LintSeverity::Error, where,
                    out.str());
     }
     if (config.enableSwapInsertion && config.swapThreshold < 3) {

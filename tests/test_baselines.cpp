@@ -19,6 +19,7 @@
 #include "baselines/mqt_like.h"
 #include "baselines/murali.h"
 #include "common/error.h"
+#include "dag_reference.h"
 #include "sim/validator.h"
 #include "workloads/workloads.h"
 
@@ -330,9 +331,9 @@ class RescanProbe : public Base
 
 /**
  * Dai with a cost cross-check at every strategy step: the window-read
- * future cost must equal, bit for bit, the historical sum over a
- * frontLayers() peel (a verbatim copy below) for both operands and
- * every trap of the grid.
+ * future cost must equal, bit for bit, the historical sum (a verbatim
+ * copy below) over a frontLayers() peel (tests/dag_reference.h) for
+ * both operands and every trap of the grid.
  */
 class DaiCostProbe : public RescanProbe<DaiCompiler>
 {
@@ -349,7 +350,7 @@ class DaiCostProbe : public RescanProbe<DaiCompiler>
     void
     scheduleStep(Pass &pass) const override
     {
-        const auto layers = pass.dag.frontLayers(lookAhead_);
+        const auto layers = frontLayers(pass.dag, lookAhead_);
         const Gate &gate = pass.dag.node(pass.dag.frontier().front()).gate;
         for (int q : {gate.q0, gate.q1}) {
             for (int trap = 0; trap < device().numTraps(); ++trap) {

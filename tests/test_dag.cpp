@@ -10,6 +10,7 @@
 
 #include "common/rng.h"
 #include "dag/dag.h"
+#include "dag_reference.h"
 #include "workloads/workloads.h"
 
 namespace mussti {
@@ -83,6 +84,7 @@ TEST(Dag, SharedPredecessorSingleEdge)
     qc.cx(1, 0);
     qc.cx(0, 1);
     DependencyDag dag(qc);
+    dag.trackNextUse();
     EXPECT_EQ(dag.successors(0).size(), 1u);
     EXPECT_EQ(*dag.successors(0).begin(), 1);
     ASSERT_EQ(dag.predecessors(1).size(), 1u);
@@ -142,7 +144,7 @@ TEST(Dag, FrontLayersRespectDependencies)
     qc.cx(0, 1); // layer 2 (needs gate 0 and gate 2's completion? no:
                  // depends on gates 0 and 2 via qubits 0 and 1)
     const DependencyDag dag(qc);
-    const auto layers = dag.frontLayers(8);
+    const auto layers = frontLayers(dag, 8);
     ASSERT_GE(layers.size(), 2u);
     EXPECT_EQ(layers[0].size(), 2u);
     EXPECT_EQ(layers[1].size(), 1u);
@@ -153,7 +155,7 @@ TEST(Dag, FrontLayersNonDestructive)
     const Circuit qc = makeGhz(8);
     DependencyDag dag(qc);
     const int before = dag.remaining();
-    (void)dag.frontLayers(4);
+    (void)frontLayers(dag, 4);
     EXPECT_EQ(dag.remaining(), before);
     EXPECT_EQ(dag.frontier().size(), 1u);
 }
@@ -162,8 +164,8 @@ TEST(Dag, FrontLayersBoundedByK)
 {
     const Circuit qc = makeGhz(32); // strictly serial chain
     const DependencyDag dag(qc);
-    EXPECT_EQ(dag.frontLayers(5).size(), 5u);
-    EXPECT_EQ(dag.frontLayers(0).size(), 0u);
+    EXPECT_EQ(frontLayers(dag, 5).size(), 5u);
+    EXPECT_EQ(frontLayers(dag, 0).size(), 0u);
 }
 
 TEST(Dag, GhzChainIsSerial)
@@ -199,7 +201,7 @@ std::vector<int>
 referenceNextUse(const DependencyDag &dag, int num_qubits, int horizon)
 {
     std::vector<int> next_use(num_qubits, horizon);
-    const auto layers = dag.frontLayers(horizon);
+    const auto layers = frontLayers(dag, horizon);
     for (int depth = static_cast<int>(layers.size()) - 1; depth >= 0;
          --depth) {
         for (DagNodeId id : layers[depth]) {
@@ -219,6 +221,7 @@ TEST(Dag, IncrementalNextUseMatchesReferenceWhileDraining)
     for (const int horizon : {DependencyDag::kDefaultWindowHorizon, 4}) {
         const Circuit qc = makeRandomCircuit(18, 160, 7);
         DependencyDag dag(qc, horizon);
+        dag.trackNextUse();
         EXPECT_EQ(dag.windowHorizon(), horizon);
         EXPECT_EQ(dag.nextUse(),
                   referenceNextUse(dag, qc.numQubits(), horizon));
@@ -243,6 +246,7 @@ TEST(Dag, IncrementalNextUseMatchesReferenceAfterBursts)
     // batched flush folds multi-retirement bursts in one wave.
     const Circuit qc = makeAdder(24);
     DependencyDag dag(qc);
+    dag.trackNextUse();
     int retired = 0;
     while (!dag.empty()) {
         dag.complete(dag.frontier().front());
@@ -256,22 +260,20 @@ TEST(Dag, IncrementalNextUseMatchesReferenceAfterBursts)
 
 TEST(Dag, WindowLayersMatchFrontLayersAsSets)
 {
-    // windowLayer(d) returns layer d of a peel, unordered.
+    // windowLayer(d) reads layer d of a peel off the window.
     const Circuit qc = makeRandomCircuit(16, 120, 5);
     DependencyDag dag(qc);
     std::size_t pick = 0;
     for (int step = 0; step < 40 && !dag.empty(); ++step) {
         const int k = 6;
-        const auto layers = dag.frontLayers(k);
+        const auto layers = frontLayers(dag, k);
         for (int d = 0; d < k; ++d) {
-            std::vector<DagNodeId> window = dag.windowLayer(d);
-            std::sort(window.begin(), window.end());
             const std::vector<DagNodeId> expected =
                 d < static_cast<int>(layers.size())
                     ? layers[d]
                     : std::vector<DagNodeId>{};
-            ASSERT_EQ(window, expected) << "layer " << d << " at step "
-                                        << step;
+            ASSERT_EQ(windowLayer(dag, d), expected)
+                << "layer " << d << " at step " << step;
         }
         const auto &frontier = dag.frontier();
         dag.complete(frontier[pick % frontier.size()]);
@@ -286,9 +288,7 @@ TEST(Dag, WindowDepthZeroIsTheFrontier)
     while (!dag.empty()) {
         for (DagNodeId id : dag.frontier())
             EXPECT_EQ(dag.windowDepth(id), 0);
-        std::vector<DagNodeId> layer0 = dag.windowLayer(0);
-        std::sort(layer0.begin(), layer0.end());
-        EXPECT_EQ(layer0, dag.frontier());
+        EXPECT_EQ(windowLayer(dag, 0), dag.frontier());
         dag.complete(dag.frontier().front());
     }
 }
@@ -302,7 +302,7 @@ std::vector<int>
 peelDepths(const DependencyDag &dag, int horizon)
 {
     std::vector<int> depth(dag.size(), horizon);
-    const auto layers = dag.frontLayers(horizon);
+    const auto layers = frontLayers(dag, horizon);
     for (int d = 0; d < static_cast<int>(layers.size()); ++d) {
         for (DagNodeId id : layers[d])
             depth[id] = d;
@@ -334,15 +334,13 @@ expectWindowMatchesPeel(const DependencyDag &dag,
     ASSERT_EQ(synced, reference);
     if (!check_layers)
         return;
-    const auto layers = dag.frontLayers(horizon);
+    const auto layers = frontLayers(dag, horizon);
     for (int d = 0; d < horizon; ++d) {
-        std::vector<DagNodeId> window = dag.windowLayer(d);
-        std::sort(window.begin(), window.end());
         const std::vector<DagNodeId> expected =
             d < static_cast<int>(layers.size())
                 ? layers[d]
                 : std::vector<DagNodeId>{};
-        ASSERT_EQ(window, expected) << "layer " << d;
+        ASSERT_EQ(windowLayer(dag, d), expected) << "layer " << d;
     }
 }
 
@@ -367,7 +365,7 @@ TEST(Dag, CompactWindowMatchesPeelAtEveryRetirementAndBurst)
         for (const Circuit &qc : circuits) {
             for (const int burst : {1, 3}) {
                 DependencyDag dag(qc, horizon);
-                dag.enableNextUseLog();
+                dag.trackNextUse();
                 std::vector<int> synced;
                 dag.syncNextUse(synced, true);
                 std::vector<bool> retired(dag.size(), false);
@@ -397,13 +395,21 @@ TEST(Dag, CompactWindowMatchesPeelAtEveryRetirementAndBurst)
     }
 }
 
+/** Window depths of every node. */
+std::vector<int>
+windowDepths(const DependencyDag &dag)
+{
+    std::vector<int> depths;
+    for (DagNodeId id = 0; id < dag.size(); ++id)
+        depths.push_back(dag.windowDepth(id));
+    return depths;
+}
+
 /** Window depths of every node, then nextUse, as one vector. */
 std::vector<int>
 windowState(const DependencyDag &dag)
 {
-    std::vector<int> state;
-    for (DagNodeId id = 0; id < dag.size(); ++id)
-        state.push_back(dag.windowDepth(id));
+    std::vector<int> state = windowDepths(dag);
     const std::vector<int> &next_use = dag.nextUse();
     state.insert(state.end(), next_use.begin(), next_use.end());
     return state;
@@ -416,8 +422,8 @@ TEST(Dag, ScratchRoundTripKeepsCapacityAndChangesNothing)
     std::size_t nodes = 0;
     {
         DependencyDag dag(big, 8, &scratch);
+        dag.trackNextUse();
         nodes = static_cast<std::size_t>(dag.size());
-        (void)dag.frontLayers(3); // Sizes the peel scratch too.
         while (!dag.empty()) {
             dag.complete(dag.frontier().front());
             (void)dag.nextUse();
@@ -432,7 +438,6 @@ TEST(Dag, ScratchRoundTripKeepsCapacityAndChangesNothing)
     EXPECT_GE(scratch.worklist.capacity(), nodes);
     EXPECT_GE(scratch.parkNext.capacity(), nodes);
     EXPECT_GE(scratch.pendingRetired.capacity(), nodes);
-    EXPECT_GE(scratch.peelPreds.capacity(), nodes);
     EXPECT_GE(scratch.chainNodes.capacity(), 2 * nodes);
 
     // A smaller DAG on the warm scratch matches a cold one step for
@@ -440,6 +445,8 @@ TEST(Dag, ScratchRoundTripKeepsCapacityAndChangesNothing)
     const Circuit small = makeRandomCircuit(12, 150, 4);
     DependencyDag warm(small, 8, &scratch);
     DependencyDag cold(small, 8);
+    warm.trackNextUse();
+    cold.trackNextUse();
     ASSERT_EQ(warm.size(), cold.size());
     while (!cold.empty()) {
         ASSERT_EQ(warm.frontier(), cold.frontier());
@@ -449,6 +456,37 @@ TEST(Dag, ScratchRoundTripKeepsCapacityAndChangesNothing)
         cold.complete(id);
     }
     EXPECT_EQ(windowState(warm), windowState(cold));
+}
+
+TEST(Dag, UntrackedDagKeepsTheSameDepthsWithoutNextUse)
+{
+    // The nextUse table is opt-in. An untracked DAG must relax the very
+    // same depths with the very same wave visits as a tracked one, and
+    // refuse nextUse reads. Tracking turned on mid-drain fills the table
+    // from the current chain heads.
+    const Circuit qc = makeRandomCircuit(16, 200, 13);
+    DependencyDag tracked(qc, 8);
+    DependencyDag untracked(qc, 8);
+    DependencyDag late(qc, 8);
+    tracked.trackNextUse();
+    EXPECT_THROW((void)untracked.nextUse(), std::logic_error);
+    std::vector<int> copy;
+    EXPECT_THROW(untracked.syncNextUse(copy, true), std::logic_error);
+    std::size_t pick = 0;
+    while (!tracked.empty()) {
+        const auto &frontier = tracked.frontier();
+        const DagNodeId id = frontier[pick % frontier.size()];
+        pick += 5;
+        for (DependencyDag *dag : {&tracked, &untracked, &late})
+            dag->complete(id);
+        ASSERT_EQ(windowDepths(untracked), windowDepths(tracked));
+        ASSERT_EQ(untracked.windowVisits(), tracked.windowVisits());
+        if (pick == 100) {
+            late.trackNextUse();
+            ASSERT_EQ(late.nextUse(), tracked.nextUse());
+        }
+    }
+    EXPECT_EQ(late.nextUse(), tracked.nextUse());
 }
 
 /**
@@ -496,7 +534,7 @@ TEST(Dag, BandSettledThresholdReadsMatchPeel)
                                             << " on " << qc.name());
             Rng rng(0xBA5Eu + static_cast<unsigned>(horizon));
             DependencyDag dag(qc, horizon);
-            dag.enableNextUseLog();
+            dag.trackNextUse();
             std::vector<int> synced;
             dag.syncNextUse(synced, true);
             std::vector<bool> retired(dag.size(), false);
@@ -536,7 +574,7 @@ TEST(Dag, ParkedNodeRetiringBeforeTheFullSettleIsSkipped)
     for (int i = 0; i < 5; ++i)
         qc.cx(0, 1);
     DependencyDag dag(qc);
-    dag.enableNextUseLog();
+    dag.trackNextUse();
     std::vector<int> synced;
     dag.syncNextUse(synced, true);
     std::vector<bool> retired(dag.size(), false);
@@ -567,6 +605,7 @@ TEST(Dag, QubitChainsArePerQubitAndOrdered)
     qc.cx(2, 3);
     qc.cx(0, 1);
     DependencyDag dag(qc);
+    dag.trackNextUse();
     ASSERT_EQ(dag.qubitChain(1).size(), 3);
     const QubitChainView chain = dag.qubitChain(1);
     EXPECT_EQ(std::vector<DagNodeId>(chain.begin(), chain.end()),

@@ -154,6 +154,29 @@ TEST(DeltaCompile, MusstiWarmMatchesColdAcrossDeviceShapes)
     }
 }
 
+TEST(DeltaCompile, LookAheadAtTheHorizonStillResumes)
+{
+    // lookAhead == nextUseHorizon is the deepest legal look-ahead: the
+    // SWAP-insertion weight table then reads every layer of the window
+    // the resume proof covers. It must still compile cold, and a
+    // resume must still equal that cold compile bit for bit.
+    MusstiConfig config;
+    config.lookAhead = config.nextUseHorizon;
+    MusstiConfig delta_config = config;
+    delta_config.deltaCompile = true;
+    const Circuit base = makeIsing(32, 40);
+    const Circuit edited = reparamTail(base);
+    const std::uint64_t cold =
+        scheduleFingerprint(MusstiCompiler(config).compile(edited));
+
+    CompileService service(deltaServiceConfig());
+    const auto warm_backend = std::make_shared<MusstiCompiler>(delta_config);
+    service.submit(warm_backend, base).get();
+    const CompileResult warm = service.submit(warm_backend, edited).get();
+    EXPECT_EQ(scheduleFingerprint(warm), cold);
+    EXPECT_TRUE(warm.deltaResumed) << "edited compile scheduled cold";
+}
+
 TEST(DeltaCompile, GridBaselinesUnaffectedByDeltaService)
 {
     // The murali/dai/mqt baselines have no delta path; routing them

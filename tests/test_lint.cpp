@@ -319,7 +319,11 @@ TEST(SpecLint, ConfigKnobRules)
     config.lookAhead = 100; // horizon stays 64
     auto report = lintMusstiConfig(config);
     EXPECT_TRUE(report.fired(lint_rules::kCfgHorizon));
-    EXPECT_TRUE(report.ok()) << "clamping is a warning, not an error";
+    EXPECT_FALSE(report.ok())
+        << "a look-ahead past the horizon is an error: the scheduler "
+           "rejects it";
+    config.lookAhead = config.nextUseHorizon; // The deepest legal one.
+    EXPECT_FALSE(lintMusstiConfig(config).fired(lint_rules::kCfgHorizon));
 
     config = MusstiConfig{};
     config.nextUseHorizon = 0;
