@@ -26,7 +26,6 @@
  *   compile_cli --device grid:4x3,cap=16 --backend murali qft 32
  *   compile_cli --trace 20 --validate my_circuit.qasm
  */
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -87,13 +86,15 @@ cliMain(int argc, char **argv)
         } else if (arg == "--no-swap-insert") {
             config.enableSwapInsertion = false;
         } else if (arg == "--capacity" && i + 1 < argc) {
-            config.device.trapCapacity = std::atoi(argv[++i]);
+            config.device.trapCapacity =
+                parseIntArg(argv[++i], "--capacity");
             device_flags = true;
         } else if (arg == "--optical" && i + 1 < argc) {
-            config.device.numOpticalZones = std::atoi(argv[++i]);
+            config.device.numOpticalZones =
+                parseIntArg(argv[++i], "--optical");
             device_flags = true;
         } else if (arg == "--lookahead" && i + 1 < argc) {
-            config.lookAhead = std::atoi(argv[++i]);
+            config.lookAhead = parseIntArg(argv[++i], "--lookahead");
         } else if (arg == "--policy" && i + 1 < argc) {
             const std::string p = argv[++i];
             if (p == "anticipatory-lru")
@@ -112,7 +113,7 @@ cliMain(int argc, char **argv)
             trace = true;
             if (i + 1 < argc && std::isdigit(
                     static_cast<unsigned char>(argv[i + 1][0])))
-                trace_ops = std::atoi(argv[++i]);
+                trace_ops = parseIntArg(argv[++i], "--trace op count");
         } else if (arg == "--validate") {
             validate = true;
         } else if (arg.rfind("--", 0) == 0) {
@@ -121,7 +122,7 @@ cliMain(int argc, char **argv)
         } else if (target.empty()) {
             target = arg;
         } else {
-            qubits = std::atoi(arg.c_str());
+            qubits = parseIntArg(arg, "qubit count");
         }
     }
     if (target.empty()) {

@@ -119,25 +119,6 @@ class FrontierWorklist : public QubitMoveListener
         }
     }
 
-    /**
-     * Re-seed from the DAG's current frontier, dropping any queued
-     * state — the delta-resume entry point. At a checkpoint the drain
-     * has just proven every frontier gate non-executable with nothing
-     * queued, so a resumed run's first drain round re-checks the full
-     * frontier, executes nothing (same placement, same DAG, same
-     * verdicts), and lands in exactly the captured worklist state.
-     */
-    void
-    reseed()
-    {
-        cur_.clear();
-        next_.clear();
-        std::fill(queued_.begin(), queued_.end(), 0);
-        inRound_ = false;
-        for (DagNodeId id : dag_.frontier())
-            noteReady(id);
-    }
-
     /** A node's last predecessor retired; queue its first check. */
     void
     noteReady(DagNodeId id)

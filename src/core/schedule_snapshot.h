@@ -2,16 +2,17 @@
  * @file
  * Mid-run scheduler checkpoints for prefix-reuse delta compilation.
  *
- * A ScheduleSnapshot freezes everything MusstiScheduler::run mutates —
- * the op stream, placement chains, LRU stamps, router
- * eviction/arrival/RNG state, SWAP-insertion count, the anticipated-
- * usage table, and the DAG completion watermark (as the exact
- * retirement order) — at a point where the phase-1 drain has just
- * proven every frontier gate non-executable. Resuming from one replays
- * the recorded retirements over a freshly built DAG and restores the
- * rest verbatim, which by construction reproduces the cold run's state
- * bit for bit; the remaining suffix then schedules through the ordinary
- * loop (see scheduler.cpp, "Delta resume" and src/core/README.md).
+ * A ScheduleSnapshot freezes what MusstiScheduler::run cannot derive —
+ * the op stream with its counters (SWAP insertions included), placement
+ * chains, LRU stamps, router eviction/arrival/RNG state, the
+ * anticipated-usage table, and the DAG completion watermark as one
+ * chain-head count per qubit — at a point where the phase-1 drain has
+ * just proven every frontier gate non-executable. Resuming from one
+ * builds the DAG directly at the watermark and restores the rest
+ * verbatim, which by construction reproduces the cold run's state bit
+ * for bit; the remaining suffix then schedules through the ordinary
+ * loop (see scheduler.cpp, "Why a checkpoint is resumable" and
+ * src/core/README.md).
  *
  * Snapshots are keyed by Circuit::prefixHash of the input prefix they
  * cover: two circuits agreeing on qubit count, name, and the first
@@ -66,13 +67,13 @@ struct ScheduleSnapshot
     std::size_t loweredPrefixGates = 0;
 
     /**
-     * DAG completion watermark: retired node ids in their exact
-     * retirement order. This is a valid topological order of the
-     * retired set, so replaying complete() over it fast-forwards a
-     * freshly built DAG to the captured window state without ever
-     * touching a non-ready node.
+     * DAG completion watermark: per qubit, how many gates of its
+     * dependency chain have retired (DependencyDag::qubitChainHead).
+     * The scheduler retires only gates heading both their chains, so
+     * these counts name the retired set exactly, and a DAG built at
+     * them equals the captured one (DependencyDag's constructor).
      */
-    std::vector<int> retired;
+    std::vector<int> chainHeads;
 
     /** The op stream and counters emitted up to the checkpoint. */
     Schedule schedule;
@@ -93,7 +94,6 @@ struct ScheduleSnapshot
      * lazily, and the resumed pass must observe the same staleness).
      */
     std::vector<int> nextUse;
-    bool nextUseSynced = false;
 
     /**
      * Per-qubit window depth (clamped to the horizon) of the qubit's
@@ -102,13 +102,11 @@ struct ScheduleSnapshot
      * selection sweep (scheduler.cpp, suffixWindowClean): suffix gates
      * chain onto exactly these depths, so whether a resume point stays
      * invisible to an edited suffix is decidable from the new circuit
-     * alone — no DAG build, no replay.
+     * alone, without building a DAG.
      */
     std::vector<int> chainTailDepth;
 
-    /** Pass counters at the checkpoint. */
-    int swapInsertions = 0;
-    int insertedSwapCount = 0;
+    /** Routing steps (phase-2 iterations) up to the checkpoint. */
     int routingSteps = 0;
 
     /** Approximate heap footprint, for the snapshot-cache byte budget. */
@@ -116,7 +114,7 @@ struct ScheduleSnapshot
     approxBytes() const
     {
         std::size_t bytes = sizeof(*this);
-        bytes += retired.capacity() * sizeof(int);
+        bytes += chainHeads.capacity() * sizeof(int);
         bytes += schedule.ops.capacity() * sizeof(ScheduledOp);
         for (const auto &chain : schedule.initialChains)
             bytes += chain.capacity() * sizeof(int);

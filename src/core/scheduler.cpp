@@ -39,13 +39,8 @@ struct SchedulerWorkspace
 
     DagScratch dag; ///< Donated DependencyDag arrays.
 
-    /**
-     * Delta capture's retirement-order record, reserved to the DAG size
-     * before the hot loop (empty while deltaCompile is off).
-     */
-    std::vector<int> retiredOrderScratch;
-
-    /** Per-qubit depths of the resume sweep (suffixWindowClean). */
+    /** Per-qubit counters of the resume guards (chainHeadsFit,
+        suffixWindowClean). */
     std::vector<int> sweepScratch;
 };
 
@@ -65,23 +60,18 @@ struct PassState
     std::vector<int> nextUse;
     bool nextUseSynced = false; ///< First snapshot copies the table.
 
-    /**
-     * When non-null, every retired node id is recorded here in
-     * retirement order — the DAG completion watermark a
-     * ScheduleSnapshot replays to fast-forward a fresh DAG. Only bound
-     * when the run captures checkpoints (delta compilation).
-     */
-    std::vector<int> *retiredOrder = nullptr;
-
+    /** `chain_heads`, when given, is the DAG's starting watermark (a
+        resume; see DependencyDag's constructor). */
     PassState(const EmlDevice &dev, const PhysicalParams &par,
               const MusstiConfig &cfg, const Circuit &circuit,
-              const Placement &initial, SchedulerWorkspace &ws)
+              const Placement &initial, SchedulerWorkspace &ws,
+              const std::vector<int> *chain_heads)
         : device(dev), params(par), placement(initial),
           lru(circuit.numQubits()),
           router(dev, par, placement, schedule, lru, cfg.replacement,
                  cfg.seed),
           inserter(dev, par, cfg, placement, schedule, router, lru),
-          dag(circuit, cfg.nextUseHorizon, &ws.dag),
+          dag(circuit, cfg.nextUseHorizon, &ws.dag, chain_heads),
           worklist(dag, &ws.worklist),
           nextUse(std::move(ws.nextUseScratch))
     {
@@ -147,8 +137,7 @@ executable(const PassState &st, const Gate &gate)
 
 /** Execute a frontier node that satisfies executable(). */
 void
-executeGate(PassState &st, const MusstiConfig &config, DagNodeId id,
-            int &swap_insertions)
+executeGate(PassState &st, const MusstiConfig &config, DagNodeId id)
 {
     const DagNode &node = st.dag.node(id);
     const Gate &gate = node.gate;
@@ -182,13 +171,10 @@ executeGate(PassState &st, const MusstiConfig &config, DagNodeId id,
     st.lru.touch(gate.q0);
     st.lru.touch(gate.q1);
     st.dag.complete(id);
-    if (st.retiredOrder != nullptr)
-        st.retiredOrder->push_back(id);
     st.worklist.noteCompleted(id);
 
     if (fiber && config.enableSwapInsertion)
-        swap_insertions += st.inserter.maybeInsert(st.dag, gate.q0,
-                                                   gate.q1);
+        st.inserter.maybeInsert(st.dag, gate.q0, gate.q1);
 }
 
 // ---- delta compilation: capture and resume ----------------------------
@@ -199,13 +185,15 @@ executeGate(PassState &st, const MusstiConfig &config, DagNodeId id,
 // phase-1 drain has concluded (every frontier gate checked, none
 // executable, nothing queued) and before phase 2 routes a gate. At that
 // point the pass state is closed over (placement, schedule, LRU,
-// router, inserter, the stale nextUse copy) plus the DAG, which is a
-// pure function of (lowered circuit, retired set). Restoring the
-// explicit state verbatim and fast-forwarding a fresh DAG by replaying
-// the recorded retirement order (a valid topological order, so every
-// replayed node is ready when its turn comes) therefore reconstructs
-// the captured state exactly; the loop then continues as the cold run
-// would have.
+// router, the stale nextUse copy) plus the DAG, which is a pure
+// function of (lowered circuit, retired set). The scheduler retires
+// only frontier gates, each the head of both its qubits' chains, so the
+// retired set is exactly the per-qubit chain-head watermark the
+// snapshot records. Building the DAG at that watermark and restoring
+// the explicit state verbatim therefore reconstructs the captured state
+// exactly; the loop then continues as the cold run would have. Only
+// the syncNextUse change log is not restored: the resumed run's first
+// sync copies the whole table, which a patched sync equals anyway.
 //
 // ## Why a resume equals a cold compile of the NEW circuit
 //
@@ -218,7 +206,7 @@ executeGate(PassState &st, const MusstiConfig &config, DagNodeId id,
 // table — which reads depths < lookAhead <= horizon, as the constructor
 // requires), or (c) nothing. Window depths only DECREASE as nodes
 // retire, so if a suffix node's depth is >= horizon after the full
-// replay, it was >= horizon — invisible — at every earlier step too.
+// retired set, it was >= horizon — invisible — at every earlier step.
 // windowClean() checks exactly that on the new DAG; a candidate that
 // fails falls back to the cold path, never to a wrong schedule. Prefix
 // nodes' depths depend only on their (prefix) predecessors, hence agree
@@ -245,61 +233,65 @@ windowClean(const DependencyDag &dag, std::size_t shared_gates)
         shared_gates;
 }
 
-/** Shape guards a snapshot must pass before any replay is attempted. */
+/** Shape guards a snapshot must pass before anything reads it. */
 bool
-resumeShapeOk(const PassState &st, const Circuit &lowered,
+resumeShapeOk(const Circuit &lowered,
+              const std::vector<std::vector<int>> &initial_chains,
               const ResumeCandidate &cand)
 {
     const ScheduleSnapshot &snap = *cand.snapshot;
     const auto qubits = static_cast<std::size_t>(lowered.numQubits());
     return snap.loweredPrefixGates <= cand.sharedLoweredGates &&
            cand.sharedLoweredGates <= lowered.size() &&
-           snap.retired.size() <=
-               static_cast<std::size_t>(st.dag.size()) &&
+           snap.chainHeads.size() == qubits &&
            snap.lruStamps.size() == qubits &&
            snap.router.arrival.size() == qubits &&
            snap.nextUse.size() == qubits &&
            snap.chainTailDepth.size() == qubits &&
-           static_cast<int>(snap.chains.size()) <=
-               st.placement.numZones() &&
-           snap.schedule.initialChains == st.schedule.initialChains;
+           snap.chains.size() <= initial_chains.size() &&
+           snap.schedule.initialChains == initial_chains;
 }
 
 /**
- * Replay snapshot retirements [from, snap.retired.size()) onto the
- * DAG. Every id must be a ready, unfinished node inside the verified
- * shared prefix; false (state partially advanced, caller rebuilds)
- * otherwise.
+ * The watermark `heads` is one the new circuit can hold, checked on
+ * the lowered gates alone: every head lies within its chain, every
+ * two-qubit gate is retired on both operand chains or on neither (the
+ * DAG build asserts both), and no retired gate sits at or beyond the
+ * verified shared prefix. `pos` is per-qubit scratch.
  */
 bool
-replayRetired(PassState &st, const ResumeCandidate &cand,
-              std::size_t from)
+chainHeadsFit(const Circuit &lowered, const std::vector<int> &heads,
+              std::size_t shared_gates, std::vector<int> &pos)
 {
-    const ScheduleSnapshot &snap = *cand.snapshot;
-    for (std::size_t i = from; i < snap.retired.size(); ++i) {
-        const int id = snap.retired[i];
-        if (id < 0 || id >= st.dag.size())
+    pos.assign(heads.size(), 0);
+    for (std::size_t i = 0; i < shared_gates; ++i) {
+        const Gate &g = lowered[i];
+        if (!g.twoQubit())
+            continue;
+        const bool retired_a = pos[g.q0]++ < heads[g.q0];
+        const bool retired_b = pos[g.q1]++ < heads[g.q1];
+        if (retired_a != retired_b)
             return false;
-        const DagNode &node = st.dag.node(id);
-        if (!st.dag.isReady(id) ||
-            static_cast<std::size_t>(node.circuitIndex) >=
-                cand.sharedLoweredGates)
+    }
+    // pos[q] now counts q's chain inside the shared prefix, so a head
+    // beyond it would retire a gate at or past shared_gates.
+    for (std::size_t q = 0; q < heads.size(); ++q) {
+        if (heads[q] < 0 || heads[q] > pos[q])
             return false;
-        st.dag.complete(id);
     }
     return true;
 }
 
 /**
- * Decide windowClean(shared_gates) for a candidate without building or
- * replaying a DAG. At the resume point, the depth of every prefix node
+ * Decide windowClean(shared_gates) for a candidate without building a
+ * DAG. At the resume point, the depth of every prefix node
  * (circuitIndex < the snapshot's covered prefix P) is what it was at
  * capture — depths only read predecessors, all inside the prefix — and
  * each qubit's deepest live prefix depth is frozen in the snapshot's
  * chainTailDepth. Every later node's depth then follows the
  * longest-path recurrence along its operands' dependency chains, so
  * one forward sweep over lowered[P..) reproduces exactly the depths
- * the replayed DAG would report (clamping at the horizon commutes with
+ * the resumed DAG would report (clamping at the horizon commutes with
  * the recurrence). Fails the moment a node at or beyond shared_gates
  * lands inside the window; succeeds early once every chain tail has
  * sunk to the horizon, since depths only grow along a sweep.
@@ -333,20 +325,44 @@ suffixWindowClean(const Circuit &lowered, const ScheduleSnapshot &snap,
 }
 
 /**
- * Resume a freshly built pass state from a probe-approved candidate:
- * fast-forward the DAG, restore the captured state verbatim, and
- * re-seed the worklist from the fast-forwarded frontier. False when a
- * replay guard trips (pass state is dirty; caller rebuilds and goes
- * cold).
+ * Pick the longest candidate whose watermark fits the new circuit
+ * (chainHeadsFit) and whose resume point the selection sweep proves
+ * invisible to the new suffix (suffixWindowClean), or null when none
+ * does. Builds no DAG: the chosen watermark seeds the one DAG of the
+ * run.
  */
-bool
-resumeFromSnapshot(PassState &st, const ResumeCandidate &cand,
-                   int &swap_insertions, int &routing_steps)
+const ResumeCandidate *
+pickCandidate(const Circuit &lowered, const Placement &initial,
+              const DeltaRequest &delta, int horizon,
+              std::vector<int> &scratch)
 {
-    const ScheduleSnapshot &snap = *cand.snapshot;
-    if (!replayRetired(st, cand, 0))
-        return false;
+    const std::vector<std::vector<int>> initial_chains =
+        Schedule::snapshotChains(initial);
+    for (auto it = delta.candidates.rbegin();
+         it != delta.candidates.rend(); ++it) {
+        if (it->snapshot != nullptr &&
+            resumeShapeOk(lowered, initial_chains, *it) &&
+            suffixWindowClean(lowered, *it->snapshot,
+                              it->sharedLoweredGates, horizon, scratch) &&
+            chainHeadsFit(lowered, it->snapshot->chainHeads,
+                          it->sharedLoweredGates, scratch))
+            return &*it;
+    }
+    return nullptr;
+}
 
+/**
+ * Restore the captured pass state verbatim over a pass state built at
+ * the snapshot's watermark. The frontier worklist needs nothing: built
+ * on the watermark DAG it already queues the whole frontier, which the
+ * capture point proved non-executable with nothing queued, so the
+ * resumed run's first drain round executes nothing (same placement,
+ * same DAG, same verdicts) and lands in the captured worklist state.
+ */
+void
+resumeFromSnapshot(PassState &st, const ScheduleSnapshot &snap,
+                   int &routing_steps)
+{
     st.placement.restoreChains(snap.chains);
     st.schedule.ops.assign(snap.schedule.ops.begin(),
                            snap.schedule.ops.end());
@@ -355,13 +371,8 @@ resumeFromSnapshot(PassState &st, const ResumeCandidate &cand,
     st.schedule.insertedSwapGates = snap.schedule.insertedSwapGates;
     st.lru.restore(snap.lruStamps, snap.lruClock);
     st.router.restoreCheckpoint(snap.router);
-    st.inserter.restoreInsertedCount(snap.insertedSwapCount);
     st.nextUse.assign(snap.nextUse.begin(), snap.nextUse.end());
-    st.nextUseSynced = snap.nextUseSynced;
-    st.worklist.reseed();
-    swap_insertions = snap.swapInsertions;
     routing_steps = snap.routingSteps;
-    return true;
 }
 
 /**
@@ -374,9 +385,7 @@ resumeFromSnapshot(PassState &st, const ResumeCandidate &cand,
  * forward, so the caller should stop capturing for the rest of the run.
  */
 bool
-captureSnapshot(const PassState &st,
-                const std::vector<int> &retired_order,
-                int last_node_index, int swap_insertions,
+captureSnapshot(const PassState &st, int last_node_index,
                 int routing_steps, std::vector<ScheduleSnapshot> &out)
 {
     ScheduleSnapshot snap;
@@ -384,10 +393,21 @@ captureSnapshot(const PassState &st,
     // Lowered-prefix watermark: everything this run has observed so far
     // is either retired or inside the look-ahead window (see the proof
     // comment above), so any circuit agreeing on gates [0, watermark)
-    // can resume here.
+    // can resume here. The retired gates are each chain's entries below
+    // its head, in circuit order, so the last of them bounds the chain.
+    const std::size_t qubits = st.nextUse.size();
+    snap.chainHeads.resize(qubits);
     int max_index = windowMaxCircuitIndex(st.dag);
-    for (const int id : retired_order)
-        max_index = std::max(max_index, st.dag.node(id).circuitIndex);
+    for (std::size_t q = 0; q < qubits; ++q) {
+        const int head = st.dag.qubitChainHead(static_cast<int>(q));
+        snap.chainHeads[q] = head;
+        if (head > 0) {
+            const DagNodeId last =
+                st.dag.qubitChain(static_cast<int>(q))[head - 1];
+            max_index = std::max(max_index,
+                                 st.dag.node(last).circuitIndex);
+        }
+    }
     if (max_index >= last_node_index)
         return false;
     snap.loweredPrefixGates = static_cast<std::size_t>(max_index + 1);
@@ -400,7 +420,6 @@ captureSnapshot(const PassState &st,
     // <= max_index — found by binary search — provided it is at or
     // past the head.
     const int horizon = st.dag.windowHorizon();
-    const std::size_t qubits = st.nextUse.size();
     snap.chainTailDepth.assign(qubits, -1);
     for (std::size_t q = 0; q < qubits; ++q) {
         const QubitChainView chain =
@@ -413,21 +432,17 @@ captureSnapshot(const PassState &st,
             else
                 hi = mid;
         }
-        if (lo > st.dag.qubitChainHead(static_cast<int>(q)))
+        if (lo > snap.chainHeads[q])
             snap.chainTailDepth[q] =
                 std::min(st.dag.windowDepth(chain[lo - 1]), horizon);
     }
 
-    snap.retired = retired_order;
     snap.schedule = st.schedule;
     snap.chains = Schedule::snapshotChains(st.placement);
     snap.lruStamps = st.lru.stamps();
     snap.lruClock = st.lru.now();
     st.router.saveCheckpoint(snap.router);
     snap.nextUse = st.nextUse;
-    snap.nextUseSynced = st.nextUseSynced;
-    snap.swapInsertions = swap_insertions;
-    snap.insertedSwapCount = st.inserter.insertedCount();
     snap.routingSteps = routing_steps;
     out.push_back(std::move(snap));
     return true;
@@ -444,14 +459,6 @@ MusstiScheduler::run(const Circuit &lowered, const Placement &initial,
                    "initial mapping leaves qubits unplaced");
 
     thread_local SchedulerWorkspace ws;
-    // Heap-held (not optional-held) so the dirty-resume rebuild is a
-    // plain reset, and because GCC's flow analysis mis-flags optional
-    // payload reads here. The allocation sits outside the measured
-    // loop window.
-    auto st = std::make_unique<PassState>(device_, params_, config_,
-                                          lowered, initial, ws);
-    int swap_insertions = 0;
-    int routing_steps = 0;
 
     bool resumable = delta != nullptr && !delta->candidates.empty();
     // An injected resume fault degrades, never corrupts: the run falls
@@ -462,49 +469,32 @@ MusstiScheduler::run(const Circuit &lowered, const Placement &initial,
         resumable = false;
     const bool capture = delta != nullptr && delta->checkpointEvery > 0;
 
-    std::vector<int> retired_order = std::move(ws.retiredOrderScratch);
-    retired_order.clear();
+    const ResumeCandidate *resume =
+        resumable ? pickCandidate(lowered, initial, *delta,
+                                  config_.nextUseHorizon, ws.sweepScratch)
+                  : nullptr;
+
+    // Heap-held (not optional-held) so the cold fallback is a plain
+    // reset, and because GCC's flow analysis mis-flags optional payload
+    // reads here. The allocation sits outside the measured loop window.
+    auto st = std::make_unique<PassState>(
+        device_, params_, config_, lowered, initial, ws,
+        resume != nullptr ? &resume->snapshot->chainHeads : nullptr);
+    int routing_steps = 0;
 
     bool resumed = false;
-    if (resumable) {
-        // Pick the longest candidate whose resume point the no-replay
-        // sweep proves invisible to the new suffix, fast-forward the
-        // DAG once, and re-verify on the real window state — the sweep
-        // selects, windowClean() remains the authoritative guard.
-        std::vector<int> sweep = std::move(ws.sweepScratch);
-        int best = -1;
-        for (int i = static_cast<int>(delta->candidates.size()) - 1;
-             i >= 0; --i) {
-            const ResumeCandidate &cand = delta->candidates[i];
-            if (cand.snapshot == nullptr ||
-                !resumeShapeOk(*st, lowered, cand))
-                continue;
-            if (suffixWindowClean(lowered, *cand.snapshot,
-                                  cand.sharedLoweredGates,
-                                  st->dag.windowHorizon(), sweep)) {
-                best = static_cast<int>(i);
-                break;
-            }
-        }
-        ws.sweepScratch = std::move(sweep);
-        if (best >= 0) {
-            const ResumeCandidate &cand = delta->candidates[best];
-            if (resumeFromSnapshot(*st, cand, swap_insertions,
-                                   routing_steps) &&
-                windowClean(st->dag, cand.sharedLoweredGates)) {
-                resumed = true;
-                retired_order = cand.snapshot->retired;
-            } else {
-                // A replay guard tripped or the sweep over-promised:
-                // rebuild and schedule from scratch.
-                st.reset(); // Returns the scratch before the re-adopt.
-                st = std::make_unique<PassState>(device_, params_,
-                                                 config_, lowered,
-                                                 initial, ws);
-                swap_insertions = 0;
-                routing_steps = 0;
-                retired_order.clear();
-            }
+    if (resume != nullptr) {
+        // The sweep selects; windowClean() on the real window state
+        // remains the authoritative guard.
+        if (windowClean(st->dag, resume->sharedLoweredGates)) {
+            resumeFromSnapshot(*st, *resume->snapshot, routing_steps);
+            resumed = true;
+        } else {
+            // The sweep over-promised: schedule from scratch.
+            st.reset(); // Returns the scratch before the re-adopt.
+            st = std::make_unique<PassState>(device_, params_, config_,
+                                             lowered, initial, ws,
+                                             nullptr);
         }
     }
 
@@ -520,14 +510,10 @@ MusstiScheduler::run(const Circuit &lowered, const Placement &initial,
                                ? std::max(1, delta->checkpointEvery)
                                : 0;
     std::uint64_t capture_allocs = 0;
-    int next_capture_at = 0;
+    int next_capture_at = checkpoint_every;
     int last_node_index = -1;
     bool capture_open = capture_active;
     if (capture_active) {
-        st->retiredOrder = &retired_order;
-        retired_order.reserve(static_cast<std::size_t>(st->dag.size()));
-        next_capture_at =
-            static_cast<int>(retired_order.size()) + checkpoint_every;
         for (DagNodeId id = 0; id < st->dag.size(); ++id)
             last_node_index = std::max(last_node_index,
                                        st->dag.node(id).circuitIndex);
@@ -558,7 +544,7 @@ MusstiScheduler::run(const Circuit &lowered, const Placement &initial,
         // order.
         st->worklist.drain([&](DagNodeId id) {
             if (executable(*st, st->dag.node(id).gate))
-                executeGate(*st, config_, id, swap_insertions);
+                executeGate(*st, config_, id);
         });
         if (st->dag.empty())
             break;
@@ -585,8 +571,7 @@ MusstiScheduler::run(const Circuit &lowered, const Placement &initial,
                     snapshots.clear();
                     capture_open = false;
                 } else
-                if (captureSnapshot(*st, retired_order, last_node_index,
-                                    swap_insertions, routing_steps,
+                if (captureSnapshot(*st, last_node_index, routing_steps,
                                     snapshots)) {
                     if (static_cast<int>(snapshots.size()) >
                         std::max(1, delta->maxSnapshots)) {
@@ -615,7 +600,7 @@ MusstiScheduler::run(const Circuit &lowered, const Placement &initial,
         const Gate &gate = st->dag.node(chosen).gate;
         st->snapshotNextUse();
         st->router.routeForGate(gate.q0, gate.q1);
-        executeGate(*st, config_, chosen, swap_insertions);
+        executeGate(*st, config_, chosen);
         ++routing_steps;
     }
 
@@ -629,12 +614,10 @@ MusstiScheduler::run(const Circuit &lowered, const Placement &initial,
     // (the SABRE reverse/refine legs, the next compile) starts pre-sized.
     ws.opReserveHint = std::max(ws.opReserveHint, st->schedule.ops.size());
     ws.nextUseScratch = std::move(st->nextUse);
-    st->retiredOrder = nullptr;
-    ws.retiredOrderScratch = std::move(retired_order);
 
     RunOutput out(std::move(st->placement));
     out.schedule = std::move(st->schedule);
-    out.swapInsertions = swap_insertions;
+    out.swapInsertions = out.schedule.insertedSwapGates;
     out.evictions = st->router.evictionCount();
     out.routingSteps = routing_steps;
     out.windowVisits = st->dag.windowVisits();

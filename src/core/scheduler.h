@@ -29,10 +29,11 @@ namespace mussti {
  * lowered-gate count the caller has VERIFIED (by prefix-hash lookup)
  * the incoming circuit shares with the snapshot's source circuit. The
  * scheduler trusts the count for gate content but still proves, on the
- * freshly built DAG, that nothing at or beyond it leaks into the
- * look-ahead window before the resume point (see scheduler.cpp,
- * windowClean) — the condition that makes a resume bit-identical to a
- * cold compile of the new circuit.
+ * DAG built at the snapshot's watermark, that nothing at or beyond it
+ * is retired or leaks into the look-ahead window before the resume
+ * point (see scheduler.cpp, chainHeadsFit and windowClean) — the
+ * condition that makes a resume bit-identical to a cold compile of the
+ * new circuit.
  */
 struct ResumeCandidate
 {
@@ -45,11 +46,12 @@ struct DeltaRequest
 {
     /**
      * Snapshots to try resuming from, ascending by covered prefix
-     * (each entry's retirement record extending the previous — they
-     * normally come from one source run). The scheduler fast-forwards
-     * through them on one probe DAG and resumes from the longest
-     * candidate that passes the window-cleanliness proof; when none
-     * does, the pass falls back to a cold compile of the whole circuit.
+     * (they normally come from one source run). The scheduler checks
+     * them longest first against the new circuit alone — no DAG — and
+     * builds the run's one DAG at the watermark of the first that
+     * passes; when none does, or the built window shows the check
+     * over-promised, the pass falls back to a cold compile of the whole
+     * circuit.
      */
     std::vector<ResumeCandidate> candidates;
 
@@ -76,7 +78,7 @@ class MusstiScheduler
     {
         Schedule schedule;
         Placement finalPlacement;
-        int swapInsertions = 0;
+        int swapInsertions = 0; ///< schedule.insertedSwapGates.
         int evictions = 0;
 
         /** Phase-2 iterations (routed gates) of this run. */
@@ -84,8 +86,8 @@ class MusstiScheduler
 
         /**
          * DAG relaxation-wave visits of this run
-         * (DependencyDag::windowVisits). A resumed run counts its own
-         * work, the replay included, not the cold run's.
+         * (DependencyDag::windowVisits). A resumed run counts only its
+         * own work from the watermark on, not the cold run's.
          */
         std::uint64_t windowVisits = 0;
 
@@ -120,12 +122,15 @@ class MusstiScheduler
     /**
      * Every window consumer must stay inside the DAG's horizon: the
      * weight table reads depths below lookAhead, so a deeper look-ahead
-     * is an input error (InvalidInput, `input.require`).
+     * is an input error (InvalidInput, `input.require`). So is one
+     * below a layer, which would silently switch SWAP insertion off.
      */
     MusstiScheduler(const EmlDevice &device, const PhysicalParams &params,
                     const MusstiConfig &config)
         : device_(device), params_(params), config_(config)
     {
+        MUSSTI_REQUIRE(config.lookAhead >= 1,
+                       "lookAhead must be >= 1, got " << config.lookAhead);
         MUSSTI_REQUIRE(config.lookAhead <= config.nextUseHorizon,
                        "the weight-table lookAhead " << config.lookAhead
                        << " exceeds nextUseHorizon "

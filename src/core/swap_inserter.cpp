@@ -82,7 +82,6 @@ SwapInserter::performSwap(int qubit, int partner)
     placement_.exchange(qubit, partner);
     lru_.touch(qubit);
     lru_.touch(partner);
-    ++inserted_;
     // A logical SWAP relocates both ions; the frontier worklist needs
     // to re-examine their pending gates just like after a shuttle.
     if (QubitMoveListener *listener = router_.moveListener()) {
@@ -91,11 +90,10 @@ SwapInserter::performSwap(int qubit, int partner)
     }
 }
 
-int
+void
 SwapInserter::maybeInsert(const DependencyDag &dag, int qubit_a,
                           int qubit_b)
 {
-    int performed = 0;
     // The view reads the live dag/placement, so each query already sees
     // the effect of any SWAP performed for the first operand; only the
     // cached row must be dropped after a migration.
@@ -112,10 +110,8 @@ SwapInserter::maybeInsert(const DependencyDag &dag, int qubit_a,
         if (partner < 0)
             continue;
         performSwap(q, partner);
-        ++performed;
         weights_.invalidateCache();
     }
-    return performed;
 }
 
 } // namespace mussti

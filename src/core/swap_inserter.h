@@ -35,16 +35,11 @@ class SwapInserter
                  Schedule &schedule, Router &router, LruTracker &lru);
 
     /**
-     * Consider migrating qa and/or qb after their fiber gate. Returns
-     * the number of logical SWAPs inserted (0, 1, or 2).
+     * Consider migrating qa and/or qb after their fiber gate. Each
+     * logical SWAP performed (0, 1, or 2) counts in the schedule's
+     * insertedSwapGates.
      */
-    int maybeInsert(const DependencyDag &dag, int qubit_a, int qubit_b);
-
-    /** Lifetime count of inserted logical SWAPs. */
-    int insertedCount() const { return inserted_; }
-
-    /** Restore the lifetime count from a delta-compile checkpoint. */
-    void restoreInsertedCount(int count) { inserted_ = count; }
+    void maybeInsert(const DependencyDag &dag, int qubit_a, int qubit_b);
 
   private:
     const EmlDevice &device_;
@@ -54,7 +49,6 @@ class SwapInserter
     Schedule &schedule_;
     Router &router_;
     LruTracker &lru_;
-    int inserted_ = 0;
     WeightTable weights_; ///< Lazy weight view re-bound per maybeInsert;
                           ///< row storage reused across the whole pass.
 

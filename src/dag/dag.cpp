@@ -45,7 +45,8 @@ DependencyDag::~DependencyDag()
 }
 
 DependencyDag::DependencyDag(const Circuit &circuit, int window_horizon,
-                             DagScratch *scratch)
+                             DagScratch *scratch,
+                             const std::vector<int> *chain_heads)
     : horizon_(window_horizon), donor_(scratch)
 {
     MUSSTI_REQUIRE(window_horizon >= 1,
@@ -54,6 +55,10 @@ DependencyDag::DependencyDag(const Circuit &circuit, int window_horizon,
     tradeScratch();
 
     const int n = circuit.numQubits();
+    MUSSTI_ASSERT(chain_heads == nullptr ||
+                      static_cast<int>(chain_heads->size()) == n,
+                  "watermark has " << chain_heads->size()
+                  << " chain heads for " << n << " qubits");
     // Pending 1q gates per qubit, attached to the next 2q node on that
     // qubit (or to trailing1q_ if none follows). Inner vectors keep
     // their capacity across clears, so churn is bounded by the qubit
@@ -119,8 +124,11 @@ DependencyDag::DependencyDag(const Circuit &circuit, int window_horizon,
         const DagNodeId id = static_cast<DagNodeId>(nodes_.size());
         DagLinks link;
         int deepest = -1; // Deepest predecessor's window depth.
+        bool below_head[2] = {false, false}; // Under the watermark.
         for (int k = 0; k < 2; ++k) {
             const int q = k == 0 ? g.q0 : g.q1;
+            below_head[k] = chain_heads != nullptr &&
+                chainHead_[q] < (*chain_heads)[q];
             const int slot = chainOffsets_[q] + chainHead_[q]++;
             const DagNodeId prev = slot > chainOffsets_[q]
                 ? chainNodes_[slot - 1]
@@ -129,32 +137,47 @@ DependencyDag::DependencyDag(const Circuit &circuit, int window_horizon,
             link.pred[k] = prev;
             link.qubit[k] = q;
             // Avoid duplicate edges when both operands share the same
-            // predecessor.
+            // predecessor. A retired predecessor reads depth -1 and
+            // resolves nothing.
             if (prev >= 0 && (k == 0 || prev != link.pred[0])) {
                 links_[prev].succs.push_back(id);
-                ++node.pendingPreds;
+                node.pendingPreds += !done_[prev];
                 deepest = std::max(deepest, depth_[prev]);
             }
         }
+        MUSSTI_ASSERT(below_head[0] == below_head[1],
+                      "watermark splits node " << id
+                      << " between its operand chains");
+        const bool retired = below_head[0];
         nodes_.push_back(node);
         links_.push_back(link);
-        done_.push_back(0);
+        done_.push_back(retired);
         // Ids are in topological order, so every predecessor's window
         // depth is final: one past the deepest, clamped to the horizon.
-        depth_.push_back(std::min(horizon_, deepest + 1));
+        depth_.push_back(retired ? -1 : std::min(horizon_, deepest + 1));
         // Ids are also in circuit order, so the frontier built here is
         // already FCFS-sorted.
-        if (node.pendingPreds == 0)
+        if (!retired && node.pendingPreds == 0)
             frontier_.push_back(id);
+        remaining_ += !retired;
     }
 
     for (auto &rest : pending_1q) {
         trailing1q_.insert(trailing1q_.end(), rest.begin(), rest.end());
     }
 
-    remaining_ = static_cast<int>(nodes_.size());
-
-    std::fill(chainHead_.begin(), chainHead_.end(), 0);
+    if (chain_heads == nullptr) {
+        std::fill(chainHead_.begin(), chainHead_.end(), 0);
+    } else {
+        for (int q = 0; q < n; ++q) {
+            MUSSTI_ASSERT((*chain_heads)[q] >= 0 &&
+                              (*chain_heads)[q] <= chainHead_[q],
+                          "watermark head " << (*chain_heads)[q]
+                          << " outside qubit " << q << "'s chain of "
+                          << chainHead_[q]);
+        }
+        chainHead_ = *chain_heads;
+    }
 
     // Wave and retirement queues: bounded by the node count (inWave_
     // keeps a node on the wave or in a bucket at most once). The parking

@@ -257,10 +257,21 @@ class DependencyDag
      * `scratch`, when given, donates warm buffers for the window state
      * (returned when the DAG is destroyed); output is identical either
      * way.
+     *
+     * `chain_heads`, when given, builds the DAG at that retirement
+     * watermark: one entry per qubit, and the first chain_heads[q]
+     * nodes of qubit q's chain are born retired. complete() only ever
+     * retires a node that heads both its chains, so any retired set is
+     * such a per-chain prefix, and the build lands on exactly the state
+     * — frontier, remaining(), depths, chain heads — that completing
+     * those nodes leaves once the window is settled. Each head must lie
+     * within its chain and cover every node on both operand chains or
+     * on neither (asserted).
      */
     explicit DependencyDag(const Circuit &circuit,
                            int window_horizon = kDefaultWindowHorizon,
-                           DagScratch *scratch = nullptr);
+                           DagScratch *scratch = nullptr,
+                           const std::vector<int> *chain_heads = nullptr);
 
     ~DependencyDag();
 

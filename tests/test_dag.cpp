@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -595,6 +596,109 @@ TEST(Dag, ParkedNodeRetiringBeforeTheFullSettleIsSkipped)
     ASSERT_NO_FATAL_FAILURE(expectWindowMatchesPeel(
         dag, retired, qc.numQubits(), synced, true));
     EXPECT_EQ(dag.windowDepth(4), 1);
+}
+
+/** Every qubit's chain head: the retired set as a resume records it. */
+std::vector<int>
+chainHeads(const DependencyDag &dag, int qubits)
+{
+    std::vector<int> heads;
+    for (int q = 0; q < qubits; ++q)
+        heads.push_back(dag.qubitChainHead(q));
+    return heads;
+}
+
+/** The unfinished nodes forEachWindowNode() visits, ascending. */
+std::vector<DagNodeId>
+windowNodes(const DependencyDag &dag)
+{
+    std::vector<DagNodeId> ids;
+    dag.forEachWindowNode([&](DagNodeId id) { ids.push_back(id); });
+    std::sort(ids.begin(), ids.end());
+    return ids;
+}
+
+/** `built` and `drained` agree on every observable of the window. */
+void
+expectSameDag(const DependencyDag &built, const DependencyDag &drained,
+              int qubits)
+{
+    ASSERT_EQ(built.frontier(), drained.frontier());
+    ASSERT_EQ(built.remaining(), drained.remaining());
+    ASSERT_EQ(chainHeads(built, qubits), chainHeads(drained, qubits));
+    for (DagNodeId id = 0; id < drained.size(); ++id) {
+        ASSERT_EQ(built.isReady(id), drained.isReady(id)) << "node " << id;
+        ASSERT_EQ(built.windowDepth(id), drained.windowDepth(id))
+            << "node " << id;
+    }
+    ASSERT_EQ(built.nextUse(), drained.nextUse());
+    ASSERT_EQ(windowNodes(built), windowNodes(drained));
+}
+
+TEST(Dag, WatermarkBuildEqualsTheDrainedDag)
+{
+    // Seeded random drains; at random points a fresh DAG is built at
+    // the drained one's chain heads, and from then on both retire the
+    // same nodes in lockstep. Reads come at random steps, so the drained
+    // DAG is sometimes several retirements behind its last settle.
+    const Circuit circuits[] = {makeRandomCircuit(14, 160, 11),
+                                makeAdder(16), makeBenchmark("qft", 12)};
+    for (const int horizon : {1, 4, DependencyDag::kDefaultWindowHorizon}) {
+        for (const Circuit &qc : circuits) {
+            SCOPED_TRACE(testing::Message() << "horizon " << horizon
+                                            << " on " << qc.name());
+            const int qubits = qc.numQubits();
+            Rng rng(0x3EADu + static_cast<unsigned>(horizon));
+            DependencyDag drained(qc, horizon);
+            drained.trackNextUse();
+            std::unique_ptr<DependencyDag> built;
+            int builds = 0;
+            while (!drained.empty()) {
+                const auto &frontier = drained.frontier();
+                const DagNodeId id = frontier[rng.uniform(
+                    static_cast<std::uint64_t>(frontier.size()))];
+                drained.complete(id);
+                if (built != nullptr)
+                    built->complete(id);
+                if (rng.uniform(6) == 0) {
+                    const std::vector<int> heads =
+                        chainHeads(drained, qubits);
+                    built = std::make_unique<DependencyDag>(
+                        qc, horizon, nullptr, &heads);
+                    built->trackNextUse();
+                    ++builds;
+                    ASSERT_NO_FATAL_FAILURE(
+                        expectSameDag(*built, drained, qubits));
+                } else if (built != nullptr && rng.uniform(2) == 0) {
+                    ASSERT_NO_FATAL_FAILURE(
+                        expectSameDag(*built, drained, qubits));
+                }
+            }
+            ASSERT_GT(builds, 0);
+            ASSERT_NO_FATAL_FAILURE(expectSameDag(*built, drained, qubits));
+            EXPECT_TRUE(built->empty());
+        }
+    }
+}
+
+TEST(Dag, WatermarkSplittingAGateOrOutsideAChainPanics)
+{
+    Circuit qc(3);
+    qc.cx(0, 1);
+    qc.cx(1, 2);
+    const std::vector<int> split = {1, 0, 0};    // cx(0,1) half retired.
+    const std::vector<int> too_deep = {1, 3, 1}; // Qubit 1 has 2 gates.
+    const std::vector<int> negative = {0, -1, 0};
+    const std::vector<int> short_list = {1, 1};
+    for (const auto *heads : {&split, &too_deep, &negative, &short_list})
+        EXPECT_THROW(DependencyDag(qc, 4, nullptr, heads),
+                     std::logic_error);
+    const std::vector<int> first = {1, 1, 0};
+    const DependencyDag dag(qc, 4, nullptr, &first);
+    EXPECT_EQ(dag.remaining(), 1);
+    EXPECT_EQ(dag.frontier(), std::vector<DagNodeId>{1});
+    EXPECT_EQ(dag.windowDepth(0), -1);
+    EXPECT_EQ(dag.windowDepth(1), 0);
 }
 
 TEST(Dag, QubitChainsArePerQubitAndOrdered)

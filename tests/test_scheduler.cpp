@@ -430,15 +430,17 @@ TEST(FrontierWorklist, MatchesFullRescanUnderMidRoundMoves)
 }
 
 /**
- * The weight table reads depths below lookAhead, so a look-ahead past
- * the DAG window is a clean input error — through the compiler and
- * through the service — never a panic.
+ * Compile qft 16 with `look_ahead`: a clean input error naming
+ * lookAhead — through the compiler and through the service — never a
+ * panic.
  */
-TEST(Scheduler, LookAheadBeyondHorizonIsAnInputError)
+void
+expectLookAheadRejected(int look_ahead)
 {
+    SCOPED_TRACE(testing::Message() << "lookAhead " << look_ahead);
     const ScopedFatalSilence quiet;
     MusstiConfig config;
-    config.lookAhead = config.nextUseHorizon + 1;
+    config.lookAhead = look_ahead;
     const Circuit qc = makeQft(16);
     try {
         (void)MusstiCompiler(config).compile(qc);
@@ -462,6 +464,21 @@ TEST(Scheduler, LookAheadBeyondHorizonIsAnInputError)
     ASSERT_FALSE(outcome.ok());
     EXPECT_EQ(outcome.errorInfo().category(), ErrorCategory::InvalidInput);
     EXPECT_EQ(outcome.errorInfo().code(), "input.require");
+}
+
+/** The weight table reads depths below lookAhead, so a look-ahead past
+    the DAG window would read what the window does not maintain. */
+TEST(Scheduler, LookAheadBeyondHorizonIsAnInputError)
+{
+    expectLookAheadRejected(MusstiConfig{}.nextUseHorizon + 1);
+}
+
+/** A look-ahead below one layer would silently switch SWAP insertion
+    off (every weight reads 0). */
+TEST(Scheduler, LookAheadBelowOneIsAnInputError)
+{
+    for (const int look_ahead : {0, -5})
+        expectLookAheadRejected(look_ahead);
 }
 
 /** Every workload family at several sizes must produce valid schedules

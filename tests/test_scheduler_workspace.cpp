@@ -6,7 +6,8 @@
  * thread, whose arena starts cold, and compared with the same work on a
  * thread whose arena already served other circuits: repeats of one
  * circuit, a shrink-then-grow sequence, raw scheduler legs,
- * CompileService jobs, and a delta capture + resume.
+ * CompileService jobs, and a delta capture + resume. Resumes from
+ * corrupt chain-head watermarks must fall back to that cold schedule.
  */
 #include <algorithm>
 #include <future>
@@ -183,10 +184,10 @@ insertShallowGate(const Circuit &base, const ScheduleSnapshot &snap)
 TEST(SchedulerWorkspaceReuse, DeltaResumeAfterLargerCircuitMatchesColdThread)
 {
     // A delta capture followed by a resume, on a thread that has just
-    // done the same for a LARGER circuit: the retirement-order and
-    // resume-sweep scratch buffers come back oversized and full of the
-    // previous run's entries, and the resumed schedule must still equal
-    // a cold-thread compile of the edited circuit.
+    // done the same for a LARGER circuit: the resume-guard scratch and
+    // the DAG arrays come back oversized and full of the previous run's
+    // entries, and the resumed schedule must still equal a cold-thread
+    // compile of the edited circuit.
     MusstiConfig config;
     config.mapping = MappingKind::Trivial;
     const PhysicalParams params;
@@ -232,6 +233,87 @@ TEST(SchedulerWorkspaceReuse, DeltaResumeAfterLargerCircuitMatchesColdThread)
             edit, scheduler.run(edit, trivialPlacement(*device, 64)));
     });
     EXPECT_EQ(resumed, cold);
+}
+
+TEST(SchedulerWorkspaceReuse, CorruptChainHeadsFallBackToCold)
+{
+    // A snapshot whose chain-head watermark the edited circuit cannot
+    // hold must be refused before the DAG is built at it: no resume, no
+    // panic, and the cold schedule.
+    MusstiConfig config;
+    config.mapping = MappingKind::Trivial;
+    const PhysicalParams params;
+    const int qubits = 64;
+    const auto device = DeviceRegistry::createEml(config.device, qubits);
+    const MusstiScheduler scheduler(*device, params, config);
+    const Placement initial = trivialPlacement(*device, qubits);
+    const Circuit base = makeBenchmark("adder", qubits).withSwapsDecomposed();
+
+    DeltaRequest capture;
+    capture.checkpointEvery = 16;
+    const auto captured = scheduler.run(base, initial, &capture);
+    ASSERT_GE(captured.snapshots.size(), 2u);
+    const Circuit edit = insertShallowGate(base, captured.snapshots.back());
+    std::size_t shared = 0;
+    while (base[shared] == edit[shared])
+        ++shared;
+    const std::uint64_t cold =
+        runFingerprint(edit, scheduler.run(edit, initial));
+
+    // The longest checkpoint that resumes the edit intact.
+    const ScheduleSnapshot *intact = nullptr;
+    for (auto it = captured.snapshots.rbegin();
+         it != captured.snapshots.rend() && intact == nullptr; ++it) {
+        DeltaRequest resume;
+        resume.candidates.push_back({&*it, shared});
+        const auto out = scheduler.run(edit, initial, &resume);
+        if (out.resumed) {
+            EXPECT_EQ(runFingerprint(edit, out), cold);
+            intact = &*it;
+        }
+    }
+    ASSERT_NE(intact, nullptr);
+
+    // Per-qubit chain lengths of the edit, and a qubit whose chain
+    // still has unretired gates.
+    std::vector<int> length(qubits, 0);
+    for (std::size_t i = 0; i < edit.size(); ++i) {
+        if (edit[i].twoQubit()) {
+            ++length[edit[i].q0];
+            ++length[edit[i].q1];
+        }
+    }
+    const std::vector<int> &heads = intact->chainHeads;
+    int open = 0;
+    while (heads[open] >= length[open])
+        ++open;
+
+    std::vector<std::pair<const char *, std::vector<int>>> corrupt;
+    corrupt.emplace_back("wrong length", heads);
+    corrupt.back().second.pop_back();
+    corrupt.emplace_back("negative head", heads);
+    corrupt.back().second[open] = -1;
+    corrupt.emplace_back("head past its chain", heads);
+    corrupt.back().second[open] = length[open] + 1;
+    // The next gate on `open`'s chain is unretired on its partner's.
+    corrupt.emplace_back("split gate", heads);
+    ++corrupt.back().second[open];
+    // Everything retired: consistent and in range, but it covers the
+    // gates at and after the shared prefix.
+    corrupt.emplace_back("past the shared prefix", length);
+
+    for (const auto &[what, bad_heads] : corrupt) {
+        SCOPED_TRACE(what);
+        ScheduleSnapshot bad = *intact;
+        bad.chainHeads = bad_heads;
+        DeltaRequest resume;
+        resume.candidates.push_back({&bad, shared});
+        EXPECT_NO_THROW({
+            const auto out = scheduler.run(edit, initial, &resume);
+            EXPECT_FALSE(out.resumed);
+            EXPECT_EQ(runFingerprint(edit, out), cold);
+        });
+    }
 }
 
 } // namespace
