@@ -15,7 +15,7 @@
  *   --capacity N         trap capacity (default 16)
  *   --optical N          optical zones per module (default 1)
  *   --lookahead K        weight-table window, 1..64 (at most the DAG
- *                        window horizon, nextUseHorizon; default 8)
+ *                        window horizon; default 8)
  *   --policy P           anticipatory-lru | lru | fifo | random
  *   --trace [N]          print the first N schedule ops (default 40)
  *   --validate           run the schedule validator and report
@@ -40,6 +40,7 @@
 #include "core/compile_service.h"
 #include "core/compiler.h"
 #include "core/pipeline.h"
+#include "dag/dag.h"
 #include "sim/trace.h"
 #include "sim/validator.h"
 #include "workloads/workloads.h"
@@ -57,8 +58,8 @@ usage()
         "  options: --device SPEC --backend B --trivial --no-swap-insert\n"
         "           --capacity N --optical N --lookahead K --policy P\n"
         "           --trace [N] --validate\n"
-        "  --lookahead K: 1.." << MusstiConfig{}.nextUseHorizon
-              << " (the DAG window horizon, nextUseHorizon), default "
+        "  --lookahead K: 1.." << DependencyDag::kDefaultWindowHorizon
+              << " (the DAG window horizon), default "
               << MusstiConfig{}.lookAhead << "\n";
 }
 
@@ -73,7 +74,7 @@ cliMain(int argc, char **argv)
     int trace_ops = 40;
     bool validate = false;
     std::string target;
-    int qubits = 0;
+    int qubits = 32;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -122,7 +123,7 @@ cliMain(int argc, char **argv)
         } else if (target.empty()) {
             target = arg;
         } else {
-            qubits = parseIntArg(arg, "qubit count");
+            qubits = parseIntArg(arg, "qubit count", 1);
         }
     }
     if (target.empty()) {
@@ -140,7 +141,7 @@ cliMain(int argc, char **argv)
         }
         circuit = fromQasmStream(in, target);
     } else {
-        circuit = makeBenchmark(target, qubits > 0 ? qubits : 32);
+        circuit = makeBenchmark(target, qubits);
     }
 
     // Device selection is spec-driven: the registry parses the string
@@ -155,19 +156,8 @@ cliMain(int argc, char **argv)
     if (!device_spec.empty())
         spec = DeviceRegistry::parse(device_spec);
 
-    std::shared_ptr<const ICompilerBackend> backend;
-    if (backend_name == "mussti") {
-        if (spec.family != DeviceFamily::Eml)
-            fatal("backend mussti needs an eml:... device spec, got: " +
-                  spec.canonical());
-        config.device = spec.eml;
-        backend = makeMusstiBackend(config);
-    } else {
-        if (spec.family != DeviceFamily::Grid)
-            fatal("backend " + backend_name + " needs a grid:... device "
-                  "spec, got: " + spec.canonical());
-        backend = makeGridBackend(backend_name, spec.grid);
-    }
+    const std::shared_ptr<const ICompilerBackend> backend =
+        makeBackendFor(backend_name, spec, config);
     const std::shared_ptr<const TargetDevice> device =
         DeviceRegistry::create(spec, circuit.numQubits());
 

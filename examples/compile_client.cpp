@@ -37,6 +37,7 @@
 #include <string>
 
 #include "common/error.h"
+#include "common/string_util.h"
 #include "serve/compile_client.h"
 #include "serve/protocol.h"
 
@@ -98,7 +99,7 @@ cliMain(int argc, char **argv)
         if (arg == "--host" && i + 1 < argc) {
             host = argv[++i];
         } else if (arg == "--port" && i + 1 < argc) {
-            port = std::atoi(argv[++i]);
+            port = parseIntArg(argv[++i], "--port", 0, 65535);
         } else if (arg == "--client" && i + 1 < argc) {
             request.client = argv[++i];
         } else if (arg == "--qasm" && i + 1 < argc) {
@@ -111,9 +112,9 @@ cliMain(int argc, char **argv)
             request.seed = std::strtoull(argv[++i], nullptr, 0);
             request.hasSeed = true;
         } else if (arg == "--deadline-ms" && i + 1 < argc) {
-            request.deadlineMs = std::atoll(argv[++i]);
+            request.deadlineMs = parseIntArg(argv[++i], "--deadline-ms", 0);
         } else if (arg == "--count" && i + 1 < argc) {
-            count = std::atoi(argv[++i]);
+            count = parseIntArg(argv[++i], "--count", 0);
         } else if (arg == "--json") {
             json = true;
         } else if (arg == "--stats") {
@@ -124,7 +125,7 @@ cliMain(int argc, char **argv)
         } else if (target.empty()) {
             target = arg;
         } else {
-            qubits = std::atoi(arg.c_str());
+            qubits = parseIntArg(arg, "qubit count", 1);
         }
     }
 

@@ -18,15 +18,20 @@
  *
  * SIGTERM/SIGINT drain gracefully: stop accepting, stream Cancelled for
  * still-queued jobs, finish in-flight compiles, exit 0.
+ *
+ * Every numeric flag parses strictly and is range-checked before the
+ * server is built: a bad one exits 2 with one `fatal:` line (runMain,
+ * common/error.h), having started no thread and bound no port.
  */
 #include <atomic>
 #include <csignal>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
 #include <sys/socket.h>
 
+#include "common/error.h"
+#include "common/string_util.h"
 #include "serve/compile_server.h"
 
 using namespace mussti;
@@ -54,10 +59,8 @@ usage()
         "                      [--quantum N] [--inflight N]\n";
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+serverMain(int argc, char **argv)
 {
     CompileServerConfig config;
     config.port = 7717;
@@ -65,23 +68,21 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--port" && i + 1 < argc) {
-            config.port = std::atoi(argv[++i]);
+            config.port = parseIntArg(argv[++i], "--port", 0, 65535);
         } else if (arg == "--threads" && i + 1 < argc) {
-            config.numThreads = std::atoi(argv[++i]);
+            config.numThreads = parseIntArg(argv[++i], "--threads", 0,
+                                            CompileService::kMaxThreads);
         } else if (arg == "--cache" && i + 1 < argc) {
-            config.cacheCapacity =
-                static_cast<std::size_t>(std::atoll(argv[++i]));
+            config.cacheCapacity = parseIntArg(argv[++i], "--cache", 0);
         } else if (arg == "--disk-cache" && i + 1 < argc) {
             config.diskCachePath = argv[++i];
         } else if (arg == "--disk-cap" && i + 1 < argc) {
-            config.diskCacheCapacity =
-                static_cast<std::size_t>(std::atoll(argv[++i]));
+            config.diskCacheCapacity = parseIntArg(argv[++i], "--disk-cap", 0);
         } else if (arg == "--quantum" && i + 1 < argc) {
-            config.admission.quantum =
-                static_cast<std::uint64_t>(std::atoll(argv[++i]));
+            config.admission.quantum = parseIntArg(argv[++i], "--quantum", 0);
         } else if (arg == "--inflight" && i + 1 < argc) {
             config.admission.maxInFlightPerClient =
-                static_cast<std::size_t>(std::atoll(argv[++i]));
+                parseIntArg(argv[++i], "--inflight", 0);
         } else {
             usage();
             return 2;
@@ -107,4 +108,12 @@ main(int argc, char **argv)
     server.stop();
     std::cout << "compile_server: stopped" << std::endl;
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain(argc, argv, serverMain);
 }

@@ -36,7 +36,6 @@
 #include "circuit/qasm.h"
 #include "common/error.h"
 #include "common/string_util.h"
-#include "core/compiler.h"
 #include "lint/corrupt.h"
 #include "lint/schedule_linter.h"
 #include "lint/spec_linter.h"
@@ -72,7 +71,7 @@ cliMain(int argc, char **argv)
     std::string search_text;
     bool json = false;
     std::string target;
-    int qubits = 0;
+    int qubits = 32;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -92,7 +91,7 @@ cliMain(int argc, char **argv)
         } else if (target.empty()) {
             target = arg;
         } else {
-            qubits = parseIntArg(arg, "qubit count");
+            qubits = parseIntArg(arg, "qubit count", 1);
         }
     }
 
@@ -118,27 +117,14 @@ cliMain(int argc, char **argv)
         }
         circuit = fromQasmStream(in, target);
     } else {
-        circuit = makeBenchmark(target, qubits > 0 ? qubits : 32);
+        circuit = makeBenchmark(target, qubits);
     }
 
-    MusstiConfig config;
-    DeviceSpec spec = DeviceRegistry::specOf(config.device);
-    if (!device_spec.empty())
-        spec = DeviceRegistry::parse(device_spec);
-
-    std::shared_ptr<const ICompilerBackend> backend;
-    if (backend_name == "mussti") {
-        if (spec.family != DeviceFamily::Eml)
-            fatal("backend mussti needs an eml:... device spec, got: " +
-                  spec.canonical());
-        config.device = spec.eml;
-        backend = makeMusstiBackend(config);
-    } else {
-        if (spec.family != DeviceFamily::Grid)
-            fatal("backend " + backend_name + " needs a grid:... device "
-                  "spec, got: " + spec.canonical());
-        backend = makeGridBackend(backend_name, spec.grid);
-    }
+    const DeviceSpec spec = device_spec.empty()
+                                ? DeviceRegistry::specOf(EmlConfig{})
+                                : DeviceRegistry::parse(device_spec);
+    const std::shared_ptr<const ICompilerBackend> backend =
+        makeBackendFor(backend_name, spec);
 
     const std::shared_ptr<const TargetDevice> device =
         DeviceRegistry::create(spec, circuit.numQubits());

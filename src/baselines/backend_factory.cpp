@@ -29,6 +29,24 @@ makeGridBackend(const std::string &which, const GridConfig &grid,
     fatal("unknown baseline: " + which);
 }
 
+std::shared_ptr<const ICompilerBackend>
+makeBackendFor(const std::string &name, const DeviceSpec &spec,
+               MusstiConfig config)
+{
+    const bool mussti = toLower(name) == "mussti";
+    const DeviceFamily wanted =
+        mussti ? DeviceFamily::Eml : DeviceFamily::Grid;
+    if (spec.family != wanted)
+        fatalCoded("input.device-mismatch",
+                   "backend " + name + " needs " +
+                       (mussti ? "an eml" : "a grid") +
+                       ":... device spec, got: " + spec.canonical());
+    if (!mussti)
+        return makeGridBackend(name, spec.grid);
+    config.device = spec.eml;
+    return makeMusstiBackend(config);
+}
+
 std::vector<std::string>
 gridBackendNames()
 {

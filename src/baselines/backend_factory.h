@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "arch/device_registry.h"
 #include "arch/grid_device.h"
 #include "core/backend.h"
 #include "core/config.h"
@@ -33,6 +34,18 @@ makeMusstiBackend(const MusstiConfig &config = {},
 std::shared_ptr<const ICompilerBackend>
 makeGridBackend(const std::string &which, const GridConfig &grid,
                 const PhysicalParams &params = {});
+
+/**
+ * Backend `name` (case-insensitive: "mussti" or a grid baseline) for
+ * the device `spec`: MUSS-TI compiles under `config` with its device
+ * replaced by the spec's, a grid baseline on the spec's grid. A spec of
+ * the other family is InvalidInput (`input.device-mismatch`). compile_cli,
+ * lint_cli, the compile daemon and the tuner all resolve here, so a
+ * served compile is configured exactly like a local one.
+ */
+std::shared_ptr<const ICompilerBackend>
+makeBackendFor(const std::string &name, const DeviceSpec &spec,
+               MusstiConfig config = {});
 
 /** The grid baseline names makeGridBackend() accepts. */
 std::vector<std::string> gridBackendNames();

@@ -56,6 +56,17 @@ parseIntArg(const std::string &text, const std::string &what)
 }
 
 int
+parseIntArg(const std::string &text, const std::string &what, int lo, int hi)
+{
+    const int value = parseIntArg(text, what);
+    MUSSTI_REQUIRE(value >= lo, what << " must be >= " << lo << ", got "
+                                      << value);
+    MUSSTI_REQUIRE(value <= hi, what << " must be <= " << hi << ", got "
+                                      << value);
+    return value;
+}
+
+int
 parseEnvThreadCount(const char *env_var, const char *text,
                     int max_threads)
 {

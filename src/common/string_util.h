@@ -5,6 +5,7 @@
 #ifndef MUSSTI_COMMON_STRING_UTIL_H
 #define MUSSTI_COMMON_STRING_UTIL_H
 
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -39,6 +40,11 @@ std::optional<int> parseIntStrict(const std::string &text);
  * count of "banana" must not quietly run with 0 qubits).
  */
 int parseIntArg(const std::string &text, const std::string &what);
+
+/** parseIntArg(), plus an InvalidInput error naming `what` unless
+    lo <= value <= hi. */
+int parseIntArg(const std::string &text, const std::string &what, int lo,
+                int hi = std::numeric_limits<int>::max());
 
 /**
  * Parse a worker-thread-count override from an environment variable.

@@ -108,13 +108,6 @@ FairAdmission::stats() const
     return stats;
 }
 
-std::vector<std::string>
-FairAdmission::dispatchLog() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return dispatchLog_;
-}
-
 void
 FairAdmission::pump()
 {
@@ -172,7 +165,6 @@ FairAdmission::selectLocked()
                 state.deficit -= state.queue.front().cost;
                 ++state.inFlight;
                 ++dispatched_;
-                dispatchLog_.push_back(client);
                 batch.push_back(
                     Dispatch{client, std::move(state.queue.front())});
                 state.queue.pop_front();
@@ -203,6 +195,7 @@ FairAdmission::dispatch(Dispatch item)
                 auto it = clients_.find(client);
                 if (it != clients_.end() && it->second.inFlight > 0)
                     --it->second.inFlight;
+                retireIfIdleLocked(client);
                 ++completed_;
                 // Hook accounting keeps drain() from returning (and the
                 // owner from destroying us) while this thread is still
@@ -218,6 +211,22 @@ FairAdmission::dispatch(Dispatch item)
             --activeHooks_;
             idleCv_.notify_all();
         });
+}
+
+void
+FairAdmission::retireIfIdleLocked(const std::string &client)
+{
+    const auto it = clients_.find(client);
+    if (it == clients_.end() || !it->second.queue.empty() ||
+        it->second.inFlight > 0)
+        return;
+    const auto slot = std::find(ring_.begin(), ring_.end(), client);
+    if (static_cast<std::size_t>(slot - ring_.begin()) < cursor_)
+        --cursor_;
+    ring_.erase(slot);
+    if (cursor_ >= ring_.size())
+        cursor_ = 0;
+    clients_.erase(it);
 }
 
 } // namespace mussti

@@ -5,8 +5,8 @@
  * The CompileService's queue is a plain FIFO: a client that dumps a
  * 4096-job sweep ahead of an interactive compile starves it. This layer
  * puts a per-client queue in front of the pool and dispatches by
- * deficit round robin (DRR): clients take turns in first-appearance
- * order; each turn banks a fixed quantum of "gate credit" and
+ * deficit round robin (DRR): active clients take turns in the order
+ * they became active; each turn banks a fixed quantum of "gate credit" and
  * dispatches queued jobs while the credit covers their cost (a job's
  * cost is its gate count, so credit models compile work, not job
  * count). A bounded per-client in-flight budget keeps any one client
@@ -21,10 +21,15 @@
  * pinned by (circuit, config, seed); admission only decides WHEN it
  * starts.
  *
+ * A client is active while it has a job queued or in flight. Once it
+ * has neither it leaves the rotation, and its next submit re-enters it
+ * at the tail (the standard DRR active list), so the admission state is
+ * bounded by the active clients, not by every id ever seen.
+ *
  * Within one client, jobs dispatch in submission order (per-client
  * FIFO). Across clients, the dispatch order is a deterministic function
  * of the submission sequence: selection happens under one lock by one
- * pump at a time, and the dispatch log records it for tests.
+ * pump at a time.
  */
 #ifndef MUSSTI_CORE_ADMISSION_H
 #define MUSSTI_CORE_ADMISSION_H
@@ -109,13 +114,6 @@ class FairAdmission
 
     AdmissionStats stats() const;
 
-    /**
-     * Client ids in dispatch order since construction — the DRR
-     * schedule itself, recorded under the selection lock so fairness
-     * tests can pin the interleaving exactly.
-     */
-    std::vector<std::string> dispatchLog() const;
-
   private:
     struct Pending
     {
@@ -152,13 +150,19 @@ class FairAdmission
     /** Hand one selected job to the service. */
     void dispatch(Dispatch item);
 
+    /**
+     * Drop `client` from the rotation if it has nothing queued or in
+     * flight, keeping the cursor on the client it pointed at.
+     */
+    void retireIfIdleLocked(const std::string &client);
+
     CompileService &service_;
     const FairAdmissionConfig config_;
 
     mutable std::mutex mutex_;
     std::condition_variable idleCv_; ///< Signalled when work drains.
     std::unordered_map<std::string, ClientState> clients_;
-    std::vector<std::string> ring_;  ///< First-appearance client order.
+    std::vector<std::string> ring_;  ///< Active clients, rotation order.
     std::size_t cursor_ = 0;         ///< Next ring position to serve.
     bool stopping_ = false;
     bool pumping_ = false;
@@ -176,7 +180,6 @@ class FairAdmission
     std::uint64_t dispatched_ = 0;
     std::uint64_t completed_ = 0;
     std::uint64_t cancelledQueued_ = 0;
-    std::vector<std::string> dispatchLog_;
 };
 
 } // namespace mussti

@@ -11,6 +11,21 @@
 
 namespace mussti {
 
+namespace {
+
+/** Total attempts per job for Transient failures. */
+constexpr int kMaxAttempts = 3;
+
+/**
+ * Backoff before retry k is kRetryBackoffBaseUs * 2^(k-1) microseconds,
+ * capped at kRetryBackoffMaxUs: deterministic, no jitter, so a scripted
+ * fault sequence replays identically.
+ */
+constexpr long long kRetryBackoffBaseUs = 200;
+constexpr long long kRetryBackoffMaxUs = 20000;
+
+} // namespace
+
 const CompileResult &
 CompileOutcome::value() const
 {
@@ -46,8 +61,7 @@ CompileOutcome::cancelled(const std::string &message)
 
 CompileService::CompileService(const CompileServiceConfig &config)
     : config_(config), memory_(config.cacheCapacity),
-      snapshots_(config.snapshotCacheCapacity,
-                 config.deltaQuarantineThreshold)
+      snapshots_(config.snapshotCacheCapacity)
 {
     if (!config.diskCachePath.empty())
         disk_ = std::make_unique<DiskResultCache>(config.diskCachePath,
@@ -225,7 +239,6 @@ CompileOutcome
 CompileService::runJob(CompileRequest &request)
 {
     CompileOutcome outcome;
-    const int max_attempts = std::max(1, config_.maxAttempts);
     for (int attempt = 1;; ++attempt) {
         outcome.attempts = attempt;
         try {
@@ -261,7 +274,7 @@ CompileService::runJob(CompileRequest &request)
 
             // Retries need the circuit again, so only the last allowed
             // attempt may consume it.
-            Circuit circuit = attempt < max_attempts
+            Circuit circuit = attempt < kMaxAttempts
                                   ? request.circuit
                                   : std::move(request.circuit);
             CompileResult result = compileOnce(request, std::move(circuit),
@@ -280,7 +293,7 @@ CompileService::runJob(CompileRequest &request)
             outcome.result.reset();
             outcome.error = describeCurrentException();
             if (outcome.error->category() != ErrorCategory::Transient ||
-                attempt >= max_attempts)
+                attempt >= kMaxAttempts)
                 return outcome;
             if (!backoffBeforeRetry(request, attempt))
                 return outcome;
@@ -295,14 +308,13 @@ CompileService::compileOnce(
 {
     DeltaCompileIO delta;
     const bool tier_on = snapshots_.enabled();
-    delta.allowCapture = tier_on;
     if (tier_on)
         delta.candidates = snapshots_.probe(key, circuit);
     const bool had_candidates = !delta.candidates.empty();
 
     CompileResult compiled = request.backend->compile(
         std::move(circuit), {.seed = request.seed,
-                             .delta = &delta,
+                             .delta = tier_on ? &delta : nullptr,
                              .control = &control});
 
     if (tier_on) {
@@ -332,10 +344,10 @@ CompileService::backoffBeforeRetry(const CompileRequest &request,
         request.cancel->load(std::memory_order_relaxed))
         return false;
 
-    long long us = std::max<long long>(0, config_.retryBackoffBaseUs);
-    for (int i = 1; i < attempt && us < config_.retryBackoffMaxUs; ++i)
+    long long us = kRetryBackoffBaseUs;
+    for (int i = 1; i < attempt && us < kRetryBackoffMaxUs; ++i)
         us *= 2;
-    us = std::min(us, std::max<long long>(0, config_.retryBackoffMaxUs));
+    us = std::min(us, kRetryBackoffMaxUs);
 
     if (request.deadline.has_value()) {
         const auto wake = std::chrono::steady_clock::now() +
@@ -343,8 +355,7 @@ CompileService::backoffBeforeRetry(const CompileRequest &request,
         if (wake >= *request.deadline)
             return false; // The retry would start already timed out.
     }
-    if (us > 0)
-        std::this_thread::sleep_for(std::chrono::microseconds(us));
+    std::this_thread::sleep_for(std::chrono::microseconds(us));
     return true;
 }
 

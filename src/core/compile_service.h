@@ -51,7 +51,14 @@
 
 namespace mussti {
 
-/** Pool, cache, and retry/quarantine policy sizing. */
+/**
+ * Pool and cache-tier sizing. The failure policy is fixed (see "Failure
+ * semantics" in src/core/README.md): a Transient failure is retried up
+ * to three attempts in all, with a deterministic backoff of 200 us
+ * doubling to at most 20 ms, and the snapshot tier quarantines itself
+ * after SnapshotCache::kQuarantineThreshold consecutive resume
+ * fallbacks.
+ */
 struct CompileServiceConfig
 {
     /** Worker threads; <= 0 selects the hardware concurrency. */
@@ -92,34 +99,6 @@ struct CompileServiceConfig
      * are unaffected.
      */
     std::size_t snapshotCacheCapacity = 64;
-
-    /**
-     * Total attempts per job for Transient-classed failures (1 = no
-     * retry). Failures in any other category never retry.
-     */
-    int maxAttempts = 3;
-
-    /**
-     * Backoff before retry k is retryBackoffBaseUs * 2^(k-1)
-     * microseconds, capped at retryBackoffMaxUs — deterministic, no
-     * jitter, so a scripted fault sequence replays identically.
-     * A retry is abandoned (the Transient error becomes the outcome)
-     * when the job's deadline would expire inside the backoff, or its
-     * cancellation token / the service shutdown flag is already set.
-     */
-    long long retryBackoffBaseUs = 200;
-    long long retryBackoffMaxUs = 20000;
-
-    /**
-     * Quarantine the delta snapshot tier after this many CONSECUTIVE
-     * resume fallbacks (candidate-backed compiles that still scheduled
-     * cold) with no successful resume in between; 0 never quarantines.
-     * A quarantined tier is cleared and bypassed — jobs compile cold,
-     * which is bit-identical by the delta contract, so a corrupted or
-     * persistently useless snapshot store degrades throughput, never
-     * correctness. A successful resume resets the streak.
-     */
-    int deltaQuarantineThreshold = 32;
 };
 
 /** One unit of work for the service. */
@@ -137,7 +116,7 @@ struct CompileRequest
 
     /**
      * Absolute deadline. Checked before the job starts, at every pass
-     * boundary, and every JobControl::checkEveryGates routing steps;
+     * boundary, and every JobControl::kCheckEveryGates routing steps;
      * past it the job resolves with a Timeout error.
      */
     std::optional<std::chrono::steady_clock::time_point> deadline;

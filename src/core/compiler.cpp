@@ -8,7 +8,6 @@
 #include "common/logging.h"
 #include "core/mapper.h"
 #include "core/scheduler.h"
-#include "lint/lint_pass.h"
 #include "lint/schedule_linter.h"
 #include "sim/evaluation_pass.h"
 #include "sim/evaluator.h"
@@ -118,8 +117,7 @@ class MusstiSchedulePass : public CompilerPass
         DeltaRequest request;
         const DeltaRequest *delta = nullptr;
         if (config.deltaCompile && ctx.delta != nullptr) {
-            request.checkpointEvery =
-                ctx.delta->allowCapture ? config.deltaCheckpointGates : 0;
+            request.checkpointEvery = config.deltaCheckpointGates;
             request.candidates.reserve(ctx.delta->candidates.size());
             for (const auto &snap : ctx.delta->candidates) {
                 if (snap == nullptr ||
@@ -255,8 +253,6 @@ MusstiCompiler::makePipeline() const
         .add(std::make_unique<MusstiSchedulePass>(config_))
         .add(std::make_unique<SabreTwoFoldPass>(config_))
         .add(std::make_unique<EvaluationPass>());
-    if (config_.lintLevel > 0)
-        pipeline.add(std::make_unique<ScheduleLintPass>(config_.lintLevel));
     return pipeline;
 }
 
@@ -283,13 +279,9 @@ MusstiCompiler::configDigest() const
     hash.update(config_.lookAhead);
     hash.update(config_.swapThreshold);
     hash.update(config_.enableSwapInsertion);
-    hash.update(config_.nextUseHorizon);
     hash.update(static_cast<int>(config_.mapping));
     hash.update(static_cast<int>(config_.replacement));
     hash.update(config_.seed);
-    // lintLevel changes the pipeline shape (strict lint can reject a
-    // compile), so a cached result must not cross lint disciplines.
-    hash.update(config_.lintLevel);
     // Delta compilation is bit-identical by contract, but snapshots key
     // on this digest and must never cross the knob; fold it in only
     // when enabled so every knob-off digest (and the golden-fingerprint

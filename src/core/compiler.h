@@ -59,7 +59,7 @@ class MusstiCompiler : public ICompilerBackend
      * exchange and MusstiConfig::deltaCompile on, the scheduling pass
      * tries to resume from the candidates and captures checkpoints per
      * MusstiConfig::deltaCheckpointGates; a control is checkpointed at
-     * every pass boundary and every JobControl::checkEveryGates routing
+     * every pass boundary and every JobControl::kCheckEveryGates routing
      * steps of each scheduler leg.
      */
     CompileResult compile(Circuit circuit,

@@ -36,7 +36,13 @@ const char *replacementPolicyName(ReplacementPolicy policy);
 /** All tunables of the MUSS-TI compiler. */
 struct MusstiConfig
 {
-    /** Weight-table look-ahead depth k (paper uses 8; Fig 9 sweeps it). */
+    /**
+     * Weight-table look-ahead depth k (paper uses 8; Fig 9 sweeps it).
+     * The weight table reads the scheduler's DAG window, which is
+     * DependencyDag::kDefaultWindowHorizon (64) layers deep, so
+     * 1 <= lookAhead <= 64 or the scheduler rejects the config as
+     * InvalidInput.
+     */
     int lookAhead = 8;
 
     /**
@@ -47,17 +53,6 @@ struct MusstiConfig
 
     /** Enable the section-3.3 SWAP insertion pass. */
     bool enableSwapInsertion = true;
-
-    /**
-     * Layers of the incrementally maintained DAG window the replacement
-     * scheduler consults for anticipated qubit usage (section 3.4). Also
-     * the "idle" sentinel: a qubit with no gate within the horizon
-     * reports this value. Larger horizons approximate Belady better but
-     * widen the window the DAG maintains per retirement. Bounds the
-     * weight table's reach too: lookAhead <= nextUseHorizon, or the
-     * scheduler rejects the config as InvalidInput.
-     */
-    int nextUseHorizon = 64;
 
     /** Initial mapping strategy. */
     MappingKind mapping = MappingKind::Sabre;
@@ -89,15 +84,6 @@ struct MusstiConfig
      * when deltaCompile is on.
      */
     int deltaCheckpointGates = 64;
-
-    /**
-     * Post-compile static analysis (src/lint/): 0 = off (the default —
-     * the linter never sits on the hot path uninvited), 1 = lint the
-     * final schedule and warn() on findings, 2 = strict: fatal() when
-     * the lint report carries errors. Folded into configDigest() so a
-     * cached result is never served across lint-discipline changes.
-     */
-    int lintLevel = 0;
 
     /** Device construction parameters. */
     EmlConfig device;

@@ -10,7 +10,7 @@
  * a checkpoint allocates nothing unless it actually fires, preserving
  * the scheduler's zero-steady-state-allocation invariant. The pipeline
  * checkpoints at every pass boundary; the scheduler every
- * `checkEveryGates` routing steps.
+ * `kCheckEveryGates` routing steps.
  *
  * A fired checkpoint raises a quiet structured error (Cancelled or
  * Timeout, common/error.h) that unwinds the compile; the service turns
@@ -39,8 +39,8 @@ struct JobControl
     /** Service-shutdown flag (may be null). Set → Cancelled. */
     const std::atomic<bool> *shutdown = nullptr;
 
-    /** Scheduler checkpoint cadence, in retired routing steps. */
-    int checkEveryGates = 128;
+    /** Scheduler checkpoint cadence, in routing steps. */
+    static constexpr int kCheckEveryGates = 128;
 
     bool cancelRequested() const
     {

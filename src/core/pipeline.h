@@ -52,7 +52,11 @@ struct PassTiming
  * tries to resume from the longest provably safe one and reports the
  * checkpoints it captured for future reuse. Only consulted when the
  * backend's configuration enables delta compilation
- * (MusstiConfig::deltaCompile); other backends ignore it.
+ * (MusstiConfig::deltaCompile); other backends ignore it. A compile
+ * without one (CompileOptions::delta == nullptr) neither captures nor
+ * resumes: the service passes none when its snapshot tier is off or
+ * quarantined, so cold compiles don't pay capture cost for snapshots
+ * nobody will store.
  */
 struct DeltaCompileIO
 {
@@ -71,15 +75,6 @@ struct DeltaCompileIO
 
     /** The compile resumed from one of the candidates. */
     bool resumed = false;
-
-    /**
-     * Capture permission: when false the scheduling pass takes no
-     * checkpoints even if the backend's config enables delta
-     * compilation. The service clears it when the snapshot tier is
-     * disabled or quarantined, so cold compiles don't pay capture cost
-     * for snapshots nobody will store.
-     */
-    bool allowCapture = true;
 };
 
 /** Everything a compilation produces. */

@@ -651,9 +651,7 @@ DiskResultCache::stats() const
 
 // ---- snapshot tier ----------------------------------------------------
 
-SnapshotCache::SnapshotCache(std::size_t capacity, int quarantineThreshold)
-    : capacity_(capacity), quarantineThreshold_(quarantineThreshold)
-{}
+SnapshotCache::SnapshotCache(std::size_t capacity) : capacity_(capacity) {}
 
 std::vector<std::shared_ptr<const ScheduleSnapshot>>
 SnapshotCache::probe(const ResultCacheKey &key, const Circuit &circuit)
@@ -744,8 +742,7 @@ SnapshotCache::noteFallback()
 {
     std::unique_lock<std::mutex> lock(mutex_);
     ++stats_.fallbacks;
-    if (quarantineThreshold_ <= 0 ||
-        ++fallbackStreak_ < quarantineThreshold_ ||
+    if (++fallbackStreak_ < kQuarantineThreshold ||
         quarantined_.load(std::memory_order_relaxed))
         return;
     quarantined_.store(true, std::memory_order_relaxed);

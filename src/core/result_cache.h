@@ -167,15 +167,15 @@ struct SnapshotTierStats
  * compile that captured it, so a snapshot can never resume a job it
  * was not produced under.
  *
- * After `quarantineThreshold` consecutive resume fallbacks (0 = never)
- * the tier quarantines itself: it is cleared, enabled() turns false,
+ * After kQuarantineThreshold consecutive resume fallbacks the tier
+ * quarantines itself: it is cleared, enabled() turns false,
  * and store() refuses to refill it. Thread-safe; enabled() reads one
  * atomic and takes no lock.
  */
 class SnapshotCache
 {
   public:
-    SnapshotCache(std::size_t capacity, int quarantineThreshold);
+    explicit SnapshotCache(std::size_t capacity);
 
     /** Non-zero capacity and not quarantined. */
     bool
@@ -212,9 +212,11 @@ class SnapshotCache
     /** Longest resume-candidate list offered to one compile. */
     static constexpr std::size_t kMaxResumeCandidates = 8;
 
+    /** Consecutive resume fallbacks that quarantine the tier. */
+    static constexpr int kQuarantineThreshold = 32;
+
   private:
     const std::size_t capacity_;
-    const int quarantineThreshold_;
     mutable std::mutex mutex_;
 
     LruMap<ResultCacheKey, std::shared_ptr<const ScheduleSnapshot>,

@@ -20,6 +20,9 @@ namespace mussti {
 
 namespace {
 
+/** Snapshots one run keeps (see DeltaRequest::checkpointEvery). */
+constexpr int kMaxSnapshots = 16;
+
 /**
  * The scheduler's per-thread arena (run() keeps one per thread): every
  * growable buffer of the hot path, recycled across the SABRE legs and
@@ -71,7 +74,8 @@ struct PassState
           router(dev, par, placement, schedule, lru, cfg.replacement,
                  cfg.seed),
           inserter(dev, par, cfg, placement, schedule, router, lru),
-          dag(circuit, cfg.nextUseHorizon, &ws.dag, chain_heads),
+          dag(circuit, DependencyDag::kDefaultWindowHorizon, &ws.dag,
+              chain_heads),
           worklist(dag, &ws.worklist),
           nextUse(std::move(ws.nextUseScratch))
     {
@@ -298,9 +302,9 @@ chainHeadsFit(const Circuit &lowered, const std::vector<int> &heads,
  */
 bool
 suffixWindowClean(const Circuit &lowered, const ScheduleSnapshot &snap,
-                  std::size_t shared_gates, int horizon,
-                  std::vector<int> &cur)
+                  std::size_t shared_gates, std::vector<int> &cur)
 {
+    constexpr int horizon = DependencyDag::kDefaultWindowHorizon;
     cur.assign(snap.chainTailDepth.begin(), snap.chainTailDepth.end());
     int shallow = 0; // Qubits whose next gate could enter the window
                      // (-1, "next gate would be frontier", included).
@@ -333,8 +337,7 @@ suffixWindowClean(const Circuit &lowered, const ScheduleSnapshot &snap,
  */
 const ResumeCandidate *
 pickCandidate(const Circuit &lowered, const Placement &initial,
-              const DeltaRequest &delta, int horizon,
-              std::vector<int> &scratch)
+              const DeltaRequest &delta, std::vector<int> &scratch)
 {
     const std::vector<std::vector<int>> initial_chains =
         Schedule::snapshotChains(initial);
@@ -343,7 +346,7 @@ pickCandidate(const Circuit &lowered, const Placement &initial,
         if (it->snapshot != nullptr &&
             resumeShapeOk(lowered, initial_chains, *it) &&
             suffixWindowClean(lowered, *it->snapshot,
-                              it->sharedLoweredGates, horizon, scratch) &&
+                              it->sharedLoweredGates, scratch) &&
             chainHeadsFit(lowered, it->snapshot->chainHeads,
                           it->sharedLoweredGates, scratch))
             return &*it;
@@ -470,8 +473,7 @@ MusstiScheduler::run(const Circuit &lowered, const Placement &initial,
     const bool capture = delta != nullptr && delta->checkpointEvery > 0;
 
     const ResumeCandidate *resume =
-        resumable ? pickCandidate(lowered, initial, *delta,
-                                  config_.nextUseHorizon, ws.sweepScratch)
+        resumable ? pickCandidate(lowered, initial, *delta, ws.sweepScratch)
                   : nullptr;
 
     // Heap-held (not optional-held) so the cold fallback is a plain
@@ -528,12 +530,12 @@ MusstiScheduler::run(const Circuit &lowered, const Placement &initial,
     const std::uint64_t allocs_at_start = AllocCounter::now();
 
     // Cooperative deadline/cancellation: a countdown re-armed every
-    // checkEveryGates routing steps. The checkpoint itself is relaxed
-    // atomic loads plus (deadline only) one clock read — it allocates
-    // nothing unless it fires, so the loop stays steady-state
+    // JobControl::kCheckEveryGates routing steps. The checkpoint itself
+    // is relaxed atomic loads plus (deadline only) one clock read — it
+    // allocates nothing unless it fires, so the loop stays steady-state
     // allocation-free under control.
     const int control_every =
-        control != nullptr ? std::max(1, control->checkEveryGates) : 0;
+        control != nullptr ? JobControl::kCheckEveryGates : 0;
     int control_countdown = control_every;
 
     while (!st->dag.empty()) {
@@ -574,7 +576,7 @@ MusstiScheduler::run(const Circuit &lowered, const Placement &initial,
                 if (captureSnapshot(*st, last_node_index, routing_steps,
                                     snapshots)) {
                     if (static_cast<int>(snapshots.size()) >
-                        std::max(1, delta->maxSnapshots)) {
+                        kMaxSnapshots) {
                         // Thin: drop every other checkpoint and double
                         // the cadence, keeping an even spread at
                         // bounded count.

@@ -19,6 +19,7 @@
 #include "core/config.h"
 #include "core/job_control.h"
 #include "core/schedule_snapshot.h"
+#include "dag/dag.h"
 #include "sim/params.h"
 #include "sim/schedule.h"
 
@@ -57,16 +58,10 @@ struct DeltaRequest
 
     /**
      * Capture a ScheduleSnapshot every this many retired two-qubit
-     * gates (0 = never capture).
+     * gates (0 = never capture). A run keeps at most 16: past that,
+     * every other one is dropped and the cadence doubles.
      */
     int checkpointEvery = 0;
-
-    /**
-     * Bound on captured snapshots per run: when exceeded, every other
-     * snapshot is dropped and the cadence doubles, so long runs keep a
-     * spread of checkpoints at bounded memory.
-     */
-    int maxSnapshots = 16;
 };
 
 /** One full scheduling pass over a circuit. */
@@ -131,11 +126,11 @@ class MusstiScheduler
     {
         MUSSTI_REQUIRE(config.lookAhead >= 1,
                        "lookAhead must be >= 1, got " << config.lookAhead);
-        MUSSTI_REQUIRE(config.lookAhead <= config.nextUseHorizon,
+        constexpr int horizon = DependencyDag::kDefaultWindowHorizon;
+        MUSSTI_REQUIRE(config.lookAhead <= horizon,
                        "the weight-table lookAhead " << config.lookAhead
-                       << " exceeds nextUseHorizon "
-                       << config.nextUseHorizon
-                       << ", the depth of the DAG window it reads");
+                       << " exceeds the DAG window horizon " << horizon
+                       << ", the depth of the window it reads");
     }
 
     /**
@@ -147,7 +142,7 @@ class MusstiScheduler
      * and/or a resume from a prior run's snapshot — a successful resume
      * produces the bit-identical schedule in time proportional to the
      * unshared suffix. `control`, when given, is checkpointed every
-     * `control->checkEveryGates` routing steps — a relaxed atomic load
+     * JobControl::kCheckEveryGates routing steps — a relaxed atomic load
      * (plus a clock read when a deadline is set), never an allocation,
      * so the zero-steady-state-alloc invariant holds with control on.
      */

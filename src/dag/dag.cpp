@@ -190,18 +190,6 @@ DependencyDag::DependencyDag(const Circuit &circuit, int window_horizon,
     parkNext_.assign(nodes_.size(), -1);
 }
 
-DagEdgeList
-DependencyDag::predecessors(DagNodeId id) const
-{
-    const DagLinks &link = links_[id];
-    DagEdgeList preds;
-    if (link.pred[0] >= 0)
-        preds.push_back(link.pred[0]);
-    if (link.pred[1] >= 0 && link.pred[1] != link.pred[0])
-        preds.push_back(link.pred[1]);
-    return preds;
-}
-
 void
 DependencyDag::insertSortedFrontier(DagNodeId id)
 {

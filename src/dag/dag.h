@@ -482,9 +482,6 @@ class DependencyDag
         return links_[id].succs;
     }
 
-    /** Prerequisite nodes of `id` (at most two, deduplicated). */
-    DagEdgeList predecessors(DagNodeId id) const;
-
     /**
      * True when `id` is unfinished and every predecessor has retired —
      * the readiness test of the scheduler's phase-1 drain and frontier

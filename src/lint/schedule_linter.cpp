@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "arch/target_device.h"
-#include "dag/dag.h"
 
 namespace mussti {
 
@@ -477,30 +476,51 @@ lintPlacementReplay(const Schedule &schedule,
                  "schedule ends mid inserted-SWAP triple");
 }
 
+/** A two-qubit gate of the circuit and its dependencies. */
+struct DepNode
+{
+    int circuitIndex = 0;
+    /** The previous two-qubit gate on each operand (node ids, -1 for
+        none; pred[1] is -1 when it repeats pred[0]). */
+    int pred[2] = {-1, -1};
+};
+
 /**
- * Walk 3 — dependency order and coverage, against the circuit's DAG.
+ * Walk 3 — dependency order and coverage, against the circuit's
+ * dependency DAG: node i is the circuit's i-th two-qubit gate, and its
+ * predecessors are the previous two-qubit gate on each operand.
  * Position-based (no destructive DAG replay): a gate op violates
- * dep-order iff some DAG predecessor's op appears LATER in the stream;
- * a predecessor with no op at all is a coverage hole, not a dep
+ * dep-order iff some predecessor's op appears LATER in the stream; a
+ * predecessor with no op at all is a coverage hole, not a dep
  * violation — so each corruption class fires exactly its own rule.
  */
 void
 lintDagOrder(const Schedule &schedule, const std::vector<char> &valid,
              const Circuit &circuit, RuleSink &sink)
 {
-    // Horizon 1: this walk reads only nodes and edges, never the
-    // look-ahead window, and the smallest horizon keeps the DAG's
-    // window-initialisation sweep out of the lint budget (the linter
-    // runs inline on every delta-resumed schedule).
-    const DependencyDag dag(circuit, 1);
-    std::vector<DagNodeId> by_circuit_index(circuit.size(), -1);
-    for (DagNodeId id = 0; id < dag.size(); ++id)
-        by_circuit_index[static_cast<std::size_t>(
-            dag.node(id).circuitIndex)] = id;
+    // One pass with a per-qubit "last two-qubit gate" builds the edges
+    // without a DependencyDag: the linter runs inline on every
+    // delta-resumed schedule.
+    std::vector<DepNode> nodes;
+    std::vector<int> by_circuit_index(circuit.size(), -1);
+    std::vector<int> last_on(static_cast<std::size_t>(circuit.numQubits()),
+                             -1);
+    for (std::size_t i = 0; i < circuit.size(); ++i) {
+        const Gate &g = circuit[i];
+        if (g.kind == GateKind::Barrier || !g.twoQubit())
+            continue;
+        DepNode node;
+        node.circuitIndex = static_cast<int>(i);
+        node.pred[0] = last_on[g.q0];
+        if (last_on[g.q1] != node.pred[0])
+            node.pred[1] = last_on[g.q1];
+        by_circuit_index[i] = static_cast<int>(nodes.size());
+        last_on[g.q0] = last_on[g.q1] = static_cast<int>(nodes.size());
+        nodes.push_back(node);
+    }
 
     constexpr std::size_t kUnseen = static_cast<std::size_t>(-1);
-    std::vector<std::size_t> first_op(
-        static_cast<std::size_t>(dag.size()), kUnseen);
+    std::vector<std::size_t> first_op(nodes.size(), kUnseen);
 
     for (std::size_t i = 0; i < schedule.ops.size(); ++i) {
         if (!valid[i])
@@ -524,9 +544,9 @@ lintDagOrder(const Schedule &schedule, const std::vector<char> &valid,
             sink.add(lint_rules::kCoverage, where(), msg(out));
             continue;
         }
-        const DagNodeId node =
+        const int node =
             by_circuit_index[static_cast<std::size_t>(op.circuitGate)];
-        const Gate &g = dag.node(node).gate;
+        const Gate &g = circuit[static_cast<std::size_t>(op.circuitGate)];
         const bool operands_match =
             (g.q0 == op.q0 && g.q1 == op.q1) ||
             (g.q0 == op.q1 && g.q1 == op.q0);
@@ -550,18 +570,21 @@ lintDagOrder(const Schedule &schedule, const std::vector<char> &valid,
         first_op[static_cast<std::size_t>(node)] = i;
     }
 
-    for (DagNodeId id = 0; id < dag.size(); ++id) {
-        const std::size_t mine = first_op[static_cast<std::size_t>(id)];
-        const DagNode &node = dag.node(id);
+    for (std::size_t id = 0; id < nodes.size(); ++id) {
+        const std::size_t mine = first_op[id];
+        const DepNode &node = nodes[id];
         if (mine == kUnseen) {
+            const Gate &g =
+                circuit[static_cast<std::size_t>(node.circuitIndex)];
             std::ostringstream out;
-            out << "circuit gate " << node.circuitIndex << " (q"
-                << node.gate.q0 << ",q" << node.gate.q1
-                << ") never appears in the schedule";
+            out << "circuit gate " << node.circuitIndex << " (q" << g.q0
+                << ",q" << g.q1 << ") never appears in the schedule";
             sink.add(lint_rules::kCoverage, "whole schedule", msg(out));
             continue;
         }
-        for (DagNodeId pred : dag.predecessors(id)) {
+        for (const int pred : node.pred) {
+            if (pred < 0)
+                continue;
             const std::size_t pred_op =
                 first_op[static_cast<std::size_t>(pred)];
             if (pred_op != kUnseen && pred_op > mine) {
@@ -569,8 +592,8 @@ lintDagOrder(const Schedule &schedule, const std::vector<char> &valid,
                 out << "circuit gate " << node.circuitIndex
                     << " executes at op " << mine
                     << " before its dependency, circuit gate "
-                    << dag.node(pred).circuitIndex << " at op "
-                    << pred_op;
+                    << nodes[static_cast<std::size_t>(pred)].circuitIndex
+                    << " at op " << pred_op;
                 sink.add(lint_rules::kDepOrder,
                          opLocation(mine, schedule.ops[mine]), msg(out));
             }

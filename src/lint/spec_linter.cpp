@@ -9,6 +9,7 @@
 #include "arch/device_registry.h"
 #include "common/string_util.h"
 #include "core/config.h"
+#include "dag/dag.h"
 
 namespace mussti {
 
@@ -336,14 +337,11 @@ lintMusstiConfig(const MusstiConfig &config, int workload_qubits)
         report.add(lint_rules::kCfgLookahead, LintSeverity::Error, where,
                    "lookAhead must be >= 1, got " +
                        std::to_string(config.lookAhead));
-    if (config.nextUseHorizon < 1)
-        report.add(lint_rules::kCfgHorizon, LintSeverity::Error, where,
-                   "nextUseHorizon must be >= 1, got " +
-                       std::to_string(config.nextUseHorizon));
-    else if (config.lookAhead > config.nextUseHorizon) {
+    if (config.lookAhead > DependencyDag::kDefaultWindowHorizon) {
         std::ostringstream out;
         out << "lookAhead " << config.lookAhead
-            << " exceeds nextUseHorizon " << config.nextUseHorizon
+            << " exceeds the DAG window horizon "
+            << DependencyDag::kDefaultWindowHorizon
             << ": the weight table asks for layers the DAG window "
             << "never maintains, and the scheduler rejects it";
         report.add(lint_rules::kCfgHorizon, LintSeverity::Error, where,

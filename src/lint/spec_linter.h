@@ -20,7 +20,7 @@
  *   search.singleton         a "search" that enumerates one candidate
  *   cfg.lookahead         weight-table look-ahead out of range
  *   cfg.swap-threshold    SWAP insertion below its 3-gate break-even
- *   cfg.horizon           DAG window horizon inconsistent with knobs
+ *   cfg.horizon           lookAhead deeper than the DAG window horizon
  */
 #ifndef MUSSTI_LINT_SPEC_LINTER_H
 #define MUSSTI_LINT_SPEC_LINTER_H

@@ -14,7 +14,6 @@
 #include "baselines/backend_factory.h"
 #include "circuit/qasm.h"
 #include "common/logging.h"
-#include "common/string_util.h"
 #include "core/pipeline.h"
 #include "serve/framing.h"
 #include "workloads/workloads.h"
@@ -297,33 +296,16 @@ CompileServer::buildRequest(const ServeRequest &request) const
                    "compile request names neither a benchmark family "
                    "nor inline QASM");
 
-    // Backend/device resolution mirrors compile_cli exactly — the
+    // The same resolution as compile_cli (makeBackendFor): the
     // determinism contract depends on a served compile being configured
     // bit-for-bit like a local one.
-    MusstiConfig config;
-    DeviceSpec spec = DeviceRegistry::specOf(config.device);
-    if (!request.device.empty())
-        spec = DeviceRegistry::parse(request.device);
-
-    const std::string backend_name =
-        toLower(request.backend.empty() ? "mussti" : request.backend);
-    std::shared_ptr<const ICompilerBackend> backend;
-    if (backend_name == "mussti") {
-        if (spec.family != DeviceFamily::Eml)
-            fatalCoded("serve.device-mismatch",
-                       "backend mussti needs an eml:... device spec, "
-                       "got: " + spec.canonical());
-        config.device = spec.eml;
-        backend = makeMusstiBackend(config);
-    } else {
-        if (spec.family != DeviceFamily::Grid)
-            fatalCoded("serve.device-mismatch",
-                       "backend " + backend_name + " needs a grid:... "
-                       "device spec, got: " + spec.canonical());
-        backend = makeGridBackend(backend_name, spec.grid);
-    }
-
-    CompileRequest job{std::move(backend), std::move(circuit), {}, {}, {}};
+    const DeviceSpec spec = request.device.empty()
+                                ? DeviceRegistry::specOf(EmlConfig{})
+                                : DeviceRegistry::parse(request.device);
+    CompileRequest job{
+        makeBackendFor(request.backend.empty() ? "mussti" : request.backend,
+                       spec),
+        std::move(circuit), {}, {}, {}};
     if (request.hasSeed)
         job.seed = request.seed;
     if (request.deadlineMs > 0)

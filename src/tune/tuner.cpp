@@ -8,7 +8,6 @@
 #include "common/fault_injection.h"
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "core/compiler.h"
 #include "workloads/workloads.h"
 
 namespace mussti {
@@ -31,18 +30,6 @@ describeFailure(const MusstiError &error)
 {
     return std::string(error.categoryName()) + " [" + error.code() +
            "] " + error.message();
-}
-
-/** The backend one candidate spec compiles with. */
-std::shared_ptr<const ICompilerBackend>
-backendFor(const DeviceSpec &spec, const TunerConfig &config)
-{
-    if (spec.family == DeviceFamily::Eml) {
-        MusstiConfig mussti;
-        mussti.device = spec.eml;
-        return makeMusstiBackend(mussti);
-    }
-    return makeGridBackend(config.gridBackend, spec.grid);
 }
 
 /**
@@ -216,8 +203,11 @@ tuneDeviceSpec(const TunerConfig &config, const SpecSearchSpace &space,
     std::vector<std::size_t> owner; ///< flat job -> candidate index
     requests.reserve(feasible.size() * circuits.size());
     for (const std::size_t i : feasible) {
-        const auto backend = backendFor(outcome.candidates[i].spec,
-                                        config);
+        const DeviceSpec &spec = outcome.candidates[i].spec;
+        const auto backend = makeBackendFor(
+            spec.family == DeviceFamily::Eml ? "mussti"
+                                             : config.gridBackend,
+            spec);
         for (const Circuit &circuit : circuits) {
             CompileRequest request{backend, circuit, {}, {}, {}};
             request.seed = CompileService::deriveJobSeed(config.baseSeed,

@@ -10,13 +10,14 @@
  * compile on a single-worker service: while the worker chews on it,
  * admission dispatch decisions (which are synchronous with submit) land
  * in a deterministic order, and queued-side effects release in service
- * FIFO order afterwards.
+ * FIFO order afterwards — so completion order is dispatch order.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -51,7 +52,7 @@ blockerCircuit()
     return makeBenchmark("qv", 64);
 }
 
-TEST(Admission, DispatchLogPinsTheDrrInterleaving)
+TEST(Admission, CompletionOrderPinsTheDrrInterleaving)
 {
     CompileServiceConfig service_config;
     service_config.numThreads = 1;
@@ -69,28 +70,31 @@ TEST(Admission, DispatchLogPinsTheDrrInterleaving)
         service.submit(backend(), blockerCircuit());
 
     const Circuit small = makeBenchmark("ghz", 8);
-    std::atomic<int> done{0};
-    const auto sink = [&done](CompileOutcome outcome) {
-        EXPECT_TRUE(outcome.ok());
-        ++done;
+    std::mutex order_mutex;
+    std::vector<std::string> order;
+    const auto sink = [&](const std::string &client) {
+        return [&, client](CompileOutcome outcome) {
+            EXPECT_TRUE(outcome.ok());
+            std::lock_guard<std::mutex> lock(order_mutex);
+            order.push_back(client);
+        };
     };
     // A floods four; B two; C one. Budget 2 caps A and B at two
     // dispatches; A's remaining two release one per A-completion.
-    admission.submit("A", requestFor(small, 1), sink);
-    admission.submit("A", requestFor(small, 2), sink);
-    admission.submit("A", requestFor(small, 3), sink);
-    admission.submit("A", requestFor(small, 4), sink);
-    admission.submit("B", requestFor(small, 5), sink);
-    admission.submit("B", requestFor(small, 6), sink);
-    admission.submit("C", requestFor(small, 7), sink);
+    admission.submit("A", requestFor(small, 1), sink("A"));
+    admission.submit("A", requestFor(small, 2), sink("A"));
+    admission.submit("A", requestFor(small, 3), sink("A"));
+    admission.submit("A", requestFor(small, 4), sink("A"));
+    admission.submit("B", requestFor(small, 5), sink("B"));
+    admission.submit("B", requestFor(small, 6), sink("B"));
+    admission.submit("C", requestFor(small, 7), sink("C"));
 
     blocker.get();
     admission.drain();
-    EXPECT_EQ(done.load(), 7);
 
     const std::vector<std::string> expected = {"A", "A", "B", "B", "C",
                                               "A", "A"};
-    EXPECT_EQ(admission.dispatchLog(), expected);
+    EXPECT_EQ(order, expected);
 
     const AdmissionStats stats = admission.stats();
     EXPECT_EQ(stats.submitted, 7u);
@@ -142,7 +146,7 @@ TEST(Admission, QuantumMakesCostCountNotJobCount)
     // credit per rotation and a ghz-8 job costs its gate count, so a
     // competing client's cheap jobs interleave ahead — the DRR serves
     // WORK, not job slots. We only pin the aggregate here (the exact
-    // interleave is pinned by DispatchLogPinsTheDrrInterleaving).
+    // interleave is pinned by CompletionOrderPinsTheDrrInterleaving).
     CompileServiceConfig service_config;
     service_config.numThreads = 2;
     service_config.cacheCapacity = 0;
@@ -211,6 +215,64 @@ TEST(Admission, ShutdownCancelsQueuedAndDeliversEverything)
                          rejected = true;
                      });
     EXPECT_TRUE(rejected);
+}
+
+/**
+ * A client with nothing queued or in flight leaves the rotation, and on
+ * its return re-enters at the tail, behind the clients that stayed
+ * active. Shutdown cancels queued jobs in rotation order, which shows
+ * the order directly.
+ */
+TEST(Admission, ReturningClientReentersAtTheTail)
+{
+    CompileServiceConfig service_config;
+    service_config.numThreads = 1;
+    service_config.cacheCapacity = 0;
+    CompileService service(service_config);
+
+    FairAdmissionConfig policy;
+    policy.maxInFlightPerClient = 1;
+    FairAdmission admission(service, policy);
+
+    // A is active first, then idle: it leaves the rotation.
+    const Circuit small = makeBenchmark("ghz", 8);
+    admission.submit("A", requestFor(small, 1), [](CompileOutcome outcome) {
+        EXPECT_TRUE(outcome.ok());
+    });
+    admission.drain();
+    EXPECT_EQ(admission.stats().activeClients, 0u);
+
+    // Park the single worker until both queued jobs are cancelled: the
+    // gate job's callback runs on the worker and waits for the release.
+    std::promise<void> release;
+    const std::shared_future<void> gate = release.get_future().share();
+    service.submitWithCallback(requestFor(small, 2),
+                               [gate](CompileOutcome) { gate.wait(); });
+
+    std::mutex cancelled_mutex;
+    std::vector<std::string> cancelled;
+    const auto sink = [&](const std::string &client) {
+        return [&, client](CompileOutcome outcome) {
+            if (outcome.ok())
+                return;
+            std::lock_guard<std::mutex> lock(cancelled_mutex);
+            cancelled.push_back(client);
+            if (cancelled.size() == 2)
+                release.set_value();
+        };
+    };
+    // B becomes active before A returns. Each dispatches one job (the
+    // in-flight budget) and queues one.
+    admission.submit("B", requestFor(small, 3), sink("B"));
+    admission.submit("B", requestFor(small, 4), sink("B"));
+    admission.submit("A", requestFor(small, 5), sink("A"));
+    admission.submit("A", requestFor(small, 6), sink("A"));
+    EXPECT_EQ(admission.stats().queuedJobs, 2u);
+
+    admission.shutdown();
+    const std::vector<std::string> expected = {"B", "A"};
+    EXPECT_EQ(cancelled, expected);
+    EXPECT_EQ(admission.stats().cancelledQueued, 2u);
 }
 
 TEST(Admission, DrainOnIdleReturnsImmediately)

@@ -443,7 +443,6 @@ TEST(CompileService, JobControlUnwindsTheCompilePipeline)
         const std::atomic<bool> fired{true};
         JobControl cancelled;
         cancelled.cancel = &fired;
-        cancelled.checkEveryGates = 1;
         DeltaCompileIO delta2;
         try {
             (void)backend->compile(qc, {.delta = &delta2,

@@ -78,19 +78,21 @@ TEST(Dag, DoubleCompletionPanics)
 TEST(Dag, SharedPredecessorSingleEdge)
 {
     // Both operands of the second gate come from the same predecessor;
-    // the edge must be deduplicated so pendingPreds is 1, and both of
-    // its chain predecessors name that one gate. Qubit 2 stays idle.
+    // the edge must be deduplicated so pendingPreds is 1. The edges are
+    // exactly 0 -> 1 -> 2, each listed once. Qubit 2 stays idle.
     Circuit qc(3);
     qc.cx(0, 1);
     qc.cx(1, 0);
     qc.cx(0, 1);
     DependencyDag dag(qc);
     dag.trackNextUse();
-    EXPECT_EQ(dag.successors(0).size(), 1u);
+    ASSERT_EQ(dag.successors(0).size(), 1u);
     EXPECT_EQ(*dag.successors(0).begin(), 1);
-    ASSERT_EQ(dag.predecessors(1).size(), 1u);
-    EXPECT_EQ(*dag.predecessors(1).begin(), 0);
-    EXPECT_TRUE(dag.predecessors(0).empty());
+    ASSERT_EQ(dag.successors(1).size(), 1u);
+    EXPECT_EQ(*dag.successors(1).begin(), 2);
+    EXPECT_TRUE(dag.successors(2).empty());
+    EXPECT_TRUE(dag.isReady(0));
+    EXPECT_FALSE(dag.isReady(1));
     EXPECT_EQ(dag.windowDepth(2), 2);
     EXPECT_EQ(dag.nextUse(), (std::vector<int>{0, 0, 64}));
     dag.complete(0);

@@ -16,6 +16,7 @@
 #include "common/hash.h"
 #include "core/compile_service.h"
 #include "core/compiler.h"
+#include "dag/dag.h"
 #include "workloads/workloads.h"
 
 namespace mussti {
@@ -156,12 +157,12 @@ TEST(DeltaCompile, MusstiWarmMatchesColdAcrossDeviceShapes)
 
 TEST(DeltaCompile, LookAheadAtTheHorizonStillResumes)
 {
-    // lookAhead == nextUseHorizon is the deepest legal look-ahead: the
+    // lookAhead == the DAG window horizon is the deepest legal one: the
     // SWAP-insertion weight table then reads every layer of the window
     // the resume proof covers. It must still compile cold, and a
     // resume must still equal that cold compile bit for bit.
     MusstiConfig config;
-    config.lookAhead = config.nextUseHorizon;
+    config.lookAhead = DependencyDag::kDefaultWindowHorizon;
     MusstiConfig delta_config = config;
     delta_config.deltaCompile = true;
     const Circuit base = makeIsing(32, 40);

@@ -190,9 +190,6 @@ TEST(FaultService, RetryRecoversFromTransientFaults)
 {
     CompileServiceConfig config;
     config.numThreads = 1;
-    config.maxAttempts = 3;
-    config.retryBackoffBaseUs = 1;
-    config.retryBackoffMaxUs = 10;
     CompileService service(config);
     const auto backend = makeMusstiBackend();
     const Circuit qc = makeBenchmark("ghz", 30);
@@ -220,9 +217,6 @@ TEST(FaultService, RetryGivesUpAfterMaxAttempts)
 {
     CompileServiceConfig config;
     config.numThreads = 1;
-    config.maxAttempts = 3;
-    config.retryBackoffBaseUs = 1;
-    config.retryBackoffMaxUs = 10;
     CompileService service(config);
     const auto backend = makeMusstiBackend();
 
@@ -272,17 +266,18 @@ TEST(FaultService, FailedJobsNeverPoisonTheResultCache)
 {
     CompileServiceConfig config;
     config.numThreads = 1;
-    config.maxAttempts = 1; // fail fast, no retry
     CompileService service(config);
     const auto backend = makeMusstiBackend();
     const Circuit qc = makeBenchmark("adder", 30);
     const CompileResult reference = backend->compile(qc);
 
     {
+        // One Transient fault per attempt: the job exhausts its retries.
         FaultScript script;
-        script.triggers.push_back({FaultSite::WorkerDequeue, 0,
-                                   ErrorCategory::Transient,
-                                   "fault.injected"});
+        for (std::uint64_t visit = 0; visit < 3; ++visit)
+            script.triggers.push_back({FaultSite::WorkerDequeue, visit,
+                                       ErrorCategory::Transient,
+                                       "fault.injected"});
         const ScopedFaultScript armed(script);
         const CompileOutcome failed =
             service.submitOutcome({backend, qc, {}, {}, {}}).get();
@@ -305,7 +300,6 @@ TEST(FaultService, QuarantineAfterConsecutiveResumeFallbacks)
     CompileServiceConfig config;
     config.numThreads = 1;
     config.snapshotCacheCapacity = 16;
-    config.deltaQuarantineThreshold = 3;
     CompileService service(config);
     const auto backend = deltaBackend();
 
@@ -317,9 +311,10 @@ TEST(FaultService, QuarantineAfterConsecutiveResumeFallbacks)
 
     // Base compile banks snapshots; each extension probes them, gets
     // its resume sabotaged, and falls back cold — growing the streak.
+    constexpr int kThreshold = SnapshotCache::kQuarantineThreshold;
     (void)service.submitOutcome(
         {backend, makeIsing(24, 40), {}, {}, {}}).get();
-    for (int steps = 41; steps <= 43; ++steps) {
+    for (int steps = 41; steps <= 40 + kThreshold; ++steps) {
         const CompileOutcome outcome = service.submitOutcome(
             {backend, makeIsing(24, steps), {}, {}, {}}).get();
         ASSERT_TRUE(outcome.ok()) << steps;
@@ -329,7 +324,8 @@ TEST(FaultService, QuarantineAfterConsecutiveResumeFallbacks)
     CompileService::CacheStats stats = service.cacheStats();
     EXPECT_TRUE(stats.deltaQuarantined);
     EXPECT_EQ(stats.deltaQuarantines, 1u);
-    EXPECT_EQ(stats.deltaFallbacks, 3u);
+    EXPECT_EQ(stats.deltaFallbacks,
+              static_cast<std::uint64_t>(kThreshold));
     EXPECT_EQ(stats.deltaResumes, 0u);
     EXPECT_EQ(stats.snapshotCount, 0u); // tier cleared
     EXPECT_EQ(stats.snapshotBytes, 0u);
@@ -338,7 +334,7 @@ TEST(FaultService, QuarantineAfterConsecutiveResumeFallbacks)
 
     // Jobs after quarantine skip the tier entirely, still succeed, and
     // stay bit-identical to a direct fault-free compile.
-    const Circuit later = makeIsing(24, 44);
+    const Circuit later = makeIsing(24, 41 + kThreshold);
     const CompileOutcome after =
         service.submitOutcome({backend, later, {}, {}, {}}).get();
     ASSERT_TRUE(after.ok());
@@ -443,9 +439,6 @@ TEST(FaultService, SoakSurvivesScriptedFaultStorm)
     // Fault-free reference service (same config, no injection).
     CompileServiceConfig config;
     config.numThreads = 1;
-    config.maxAttempts = 3;
-    config.retryBackoffBaseUs = 1;
-    config.retryBackoffMaxUs = 10;
     {
         CompileService reference(config);
         for (SoakJob &job : jobs) {

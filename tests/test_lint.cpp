@@ -12,8 +12,6 @@
  *  3. Report mechanics: per-rule truncation, renderers, fired-rule set.
  *  4. Spec/search/config linting: each spec.* / search.* / cfg.* rule
  *     has a positive and the defaults stay clean.
- *  5. The opt-in pipeline pass: present iff lintLevel > 0, folded into
- *     configDigest, green on a clean compile at the strict level.
  */
 #include <gtest/gtest.h>
 
@@ -22,8 +20,8 @@
 #include "arch/device_registry.h"
 #include "baselines/backend_factory.h"
 #include "core/compiler.h"
+#include "dag/dag.h"
 #include "lint/corrupt.h"
-#include "lint/lint_pass.h"
 #include "lint/schedule_linter.h"
 #include "lint/spec_linter.h"
 #include "sim/validator.h"
@@ -316,58 +314,14 @@ TEST(SpecLint, ConfigKnobRules)
         lintMusstiConfig(config).fired(lint_rules::kCfgLookahead));
     config = MusstiConfig{};
 
-    config.lookAhead = 100; // horizon stays 64
+    config.lookAhead = 100; // past the 64-layer horizon
     auto report = lintMusstiConfig(config);
     EXPECT_TRUE(report.fired(lint_rules::kCfgHorizon));
     EXPECT_FALSE(report.ok())
         << "a look-ahead past the horizon is an error: the scheduler "
            "rejects it";
-    config.lookAhead = config.nextUseHorizon; // The deepest legal one.
+    config.lookAhead = DependencyDag::kDefaultWindowHorizon; // Deepest legal.
     EXPECT_FALSE(lintMusstiConfig(config).fired(lint_rules::kCfgHorizon));
-
-    config = MusstiConfig{};
-    config.nextUseHorizon = 0;
-    EXPECT_TRUE(lintMusstiConfig(config).fired(lint_rules::kCfgHorizon));
-}
-
-// ---------------------------------------------------------------------
-// 5. The opt-in pipeline pass.
-// ---------------------------------------------------------------------
-
-TEST(LintPass, PresentExactlyWhenOptedIn)
-{
-    MusstiConfig off;
-    const auto off_names = MusstiCompiler(off).makePipeline().passNames();
-    EXPECT_EQ(std::count(off_names.begin(), off_names.end(),
-                         "schedule-lint"),
-              0);
-
-    MusstiConfig on;
-    on.lintLevel = 1;
-    const auto on_names = MusstiCompiler(on).makePipeline().passNames();
-    EXPECT_EQ(std::count(on_names.begin(), on_names.end(),
-                         "schedule-lint"),
-              1);
-}
-
-TEST(LintPass, StrictLevelIsGreenOnACleanCompile)
-{
-    MusstiConfig config;
-    config.lintLevel = 2; // fatal() on any lint error
-    const auto result =
-        MusstiCompiler(config).compile(makeBenchmark("ghz", 16));
-    bool traced = false;
-    for (const PassTiming &t : result.passTrace)
-        traced = traced || t.pass == "schedule-lint";
-    EXPECT_TRUE(traced);
-}
-
-TEST(LintPass, LintLevelFoldsIntoConfigDigest)
-{
-    MusstiConfig a, b;
-    b.lintLevel = 2;
-    EXPECT_NE(MusstiCompiler(a).configDigest(),
-              MusstiCompiler(b).configDigest());
 }
 
 } // namespace

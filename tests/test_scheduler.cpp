@@ -470,7 +470,7 @@ expectLookAheadRejected(int look_ahead)
     the DAG window would read what the window does not maintain. */
 TEST(Scheduler, LookAheadBeyondHorizonIsAnInputError)
 {
-    expectLookAheadRejected(MusstiConfig{}.nextUseHorizon + 1);
+    expectLookAheadRejected(DependencyDag::kDefaultWindowHorizon + 1);
 }
 
 /** A look-ahead below one layer would silently switch SWAP insertion

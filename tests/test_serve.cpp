@@ -603,7 +603,7 @@ TEST(Serve, StructuredErrorsComeBackOverTheWire)
     mismatch.backend = "mussti";
     const ServeResponse wrong = client.await(client.send(mismatch));
     EXPECT_FALSE(wrong.ok);
-    EXPECT_EQ(wrong.error.code, "serve.device-mismatch");
+    EXPECT_EQ(wrong.error.code, "input.device-mismatch");
 
     // The session survives every bad request above.
     const ServeResponse okStill =
