@@ -437,7 +437,7 @@ measureDelta(const DeltaTier &tier, bool append, int repeats, int soak,
         const double wall_ms = toMs(t1 - t0);
         if (cold_ms < 0.0 || wall_ms < cold_ms)
             cold_ms = wall_ms;
-        if (out.resumed) {
+        if (out.resumedFrom != nullptr) {
             std::printf("FAIL: %s/%s cold reference reports resumed\n",
                         kDeltaSuite, record.name.c_str());
             ok = false;
@@ -453,7 +453,7 @@ measureDelta(const DeltaTier &tier, bool append, int repeats, int soak,
         const double wall_ms = toMs(t1 - t0);
         if (record.wallMs < 0.0 || wall_ms < record.wallMs)
             record.wallMs = wall_ms;
-        if (!out.resumed) {
+        if (out.resumedFrom == nullptr) {
             std::printf("FAIL: %s/%s warm run %d fell back to a cold "
                         "schedule\n", kDeltaSuite, record.name.c_str(),
                         rep);

@@ -30,13 +30,14 @@
  * run, so `compile_client qft 32` vs `compile_cli qft 32` is the
  * end-to-end determinism check in one diff.
  */
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 
 #include "common/error.h"
+#include "common/logging.h"
 #include "common/string_util.h"
 #include "serve/compile_client.h"
 #include "serve/protocol.h"
@@ -109,7 +110,12 @@ cliMain(int argc, char **argv)
         } else if (arg == "--backend" && i + 1 < argc) {
             request.backend = argv[++i];
         } else if (arg == "--seed" && i + 1 < argc) {
-            request.seed = std::strtoull(argv[++i], nullptr, 0);
+            const std::string text = argv[++i];
+            const std::optional<std::uint64_t> seed = parseU64Strict(text);
+            MUSSTI_REQUIRE(seed.has_value(),
+                           "unparsable --seed `" << text << "` (want a "
+                           "decimal or 0x-hex unsigned 64-bit integer)");
+            request.seed = *seed;
             request.hasSeed = true;
         } else if (arg == "--deadline-ms" && i + 1 < argc) {
             request.deadlineMs = parseIntArg(argv[++i], "--deadline-ms", 0);
@@ -151,7 +157,8 @@ cliMain(int argc, char **argv)
         request.name = qasm_file;
     } else {
         request.family = target;
-        request.qubits = qubits;
+        if (qubits > 0)
+            request.qubits = qubits;
     }
 
     CompileClient client;

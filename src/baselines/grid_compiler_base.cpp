@@ -297,7 +297,7 @@ GridCompilerBase::makePipeline() const
 }
 
 CompileResult
-GridCompilerBase::compile(Circuit circuit,
+GridCompilerBase::compile(const Circuit &circuit,
                           const CompileOptions &options) const
 {
     if (options.delta != nullptr) {
@@ -305,7 +305,7 @@ GridCompilerBase::compile(Circuit circuit,
         options.delta->resumed = false;
     }
     // The seed is unused but a value must flow to the context.
-    return makePipeline().compile(std::move(circuit), params_, 0, nullptr,
+    return makePipeline().compile(circuit, params_, 0, nullptr,
                                   options.control);
 }
 

@@ -61,7 +61,7 @@ class GridCompilerBase : public ICompilerBackend
      * ignored, a delta exchange is left with nothing captured, and the
      * control is checked at every pass boundary of the pipeline.
      */
-    CompileResult compile(Circuit circuit,
+    CompileResult compile(const Circuit &circuit,
                           const CompileOptions &options = {}) const override;
 
     const std::string &name() const override { return name_; }

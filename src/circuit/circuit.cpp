@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/hash.h"
 #include "common/logging.h"
@@ -12,6 +13,9 @@ Circuit::Circuit(int num_qubits, std::string name)
     : numQubits_(num_qubits), name_(std::move(name))
 {
     MUSSTI_REQUIRE(num_qubits > 0, "circuit needs at least one qubit");
+    MUSSTI_REQUIRE(num_qubits <= kMaxQubits,
+                   "circuit of " << num_qubits << " qubits exceeds the "
+                   << kMaxQubits << "-qubit limit");
 }
 
 void
@@ -60,13 +64,18 @@ Circuit
 Circuit::withSwapsDecomposed() const
 {
     Circuit out(numQubits_, name_);
+    const auto swaps = std::count_if(
+        gates_.begin(), gates_.end(),
+        [](const Gate &g) { return g.kind == GateKind::Swap; });
+    out.gates_.reserve(gates_.size() + 2 * static_cast<std::size_t>(swaps));
+    // Every gate here already passed add()'s operand checks.
     for (const Gate &g : gates_) {
         if (g.kind == GateKind::Swap) {
-            out.cx(g.q0, g.q1);
-            out.cx(g.q1, g.q0);
-            out.cx(g.q0, g.q1);
+            out.gates_.emplace_back(GateKind::Cx, g.q0, g.q1);
+            out.gates_.emplace_back(GateKind::Cx, g.q1, g.q0);
+            out.gates_.emplace_back(GateKind::Cx, g.q0, g.q1);
         } else {
-            out.add(g);
+            out.gates_.push_back(g);
         }
     }
     return out;
@@ -122,22 +131,32 @@ Circuit::prefixHash(std::size_t num_gates) const
                    << gates_.size() << "-gate circuit");
     if (prefixHashes_.empty()) {
         // Link 0: the chain seed over everything that precedes the gate
-        // stream. Byte-compatible with the historical contentHash(),
-        // which folded (numQubits, name) before the gates.
+        // stream.
         Fnv1a seed;
         seed.update(numQubits_);
         seed.update(name_);
         prefixHashes_.reserve(gates_.size() + 1);
         prefixHashes_.push_back(seed.digest());
     }
-    while (prefixHashes_.size() <= num_gates) {
-        const Gate &g = gates_[prefixHashes_.size() - 1];
-        Fnv1a hash(prefixHashes_.back());
-        hash.update(static_cast<int>(g.kind));
-        hash.update(g.q0);
-        hash.update(g.q1);
-        hash.update(g.param);
-        prefixHashes_.push_back(hash.digest());
+    std::uint64_t hash = prefixHashes_.back();
+    for (std::size_t i = prefixHashes_.size() - 1; i < num_gates; ++i) {
+        const Gate &g = gates_[i];
+        // Operands are -1 (absent) up to numQubits_ - 1, so q + 1 fits
+        // 28 bits; the mask (and the unsigned add) only matter for the
+        // unchecked operand slots of gates that do not use them.
+        const auto field = [](int q) {
+            constexpr std::uint64_t kMask = (1ull << 28) - 1;
+            return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(q)) +
+                    1) & kMask;
+        };
+        const std::uint64_t word0 = static_cast<std::uint64_t>(g.kind) << 56 |
+                                    field(g.q0) << 28 | field(g.q1);
+        std::uint64_t word1 = 0;
+        std::memcpy(&word1, &g.param, sizeof(word1));
+        // The gate's own mix does not depend on the chain, so only one
+        // splitMix64 per gate sits on the chain's critical path.
+        hash = splitMix64(hash ^ (splitMix64(word0) ^ word1));
+        prefixHashes_.push_back(hash);
     }
     return prefixHashes_[num_gates];
 }

@@ -40,6 +40,12 @@ class Circuit
     /** An empty circuit over a fixed qubit count. */
     explicit Circuit(int num_qubits, std::string name = "circuit");
 
+    /**
+     * Largest qubit count: every operand + 1 must fit a 28-bit field of
+     * a prefix-hash word.
+     */
+    static constexpr int kMaxQubits = (1 << 28) - 1;
+
     /** Number of qubits the circuit addresses. */
     int numQubits() const { return numQubits_; }
 
@@ -101,8 +107,8 @@ class Circuit
     std::vector<int> twoQubitDegrees() const;
 
     /**
-     * Platform-stable FNV-1a digest of the circuit's full content (qubit
-     * count, name, every gate). Equal circuits hash equally; used as the
+     * Platform-stable digest of the circuit's full content (qubit count,
+     * name, every gate). Equal circuits hash equally; used as the
      * circuit component of the compile-service cache key. Identical to
      * prefixHash(size()) — the full hash is the last link of the
      * prefix-hash chain.
@@ -110,8 +116,8 @@ class Circuit
     std::uint64_t contentHash() const { return prefixHash(size()); }
 
     /**
-     * FNV-1a digest of the first `num_gates` gates (plus qubit count and
-     * name): the rolling prefix-hash chain behind delta compilation.
+     * Digest of the first `num_gates` gates (plus qubit count and name):
+     * the rolling prefix-hash chain behind delta compilation.
      * prefixHash(p) of circuit A equals prefixHash(p) of circuit B iff
      * they agree on qubit count, name, and gates [0, p) — so the longest
      * prefix shared with a cached artifact is found by hash lookup, not
@@ -119,10 +125,17 @@ class Circuit
      * incrementally: after the first call, hashing an appended gate (or
      * any longer prefix) costs O(1) per gate, never a rescan.
      *
+     * Each link folds one gate as two 64-bit words through splitMix64:
+     * the kind packed with q0 + 1 and q1 + 1 (kMaxQubits keeps them in
+     * their 28-bit fields), mixed and combined with the bit pattern of
+     * `param`, then mixed into the chain. The digests are therefore not
+     * those of the byte-wise FNV-1a chain older builds used, and cache
+     * entries keyed by it never match.
+     *
      * The cache is not synchronised: the first call on a Circuit shared
      * across threads races. Every compile path hands each job its own
-     * Circuit copy (CompileRequest owns its circuit), so this only
-     * matters for callers that deliberately share one instance.
+     * Circuit (CompileRequest owns its circuit), so this only matters
+     * for callers that deliberately share one instance.
      */
     std::uint64_t prefixHash(std::size_t num_gates) const;
 
@@ -140,9 +153,9 @@ class Circuit
     std::vector<Gate> gates_;
 
     /**
-     * Lazy rolling chain: prefixHashes_[i] is the FNV-1a state after
-     * (numQubits, name, gates [0, i)). Empty until the first hash query;
-     * extended on demand, so appends never invalidate it.
+     * Lazy rolling chain: prefixHashes_[i] is the digest of (numQubits,
+     * name, gates [0, i)). Empty until the first hash query; extended
+     * on demand, so appends never invalidate it.
      */
     mutable std::vector<std::uint64_t> prefixHashes_;
 };

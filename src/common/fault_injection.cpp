@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 
+#include "common/hash.h"
 #include "common/logging.h"
 
 namespace mussti {
@@ -29,25 +30,16 @@ siteIndex(FaultSite site)
     return static_cast<int>(site);
 }
 
-/** SplitMix64 finalizer — the same mixer deriveJobSeed builds on. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
 /** Deterministic per-(seed, site, visit) coin flip against probability. */
 bool
 probabilisticFire(FaultSite site, std::uint64_t visit)
 {
     if (g_script.probability <= 0.0 || !g_probabilistic_site[siteIndex(site)])
         return false;
-    const std::uint64_t h = mix64(
-        g_script.seed ^ mix64(static_cast<std::uint64_t>(siteIndex(site)) ^
-                              (visit * 0x2545f4914f6cdd1dULL)));
+    const std::uint64_t h = splitMix64(
+        g_script.seed ^
+        splitMix64(static_cast<std::uint64_t>(siteIndex(site)) ^
+                   (visit * 0x2545f4914f6cdd1dULL)));
     // Top 53 bits give a uniform double in [0, 1).
     const double u =
         static_cast<double>(h >> 11) * (1.0 / 9007199254740992.0);

@@ -1,10 +1,12 @@
 /**
  * @file
- * FNV-1a content hashing for cache keys and config digests.
+ * Platform-stable hashing for cache keys and config digests.
  *
  * The compile-service result cache keys jobs by (circuit hash, backend
- * config digest, seed); both hashes are built with this accumulator so
- * they are stable across platforms and runs (unlike std::hash).
+ * config digest, seed). Config digests and fingerprints are built with
+ * the FNV-1a accumulator below; the circuit hash folds whole 64-bit
+ * words through splitMix64 (Circuit::prefixHash). Both are stable
+ * across platforms and runs (unlike std::hash).
  */
 #ifndef MUSSTI_COMMON_HASH_H
 #define MUSSTI_COMMON_HASH_H
@@ -15,20 +17,26 @@
 
 namespace mussti {
 
+/**
+ * SplitMix64: add the golden-ratio increment, then two multiply and
+ * xor-shift rounds. A bijection on 64-bit words in which every output
+ * bit depends on every input bit, so unlike FNV's `(h ^ w) * p` a
+ * difference in the top bit of a word does not stay in the top bit.
+ */
+constexpr std::uint64_t
+splitMix64(std::uint64_t x)
+{
+    x += 0x9E3779B97F4A7C15ull;
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+    return x ^ (x >> 31);
+}
+
 /** Incremental 64-bit FNV-1a hash accumulator. */
 class Fnv1a
 {
   public:
     Fnv1a() = default;
-
-    /**
-     * Resume accumulation from a previously observed digest. FNV-1a has
-     * no finalisation step — the running state IS the digest — so
-     * `Fnv1a(a.digest())` continued with bytes B equals one accumulator
-     * fed A then B. This is what makes a per-gate prefix-hash chain
-     * (Circuit::prefixHash) O(1) per appended gate.
-     */
-    explicit Fnv1a(std::uint64_t resume_state) : hash_(resume_state) {}
 
     /** Fold `size` raw bytes into the hash. */
     void

@@ -45,6 +45,26 @@ parseIntStrict(const std::string &text)
     }
 }
 
+std::optional<std::uint64_t>
+parseU64Strict(const std::string &text)
+{
+    const bool hex = text.size() > 2 && text[0] == '0' &&
+                     (text[1] == 'x' || text[1] == 'X');
+    const std::size_t start = hex ? 2 : 0;
+    if (text.size() == start)
+        return std::nullopt;
+    for (std::size_t i = start; i < text.size(); ++i) {
+        const auto c = static_cast<unsigned char>(text[i]);
+        if (hex ? !std::isxdigit(c) : !std::isdigit(c))
+            return std::nullopt;
+    }
+    try {
+        return std::stoull(text.substr(start), nullptr, hex ? 16 : 10);
+    } catch (const std::out_of_range &) {
+        return std::nullopt;
+    }
+}
+
 int
 parseIntArg(const std::string &text, const std::string &what)
 {

@@ -5,6 +5,7 @@
 #ifndef MUSSTI_COMMON_STRING_UTIL_H
 #define MUSSTI_COMMON_STRING_UTIL_H
 
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <string>
@@ -32,6 +33,13 @@ std::optional<double> parseDoubleStrict(const std::string &text);
 
 /** Strict full-string int parse; nullopt on garbage or overflow. */
 std::optional<int> parseIntStrict(const std::string &text);
+
+/**
+ * Strict full-string unsigned 64-bit parse, decimal or 0x-hex: digits
+ * only after the optional prefix (no sign, no whitespace); nullopt on
+ * garbage or overflow.
+ */
+std::optional<std::uint64_t> parseU64Strict(const std::string &text);
 
 /**
  * Strict int parse for command-line tokens: fatal() with a diagnostic

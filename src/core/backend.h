@@ -57,9 +57,13 @@ class ICompilerBackend
     /** Stable backend identifier ("mussti", "murali", "dai", "mqt"). */
     virtual const std::string &name() const = 0;
 
-    /** Compile and evaluate a circuit; the only compile entry point. */
+    /**
+     * Compile and evaluate a circuit; the only compile entry point. The
+     * circuit is only read, so a caller that retries keeps it intact.
+     */
     virtual CompileResult
-    compile(Circuit circuit, const CompileOptions &options = {}) const = 0;
+    compile(const Circuit &circuit,
+            const CompileOptions &options = {}) const = 0;
 
     /**
      * Digest of everything besides the circuit and the per-job seed that

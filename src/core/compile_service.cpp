@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/fault_injection.h"
+#include "common/hash.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 
@@ -29,7 +30,7 @@ constexpr long long kRetryBackoffMaxUs = 20000;
 const CompileResult &
 CompileOutcome::value() const
 {
-    if (!result.has_value())
+    if (result == nullptr)
         errorInfo().raise();
     return *result;
 }
@@ -37,9 +38,14 @@ CompileOutcome::value() const
 CompileResult
 CompileOutcome::take()
 {
-    if (!result.has_value())
+    if (result == nullptr)
         errorInfo().raise();
-    return std::move(*result);
+    std::shared_ptr<const CompileResult> owned = std::move(result);
+    // Every result is created non-const (runJob's make_shared), so the
+    // sole owner may move from it.
+    if (owned.use_count() == 1)
+        return std::move(const_cast<CompileResult &>(*owned));
+    return *owned;
 }
 
 const MusstiError &
@@ -117,11 +123,8 @@ CompileService::deriveJobSeed(std::uint64_t base_seed,
 {
     // SplitMix64 over (base, index): statistically independent streams
     // per job, identical across runs and thread counts.
-    std::uint64_t x = base_seed + 0x9E3779B97F4A7C15ull *
-        (static_cast<std::uint64_t>(job_index) + 1);
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return x ^ (x >> 31);
+    return splitMix64(base_seed + 0x9E3779B97F4A7C15ull *
+                                      static_cast<std::uint64_t>(job_index));
 }
 
 int
@@ -266,19 +269,14 @@ CompileService::runJob(CompileRequest &request)
             if (resultCacheOn()) {
                 if (auto cached = cacheLookup(key)) {
                     cacheHits_.fetch_add(1);
-                    outcome.result = std::move(*cached);
+                    outcome.result = std::move(cached);
                     outcome.error.reset();
                     return outcome;
                 }
             }
 
-            // Retries need the circuit again, so only the last allowed
-            // attempt may consume it.
-            Circuit circuit = attempt < kMaxAttempts
-                                  ? request.circuit
-                                  : std::move(request.circuit);
-            CompileResult result = compileOnce(request, std::move(circuit),
-                                               key, control);
+            auto result = std::make_shared<CompileResult>(
+                compileOnce(request, key, control));
             jobsExecuted_.fetch_add(1);
 
             // A failed job never reaches this store — the result tiers
@@ -302,20 +300,22 @@ CompileService::runJob(CompileRequest &request)
 }
 
 CompileResult
-CompileService::compileOnce(
-    const CompileRequest &request, Circuit circuit,
-    const ResultCacheKey &key, const JobControl &control)
+CompileService::compileOnce(const CompileRequest &request,
+                            const ResultCacheKey &key,
+                            const JobControl &control)
 {
     DeltaCompileIO delta;
     const bool tier_on = snapshots_.enabled();
     if (tier_on)
-        delta.candidates = snapshots_.probe(key, circuit);
+        delta.candidates = snapshots_.probe(key, request.circuit);
     const bool had_candidates = !delta.candidates.empty();
 
+    // The backend only reads the circuit, so a Transient retry finds
+    // the request intact without any attempt copying it.
     CompileResult compiled = request.backend->compile(
-        std::move(circuit), {.seed = request.seed,
-                             .delta = tier_on ? &delta : nullptr,
-                             .control = &control});
+        request.circuit, {.seed = request.seed,
+                          .delta = tier_on ? &delta : nullptr,
+                          .control = &control});
 
     if (tier_on) {
         if (delta.resumed)
@@ -382,27 +382,35 @@ CompileService::deliver(Job job, CompileOutcome outcome)
     job.done(std::move(outcome));
 }
 
-std::optional<CompileResult>
+std::shared_ptr<const CompileResult>
 CompileService::cacheLookup(const ResultCacheKey &key)
 {
     if (auto hit = memory_.lookup(key))
         return hit;
     if (disk_ == nullptr)
-        return std::nullopt;
-    auto hit = disk_->lookup(key);
+        return nullptr;
+    std::optional<CompileResult> loaded = disk_->lookup(key);
+    if (!loaded)
+        return nullptr;
+    auto hit = std::make_shared<CompileResult>(std::move(*loaded));
     // Promote, so a disk hit after a restart is memory-speed from now on.
-    if (hit)
-        memory_.store(key, *hit);
+    memory_.store(key, hit);
     return hit;
 }
 
 void
 CompileService::cacheStore(const ResultCacheKey &key,
-                           const CompileResult &result)
+                           const std::shared_ptr<CompileResult> &result)
 {
-    memory_.store(key, result);
+    if (config_.cacheCapacity > 0) {
+        // The scheduler reserves ops for the largest schedule its
+        // thread has built; a result the memory tier keeps holds only
+        // what it uses.
+        result->schedule.ops.shrink_to_fit();
+        memory_.store(key, result);
+    }
     if (disk_ != nullptr)
-        disk_->store(key, result);
+        disk_->store(key, *result);
 }
 
 CompileService::CacheStats

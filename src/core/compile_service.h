@@ -138,18 +138,27 @@ struct CompileRequest
  */
 struct CompileOutcome
 {
-    std::optional<CompileResult> result;
+    /**
+     * The result, shared with the memory result tier when that tier
+     * holds it: a cache store or hit bumps a refcount instead of
+     * copying the schedule.
+     */
+    std::shared_ptr<const CompileResult> result;
     std::optional<MusstiError> error;
 
     /** Compile attempts consumed (> 1 means Transient retries). */
     int attempts = 1;
 
-    bool ok() const { return result.has_value(); }
+    bool ok() const { return result != nullptr; }
 
     /** The result; raises the structured error if the job failed. */
     const CompileResult &value() const;
 
-    /** Move the result out; raises the structured error on failure. */
+    /**
+     * The result as a value; raises the structured error on failure.
+     * Moves it out when this outcome is its only owner and copies it
+     * when a cache tier (or another outcome) shares it.
+     */
     CompileResult take();
 
     /** The error; panics if the job succeeded. */
@@ -329,8 +338,8 @@ class CompileService
 
     /** One compile attempt, with the delta exchange and control. */
     CompileResult
-    compileOnce(const CompileRequest &request, Circuit circuit,
-                const ResultCacheKey &key, const JobControl &control);
+    compileOnce(const CompileRequest &request, const ResultCacheKey &key,
+                const JobControl &control);
 
     /**
      * Book the failure/retry counters and hand the outcome to the job's
@@ -350,12 +359,14 @@ class CompileService
 
     /**
      * Memory first, then disk; a disk hit is promoted into memory.
-     * nullopt = miss in both.
+     * Null = miss in both.
      */
-    std::optional<CompileResult> cacheLookup(const ResultCacheKey &key);
+    std::shared_ptr<const CompileResult>
+    cacheLookup(const ResultCacheKey &key);
 
     /** Store a finished result into both result tiers. */
-    void cacheStore(const ResultCacheKey &key, const CompileResult &result);
+    void cacheStore(const ResultCacheKey &key,
+                    const std::shared_ptr<CompileResult> &result);
 
     /** Either result tier configured: the job path consults them. */
     bool resultCacheOn() const { return config_.cacheCapacity > 0 || disk_; }

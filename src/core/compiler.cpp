@@ -113,14 +113,15 @@ class MusstiSchedulePass : public CompilerPass
         // placements and always schedule cold. Candidates arrive with
         // their input-prefix hashes already verified by the caller;
         // translate each prefix into lowered-gate terms for the
-        // scheduler's window-cleanliness proof.
+        // scheduler's window-cleanliness proof. Only a snapshot whose
+        // capture was linted can seed the safety net below.
         DeltaRequest request;
         const DeltaRequest *delta = nullptr;
         if (config.deltaCompile && ctx.delta != nullptr) {
             request.checkpointEvery = config.deltaCheckpointGates;
             request.candidates.reserve(ctx.delta->candidates.size());
             for (const auto &snap : ctx.delta->candidates) {
-                if (snap == nullptr ||
+                if (snap == nullptr || !snap->lint ||
                     snap->inputPrefixGates > ctx.input.size())
                     continue;
                 request.candidates.push_back(
@@ -145,15 +146,36 @@ class MusstiSchedulePass : public CompilerPass
         if (delta == nullptr)
             return;
 
-        if (output.resumed) {
-            // Safety net on the fast path: every delta-produced
-            // schedule must clear the lint oracle before leaving the
-            // pass, so a resume bug can never ship a broken schedule.
-            const LintReport report = lintSchedule(
-                ctx.schedule, ctx.requireLowered(), ctx.requireDevice());
-            MUSSTI_ASSERT(report.ok(),
-                          "delta-resumed schedule failed lint with "
-                              << report.errorCount() << " error(s)");
+        // Safety net: a resumed schedule must clear the lint oracle
+        // before leaving the pass, so a resume bug can never ship a
+        // broken schedule, and a schedule that banks checkpoints must
+        // clear it too, since its lint exports the state each
+        // checkpoint's future net starts from. A resumed schedule is
+        // linted from the linter's own state at its snapshot — the ops
+        // before it are that snapshot's, linted when it was captured —
+        // so the net walks only the suffix. (Resumed runs capture
+        // nothing, so the two cases never meet.)
+        const ScheduleSnapshot *from = output.resumedFrom;
+        if (from != nullptr || !output.snapshots.empty()) {
+            std::vector<LintMark> marks;
+            marks.reserve(output.snapshots.size());
+            for (const ScheduleSnapshot &snap : output.snapshots)
+                marks.push_back(
+                    {snap.schedule.ops.size(), snap.loweredPrefixGates});
+            ScheduleLinter::SuffixLint net =
+                ScheduleLinter(ctx.requireDevice())
+                    .lintFrom(ctx.schedule, ctx.requireLowered(),
+                              from != nullptr ? &*from->lint : nullptr,
+                              marks);
+            MUSSTI_ASSERT(net.report.ok(),
+                          "delta " << (from != nullptr ? "resumed"
+                                                       : "capturing")
+                                   << " schedule failed lint with "
+                                   << net.report.errorCount()
+                                   << " error(s)");
+            ctx.delta->lintedOps = net.opsWalked;
+            for (std::size_t i = 0; i < marks.size(); ++i)
+                output.snapshots[i].lint = std::move(net.states[i]);
         }
 
         // Stamp each captured checkpoint with the input prefix it
@@ -164,7 +186,7 @@ class MusstiSchedulePass : public CompilerPass
             snap.prefixHash = ctx.input.prefixHash(snap.inputPrefixGates);
         }
         ctx.delta->captured = std::move(output.snapshots);
-        ctx.delta->resumed = output.resumed;
+        ctx.delta->resumed = from != nullptr;
     }
 
   private:
@@ -257,9 +279,10 @@ MusstiCompiler::makePipeline() const
 }
 
 CompileResult
-MusstiCompiler::compile(Circuit circuit, const CompileOptions &options) const
+MusstiCompiler::compile(const Circuit &circuit,
+                        const CompileOptions &options) const
 {
-    return makePipeline().compile(std::move(circuit), params_,
+    return makePipeline().compile(circuit, params_,
                                   options.seed.value_or(config_.seed),
                                   options.delta, options.control);
 }

@@ -62,7 +62,7 @@ class MusstiCompiler : public ICompilerBackend
      * every pass boundary and every JobControl::kCheckEveryGates routing
      * steps of each scheduler leg.
      */
-    CompileResult compile(Circuit circuit,
+    CompileResult compile(const Circuit &circuit,
                           const CompileOptions &options = {}) const override;
 
     const std::string &name() const override;

@@ -79,12 +79,12 @@ PassPipeline::passNames() const
 }
 
 CompileResult
-PassPipeline::compile(Circuit circuit, const PhysicalParams &params,
+PassPipeline::compile(const Circuit &circuit, const PhysicalParams &params,
                       std::uint64_t seed, DeltaCompileIO *delta,
                       const JobControl *control) const
 {
     const auto t0 = std::chrono::steady_clock::now();
-    CompileContext ctx(std::move(circuit), params, seed);
+    CompileContext ctx(circuit, params, seed);
     ctx.delta = delta;
     ctx.control = control;
 

@@ -75,6 +75,13 @@ struct DeltaCompileIO
 
     /** The compile resumed from one of the candidates. */
     bool resumed = false;
+
+    /**
+     * Schedule ops the scheduling pass's lint safety net walked: the
+     * suffix after the resumed snapshot, or the whole schedule when
+     * the compile captured checkpoints; 0 when it did neither.
+     */
+    std::size_t lintedOps = 0;
 };
 
 /** Everything a compilation produces. */
@@ -133,14 +140,16 @@ std::uint64_t resultFingerprint(const CompileResult &result);
  */
 struct CompileContext
 {
-    CompileContext(Circuit input_circuit, const PhysicalParams &physical,
-                   std::uint64_t rng_seed)
-        : input(std::move(input_circuit)), params(physical),
-          seed(rng_seed), lowered(1)
+    /** `input_circuit` must outlive the context (it is not copied). */
+    CompileContext(const Circuit &input_circuit,
+                   const PhysicalParams &physical, std::uint64_t rng_seed)
+        : input(input_circuit), params(physical), seed(rng_seed), lowered(1)
     {}
+    CompileContext(Circuit &&, const PhysicalParams &,
+                   std::uint64_t) = delete;
 
     // ---- inputs -------------------------------------------------------
-    Circuit input;            ///< The circuit as submitted.
+    const Circuit &input;     ///< The circuit as submitted.
     PhysicalParams params;    ///< Physics the schedule is costed under.
     std::uint64_t seed;       ///< Per-job RNG seed for stochastic passes.
 
@@ -251,7 +260,7 @@ class PassPipeline
      * effect at pass granularity or finer.
      */
     CompileResult
-    compile(Circuit circuit, const PhysicalParams &params,
+    compile(const Circuit &circuit, const PhysicalParams &params,
             std::uint64_t seed, DeltaCompileIO *delta = nullptr,
             const JobControl *control = nullptr) const;
 

@@ -380,16 +380,16 @@ MemoryResultCache::MemoryResultCache(std::size_t capacity)
     : capacity_(capacity)
 {}
 
-std::optional<CompileResult>
+std::shared_ptr<const CompileResult>
 MemoryResultCache::lookup(const ResultCacheKey &key)
 {
     if (capacity_ == 0)
-        return std::nullopt;
+        return nullptr;
     std::lock_guard<std::mutex> lock(mutex_);
-    const CompileResult *hit = entries_.find(key);
+    const auto *hit = entries_.find(key);
     if (hit == nullptr) {
         ++stats_.misses;
-        return std::nullopt;
+        return nullptr;
     }
     ++stats_.hits;
     return *hit;
@@ -397,7 +397,7 @@ MemoryResultCache::lookup(const ResultCacheKey &key)
 
 void
 MemoryResultCache::store(const ResultCacheKey &key,
-                         const CompileResult &result)
+                         std::shared_ptr<const CompileResult> result)
 {
     if (capacity_ == 0)
         return;
@@ -408,7 +408,7 @@ MemoryResultCache::store(const ResultCacheKey &key,
         entries_.popOldest();
         ++stats_.evictions;
     }
-    entries_.insert(key, result);
+    entries_.insert(key, std::move(result));
 }
 
 ResultTierStats

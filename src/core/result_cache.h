@@ -83,18 +83,24 @@ class MemoryResultCache
   public:
     explicit MemoryResultCache(std::size_t capacity);
 
-    /** The result stored under `key`, or nullopt. */
-    std::optional<CompileResult> lookup(const ResultCacheKey &key);
+    /**
+     * The result stored under `key`, or null. Entries are shared and
+     * immutable: a hit hands out the stored result, not a copy.
+     */
+    std::shared_ptr<const CompileResult> lookup(const ResultCacheKey &key);
 
     /** Store, evicting LRU at capacity; a present key is kept as is. */
-    void store(const ResultCacheKey &key, const CompileResult &result);
+    void store(const ResultCacheKey &key,
+               std::shared_ptr<const CompileResult> result);
 
     ResultTierStats stats() const;
 
   private:
     const std::size_t capacity_;
     mutable std::mutex mutex_;
-    LruMap<ResultCacheKey, CompileResult, ResultCacheKeyHash> entries_;
+    LruMap<ResultCacheKey, std::shared_ptr<const CompileResult>,
+           ResultCacheKeyHash>
+        entries_;
     ResultTierStats stats_;
 };
 
@@ -130,8 +136,12 @@ class DiskResultCache
     /** Entry path for `key` (exposed for the corruption tests). */
     std::string entryPathFor(const ResultCacheKey &key) const;
 
-    /** Entry format version stamped into every file header. */
-    static constexpr std::uint32_t kFormatVersion = 2;
+    /**
+     * Entry format version stamped into every file header. Bumped also
+     * when the key changes meaning: version 3 entries are keyed by the
+     * word-mixed Circuit::contentHash, so older entries read as stale.
+     */
+    static constexpr std::uint32_t kFormatVersion = 3;
 
     /** 8-byte magic tag opening every entry file. */
     static const char kMagic[9];

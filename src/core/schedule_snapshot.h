@@ -24,9 +24,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
+#include "lint/schedule_linter.h"
 #include "sim/schedule.h"
 
 namespace mussti {
@@ -109,6 +111,15 @@ struct ScheduleSnapshot
     /** Routing steps (phase-2 iterations) up to the checkpoint. */
     int routingSteps = 0;
 
+    /**
+     * The schedule linter's own walk state at the checkpoint, exported
+     * by the lint of the compile that captured the snapshot — never
+     * derived from the scheduler state above. A resumed compile's
+     * safety net lints only the ops after it. Stamped by the compile
+     * pass; a snapshot without it is never resumed from.
+     */
+    std::optional<ScheduleLintState> lint;
+
     /** Approximate heap footprint, for the snapshot-cache byte budget. */
     std::size_t
     approxBytes() const
@@ -124,6 +135,8 @@ struct ScheduleSnapshot
         bytes += router.arrival.capacity() * sizeof(std::int64_t);
         bytes += nextUse.capacity() * sizeof(int);
         bytes += chainTailDepth.capacity() * sizeof(int);
+        if (lint)
+            bytes += lint->approxBytes();
         return bytes;
     }
 };

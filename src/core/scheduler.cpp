@@ -484,13 +484,13 @@ MusstiScheduler::run(const Circuit &lowered, const Placement &initial,
         resume != nullptr ? &resume->snapshot->chainHeads : nullptr);
     int routing_steps = 0;
 
-    bool resumed = false;
+    const ScheduleSnapshot *resumed = nullptr;
     if (resume != nullptr) {
         // The sweep selects; windowClean() on the real window state
         // remains the authoritative guard.
         if (windowClean(st->dag, resume->sharedLoweredGates)) {
             resumeFromSnapshot(*st, *resume->snapshot, routing_steps);
-            resumed = true;
+            resumed = resume->snapshot;
         } else {
             // The sweep over-promised: schedule from scratch.
             st.reset(); // Returns the scratch before the re-adopt.
@@ -506,7 +506,7 @@ MusstiScheduler::run(const Circuit &lowered, const Placement &initial,
     // region) or sit inside the end-of-circuit window (exact-recompile
     // only — the result cache's job). Skipping also keeps the resumed
     // hot path allocation-free, the property the delta bench gates on.
-    const bool capture_active = capture && !resumed;
+    const bool capture_active = capture && resumed == nullptr;
     std::vector<ScheduleSnapshot> snapshots;
     int checkpoint_every = capture_active
                                ? std::max(1, delta->checkpointEvery)
@@ -625,7 +625,7 @@ MusstiScheduler::run(const Circuit &lowered, const Placement &initial,
     out.windowVisits = st->dag.windowVisits();
     out.loopHeapAllocs = loop_allocs;
     out.snapshots = std::move(snapshots);
-    out.resumed = resumed;
+    out.resumedFrom = resumed;
     return out;
 }
 

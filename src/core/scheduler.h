@@ -107,8 +107,8 @@ class MusstiScheduler
          */
         std::vector<ScheduleSnapshot> snapshots;
 
-        /** The run resumed from a DeltaRequest candidate. */
-        bool resumed = false;
+        /** The candidate snapshot the run resumed from, or null. */
+        const ScheduleSnapshot *resumedFrom = nullptr;
 
         RunOutput(Placement placement)
             : finalPlacement(std::move(placement)) {}

@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "arch/target_device.h"
+#include "common/hash.h"
+#include "common/logging.h"
 
 namespace mussti {
 
@@ -65,20 +67,41 @@ msg(const std::ostringstream &out)
     return out.str();
 }
 
+/** Where a mark's finding is reported. */
+std::string
+markLocation(const LintMark &mark)
+{
+    return "checkpoint at op " + std::to_string(mark.ops);
+}
+
+/** The digest ScheduleLintState::initialChainsDigest holds. */
+std::uint64_t
+chainsDigest(const std::vector<std::vector<int>> &chains)
+{
+    Fnv1a hash;
+    for (const auto &chain : chains) {
+        hash.update(static_cast<std::uint64_t>(chain.size()));
+        for (const int q : chain)
+            hash.update(q);
+    }
+    return hash.digest();
+}
+
 /**
- * Per-op operand validity: ids the op's kind reads must be in range.
- * Ops failing this are reported once (sch.placement) and excluded from
- * the stateful walks, which index by these ids.
+ * Per-op operand validity of ops [begin, end): ids the op's kind reads
+ * must be in range. Ops failing this are reported once (sch.placement)
+ * and excluded from the stateful walks, which index by these ids.
+ * Entry i - begin describes op i.
  */
 std::vector<char>
-checkFieldSanity(const Schedule &schedule, int num_qubits, int num_zones,
-                 RuleSink &sink)
+checkFieldSanity(const Schedule &schedule, std::size_t begin,
+                 int num_qubits, int num_zones, RuleSink &sink)
 {
-    std::vector<char> valid(schedule.ops.size(), 1);
+    std::vector<char> valid(schedule.ops.size() - begin, 1);
     const auto qubit_ok = [&](int q) { return q >= 0 && q < num_qubits; };
     const auto zone_ok = [&](int z) { return z >= 0 && z < num_zones; };
 
-    for (std::size_t i = 0; i < schedule.ops.size(); ++i) {
+    for (std::size_t i = begin; i < schedule.ops.size(); ++i) {
         const ScheduledOp &op = schedule.ops[i];
         bool ok = qubit_ok(op.q0);
         switch (op.kind) {
@@ -105,7 +128,7 @@ checkFieldSanity(const Schedule &schedule, int num_qubits, int num_zones,
             break;
         }
         if (!ok) {
-            valid[i] = 0;
+            valid[i - begin] = 0;
             std::ostringstream out;
             out << "op references a qubit or zone outside the device "
                 << "(" << num_qubits << " qubits, " << num_zones
@@ -122,11 +145,13 @@ checkFieldSanity(const Schedule &schedule, int num_qubits, int num_zones,
  * serialized, so a second Split (or any gate/ion-swap) inside an open
  * window overlaps two windows. Tracking tolerates multiple open
  * windows after a violation so one overlap reports once, not per
- * continuation op.
+ * continuation op. Walks ops [begin, end), with no window open at
+ * `begin` and none allowed at a mark.
  */
 void
-lintShuttleDiscipline(const Schedule &schedule,
+lintShuttleDiscipline(const Schedule &schedule, std::size_t begin,
                       const std::vector<char> &valid,
+                      const std::vector<LintMark> &marks,
                       const TargetDevice &device, RuleSink &sink)
 {
     enum class Stage { Split, Moved };
@@ -142,8 +167,20 @@ lintShuttleDiscipline(const Schedule &schedule,
                             [q](const Window &w) { return w.qubit == q; });
     };
 
-    for (std::size_t i = 0; i < schedule.ops.size(); ++i) {
-        if (!valid[i])
+    std::size_t mark = 0;
+    for (std::size_t i = begin;; ++i) {
+        for (; mark < marks.size() && marks[mark].ops == i; ++mark) {
+            if (!open.empty()) {
+                std::ostringstream out;
+                out << "checkpoint inside the open shuttle window of q"
+                    << open.front().qubit;
+                sink.add(lint_rules::kShuttle, markLocation(marks[mark]),
+                         msg(out));
+            }
+        }
+        if (i == schedule.ops.size())
+            break;
+        if (!valid[i - begin])
             continue;
         const ScheduledOp &op = schedule.ops[i];
         switch (op.kind) {
@@ -245,18 +282,41 @@ lintShuttleDiscipline(const Schedule &schedule,
  * Every violation applies a local recovery (trust the op over the
  * derived state) so one corruption does not cascade into findings of
  * unrelated rules downstream.
+ *
+ * Walks ops [begin, end): from the initial chains when `from` is null,
+ * else from the membership `from` carries, whose initial chains the
+ * schedule's must be. Exports membership at every mark, where no
+ * inserted-SWAP triple may be half done.
  */
 void
-lintPlacementReplay(const Schedule &schedule,
+lintPlacementReplay(const Schedule &schedule, std::size_t begin,
                     const std::vector<char> &valid, const Circuit &circuit,
-                    const TargetDevice &device, RuleSink &sink)
+                    const TargetDevice &device,
+                    const ScheduleLintState *from,
+                    const std::vector<LintMark> &marks,
+                    std::vector<ScheduleLintState> &states, RuleSink &sink)
 {
     const int num_qubits = circuit.numQubits();
     std::vector<int> zone_of(num_qubits, -1);
     std::vector<int> zone_count(device.numZones(), 0);
 
+    if (from != nullptr) {
+        if (from->initialChainsDigest !=
+                chainsDigest(schedule.initialChains) ||
+            from->zoneOf.size() != zone_of.size() ||
+            from->zoneCount.size() != zone_count.size()) {
+            sink.add(lint_rules::kPlacement, "initial placement",
+                     "the schedule's initial placement or shape is not "
+                     "the one its checkpoint was linted under");
+        } else {
+            zone_of = from->zoneOf;
+            zone_count = from->zoneCount;
+        }
+    }
+
     // Initial placement: each qubit exactly once, within capacity.
-    for (std::size_t z = 0; z < schedule.initialChains.size(); ++z) {
+    for (std::size_t z = 0;
+         from == nullptr && z < schedule.initialChains.size(); ++z) {
         const int zi = static_cast<int>(z);
         for (int q : schedule.initialChains[z]) {
             if (q < 0 || q >= num_qubits) {
@@ -289,7 +349,7 @@ lintPlacementReplay(const Schedule &schedule,
                      msg(out));
         }
     }
-    for (int q = 0; q < num_qubits; ++q) {
+    for (int q = 0; from == nullptr && q < num_qubits; ++q) {
         if (zone_of[q] < 0) {
             std::ostringstream out;
             out << "q" << q << " is never placed on the device";
@@ -303,8 +363,18 @@ lintPlacementReplay(const Schedule &schedule,
     int inserted_run = 0;
     int inserted_a = -1, inserted_b = -1;
 
-    for (std::size_t i = 0; i < schedule.ops.size(); ++i) {
-        if (!valid[i])
+    std::size_t mark = 0;
+    for (std::size_t i = begin;; ++i) {
+        for (; mark < marks.size() && marks[mark].ops == i; ++mark) {
+            if (inserted_run != 0)
+                sink.add(lint_rules::kSwapTriple, markLocation(marks[mark]),
+                         "checkpoint inside an inserted-SWAP triple");
+            states[mark].zoneOf = zone_of;
+            states[mark].zoneCount = zone_count;
+        }
+        if (i == schedule.ops.size())
+            break;
+        if (!valid[i - begin])
             continue;
         const ScheduledOp &op = schedule.ops[i];
         // Deferred: formatting every op's location costs more than the
@@ -476,54 +546,112 @@ lintPlacementReplay(const Schedule &schedule,
                  "schedule ends mid inserted-SWAP triple");
 }
 
-/** A two-qubit gate of the circuit and its dependencies. */
-struct DepNode
-{
-    int circuitIndex = 0;
-    /** The previous two-qubit gate on each operand (node ids, -1 for
-        none; pred[1] is -1 when it repeats pred[0]). */
-    int pred[2] = {-1, -1};
-};
-
 /**
  * Walk 3 — dependency order and coverage, against the circuit's
- * dependency DAG: node i is the circuit's i-th two-qubit gate, and its
+ * dependency DAG: a node is a two-qubit gate of the circuit, and its
  * predecessors are the previous two-qubit gate on each operand.
  * Position-based (no destructive DAG replay): a gate op violates
  * dep-order iff some predecessor's op appears LATER in the stream; a
  * predecessor with no op at all is a coverage hole, not a dep
  * violation — so each corruption class fires exactly its own rule.
+ *
+ * Resumed from `from`, the nodes are its pending gates plus every
+ * two-qubit gate from its watermark on, and a gate below the watermark
+ * that is not pending was executed before `begin`: the walk reads only
+ * the circuit's suffix and the ops from `begin`.
  */
 void
-lintDagOrder(const Schedule &schedule, const std::vector<char> &valid,
-             const Circuit &circuit, RuleSink &sink)
+lintDagOrder(const Schedule &schedule, std::size_t begin,
+             const std::vector<char> &valid, const Circuit &circuit,
+             const ScheduleLintState *from,
+             const std::vector<LintMark> &marks,
+             std::vector<ScheduleLintState> &states, RuleSink &sink)
 {
+    const std::size_t watermark = from != nullptr ? from->circuitGates : 0;
+    std::vector<LintDepGate> nodes;
+    std::vector<int> last_on(static_cast<std::size_t>(circuit.numQubits()),
+                             -1);
+    if (from != nullptr) {
+        nodes = from->pending;
+        if (from->lastTwoQubit.size() == last_on.size())
+            last_on = from->lastTwoQubit;
+        else
+            sink.add(lint_rules::kCoverage, "whole schedule",
+                     "checkpoint state is for a different qubit count");
+    }
+    const std::size_t pending = nodes.size();
+
     // One pass with a per-qubit "last two-qubit gate" builds the edges
     // without a DependencyDag: the linter runs inline on every
     // delta-resumed schedule.
-    std::vector<DepNode> nodes;
-    std::vector<int> by_circuit_index(circuit.size(), -1);
-    std::vector<int> last_on(static_cast<std::size_t>(circuit.numQubits()),
-                             -1);
-    for (std::size_t i = 0; i < circuit.size(); ++i) {
+    std::vector<int> by_circuit_index(circuit.size() - watermark, -1);
+    std::size_t mark = 0;
+    for (std::size_t i = watermark;; ++i) {
+        for (; mark < marks.size() && marks[mark].circuitGates == i; ++mark)
+            states[mark].lastTwoQubit = last_on;
+        if (i == circuit.size())
+            break;
         const Gate &g = circuit[i];
         if (g.kind == GateKind::Barrier || !g.twoQubit())
             continue;
-        DepNode node;
+        LintDepGate node;
         node.circuitIndex = static_cast<int>(i);
         node.pred[0] = last_on[g.q0];
         if (last_on[g.q1] != node.pred[0])
             node.pred[1] = last_on[g.q1];
-        by_circuit_index[i] = static_cast<int>(nodes.size());
-        last_on[g.q0] = last_on[g.q1] = static_cast<int>(nodes.size());
+        by_circuit_index[i - watermark] = static_cast<int>(nodes.size());
+        last_on[g.q0] = last_on[g.q1] = static_cast<int>(i);
         nodes.push_back(node);
     }
 
+    // Node id of two-qubit gate `gate`, or -1 when it was executed
+    // before the checkpoint.
+    const auto nodeOf = [&](int gate) {
+        if (static_cast<std::size_t>(gate) >= watermark)
+            return by_circuit_index[static_cast<std::size_t>(gate) -
+                                    watermark];
+        const auto end = nodes.begin() + static_cast<std::ptrdiff_t>(
+                                              pending);
+        const auto it = std::lower_bound(
+            nodes.begin(), end, gate,
+            [](const LintDepGate &n, int c) { return n.circuitIndex < c; });
+        return it != end && it->circuitIndex == gate
+                   ? static_cast<int>(it - nodes.begin())
+                   : -1;
+    };
+
     constexpr std::size_t kUnseen = static_cast<std::size_t>(-1);
     std::vector<std::size_t> first_op(nodes.size(), kUnseen);
+    int max_executed = -1;
+    std::size_t low = 0; // Every node below it has executed.
 
-    for (std::size_t i = 0; i < schedule.ops.size(); ++i) {
-        if (!valid[i])
+    mark = 0;
+    for (std::size_t i = begin;; ++i) {
+        for (; mark < marks.size() && marks[mark].ops == i; ++mark) {
+            const LintMark &at = marks[mark];
+            if (max_executed >= static_cast<int>(at.circuitGates)) {
+                std::ostringstream out;
+                out << "circuit gate " << max_executed
+                    << " executed before the checkpoint lies past its "
+                    << "watermark " << at.circuitGates;
+                sink.add(lint_rules::kCoverage, markLocation(at),
+                         msg(out));
+            }
+            while (low < nodes.size() && first_op[low] != kUnseen)
+                ++low;
+            std::vector<LintDepGate> &out = states[mark].pending;
+            for (std::size_t k = low;
+                 k < nodes.size() &&
+                 static_cast<std::size_t>(nodes[k].circuitIndex) <
+                     at.circuitGates;
+                 ++k) {
+                if (first_op[k] == kUnseen)
+                    out.push_back(nodes[k]);
+            }
+        }
+        if (i == schedule.ops.size())
+            break;
+        if (!valid[i - begin])
             continue;
         const ScheduledOp &op = schedule.ops[i];
         if ((op.kind != OpKind::Gate2Q &&
@@ -533,10 +661,10 @@ lintDagOrder(const Schedule &schedule, const std::vector<char> &valid,
 
         const bool known =
             op.circuitGate >= 0 &&
-            static_cast<std::size_t>(op.circuitGate) <
-                by_circuit_index.size() &&
-            by_circuit_index[static_cast<std::size_t>(op.circuitGate)] >=
-                0;
+            static_cast<std::size_t>(op.circuitGate) < circuit.size() &&
+            circuit[static_cast<std::size_t>(op.circuitGate)].kind !=
+                GateKind::Barrier &&
+            circuit[static_cast<std::size_t>(op.circuitGate)].twoQubit();
         if (!known) {
             std::ostringstream out;
             out << "gate op references circuit gate " << op.circuitGate
@@ -544,8 +672,6 @@ lintDagOrder(const Schedule &schedule, const std::vector<char> &valid,
             sink.add(lint_rules::kCoverage, where(), msg(out));
             continue;
         }
-        const int node =
-            by_circuit_index[static_cast<std::size_t>(op.circuitGate)];
         const Gate &g = circuit[static_cast<std::size_t>(op.circuitGate)];
         const bool operands_match =
             (g.q0 == op.q0 && g.q1 == op.q1) ||
@@ -558,21 +684,26 @@ lintDagOrder(const Schedule &schedule, const std::vector<char> &valid,
             sink.add(lint_rules::kCoverage, where(), msg(out));
             continue;
         }
-        if (first_op[static_cast<std::size_t>(node)] != kUnseen) {
+        const int node = nodeOf(op.circuitGate);
+        if (node < 0 || first_op[static_cast<std::size_t>(node)] != kUnseen) {
             std::ostringstream out;
             out << "circuit gate " << op.circuitGate
-                << " already executed at op "
-                << first_op[static_cast<std::size_t>(node)]
-                << " — every gate must appear exactly once";
+                << " already executed at op ";
+            if (node < 0)
+                out << "< " << begin;
+            else
+                out << first_op[static_cast<std::size_t>(node)];
+            out << " — every gate must appear exactly once";
             sink.add(lint_rules::kCoverage, where(), msg(out));
             continue;
         }
         first_op[static_cast<std::size_t>(node)] = i;
+        max_executed = std::max(max_executed, op.circuitGate);
     }
 
     for (std::size_t id = 0; id < nodes.size(); ++id) {
         const std::size_t mine = first_op[id];
-        const DepNode &node = nodes[id];
+        const LintDepGate &node = nodes[id];
         if (mine == kUnseen) {
             const Gate &g =
                 circuit[static_cast<std::size_t>(node.circuitIndex)];
@@ -583,16 +714,16 @@ lintDagOrder(const Schedule &schedule, const std::vector<char> &valid,
             continue;
         }
         for (const int pred : node.pred) {
-            if (pred < 0)
-                continue;
+            const int pred_node = pred < 0 ? -1 : nodeOf(pred);
+            if (pred_node < 0)
+                continue; // None, or executed before the checkpoint.
             const std::size_t pred_op =
-                first_op[static_cast<std::size_t>(pred)];
+                first_op[static_cast<std::size_t>(pred_node)];
             if (pred_op != kUnseen && pred_op > mine) {
                 std::ostringstream out;
                 out << "circuit gate " << node.circuitIndex
                     << " executes at op " << mine
-                    << " before its dependency, circuit gate "
-                    << nodes[static_cast<std::size_t>(pred)].circuitIndex
+                    << " before its dependency, circuit gate " << pred
                     << " at op " << pred_op;
                 sink.add(lint_rules::kDepOrder,
                          opLocation(mine, schedule.ops[mine]), msg(out));
@@ -607,28 +738,67 @@ LintReport
 ScheduleLinter::lint(const Schedule &schedule,
                      const Circuit &circuit) const
 {
+    return lintFrom(schedule, circuit, nullptr).report;
+}
+
+ScheduleLinter::SuffixLint
+ScheduleLinter::lintFrom(const Schedule &schedule, const Circuit &circuit,
+                         const ScheduleLintState *from,
+                         const std::vector<LintMark> &marks) const
+{
+    const std::size_t begin = from != nullptr ? from->ops : 0;
+    const std::size_t watermark = from != nullptr ? from->circuitGates : 0;
+    MUSSTI_REQUIRE(begin <= schedule.ops.size() &&
+                       watermark <= circuit.size(),
+                   "lint checkpoint past the schedule or circuit end");
+    LintMark floor{begin, watermark};
+    for (const LintMark &mark : marks) {
+        MUSSTI_REQUIRE(mark.ops >= floor.ops &&
+                           mark.circuitGates >= floor.circuitGates &&
+                           mark.ops <= schedule.ops.size() &&
+                           mark.circuitGates <= circuit.size(),
+                       "lint marks must ascend from the checkpoint "
+                       "within the schedule and circuit");
+        floor = mark;
+    }
+
     RuleSink sink;
+    SuffixLint out;
+    out.opsWalked = schedule.ops.size() - begin;
+    out.states.resize(marks.size());
+    for (std::size_t m = 0; m < marks.size(); ++m) {
+        out.states[m].ops = marks[m].ops;
+        out.states[m].circuitGates = marks[m].circuitGates;
+        out.states[m].initialChainsDigest =
+            chainsDigest(schedule.initialChains);
+    }
 
     if (schedule.initialChains.size() !=
         static_cast<std::size_t>(device_.numZones())) {
-        std::ostringstream out;
-        out << "schedule snapshots " << schedule.initialChains.size()
-            << " zones but the device has " << device_.numZones()
-            << " — wrong device for this schedule?";
-        sink.add(lint_rules::kPlacement, "initial placement", msg(out));
+        std::ostringstream out_msg;
+        out_msg << "schedule snapshots " << schedule.initialChains.size()
+                << " zones but the device has " << device_.numZones()
+                << " — wrong device for this schedule?";
+        sink.add(lint_rules::kPlacement, "initial placement",
+                 msg(out_msg));
         // Zone-indexed replays would index out of the descriptor set;
         // the DAG walk is device-free and still runs.
-        std::vector<char> valid(schedule.ops.size(), 1);
-        lintDagOrder(schedule, valid, circuit, sink);
-        return sink.take();
+        std::vector<char> valid(schedule.ops.size() - begin, 1);
+        lintDagOrder(schedule, begin, valid, circuit, from, marks,
+                     out.states, sink);
+        out.report = sink.take();
+        return out;
     }
 
     const std::vector<char> valid = checkFieldSanity(
-        schedule, circuit.numQubits(), device_.numZones(), sink);
-    lintShuttleDiscipline(schedule, valid, device_, sink);
-    lintPlacementReplay(schedule, valid, circuit, device_, sink);
-    lintDagOrder(schedule, valid, circuit, sink);
-    return sink.take();
+        schedule, begin, circuit.numQubits(), device_.numZones(), sink);
+    lintShuttleDiscipline(schedule, begin, valid, marks, device_, sink);
+    lintPlacementReplay(schedule, begin, valid, circuit, device_, from,
+                        marks, out.states, sink);
+    lintDagOrder(schedule, begin, valid, circuit, from, marks, out.states,
+                 sink);
+    out.report = sink.take();
+    return out;
 }
 
 LintReport

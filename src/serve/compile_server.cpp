@@ -288,10 +288,12 @@ CompileServer::buildRequest(const ServeRequest &request) const
     if (!request.qasm.empty())
         circuit = fromQasm(request.qasm,
                            request.name.empty() ? "qasm" : request.name);
-    else if (!request.family.empty())
-        circuit = makeBenchmark(request.family,
-                                request.qubits > 0 ? request.qubits : 32);
-    else
+    else if (!request.family.empty()) {
+        const int qubits = request.qubits.value_or(32);
+        MUSSTI_REQUIRE(qubits >= 1, "compile request qubit count must be "
+                                    ">= 1, got " << qubits);
+        circuit = makeBenchmark(request.family, qubits);
+    } else
         fatalCoded("serve.no-circuit",
                    "compile request names neither a benchmark family "
                    "nor inline QASM");

@@ -5,6 +5,7 @@
 
 #include "common/json.h"
 #include "common/logging.h"
+#include "common/string_util.h"
 
 namespace mussti {
 
@@ -14,17 +15,10 @@ namespace {
 std::uint64_t
 parseU64(const std::string &text)
 {
-    MUSSTI_REQUIRE(!text.empty(), "empty u64 field on the serve wire");
-    std::size_t used = 0;
-    std::uint64_t value = 0;
-    try {
-        value = std::stoull(text, &used, 0);
-    } catch (const std::exception &) {
-        fatal("unparseable u64 on the serve wire: `" + text + "`");
-    }
-    MUSSTI_REQUIRE(used == text.size(),
-                   "trailing garbage in u64 field: `" << text << "`");
-    return value;
+    const std::optional<std::uint64_t> value = parseU64Strict(text);
+    MUSSTI_REQUIRE(value.has_value(),
+                   "unparseable u64 on the serve wire: `" << text << "`");
+    return *value;
 }
 
 std::string
@@ -76,8 +70,10 @@ encodeRequest(const ServeRequest &request)
         } else {
             field(out, first, "family");
             out << '"' << jsonEscape(request.family) << '"';
-            field(out, first, "qubits");
-            out << request.qubits;
+            if (request.qubits.has_value()) {
+                field(out, first, "qubits");
+                out << *request.qubits;
+            }
         }
         if (!request.device.empty()) {
             field(out, first, "device");

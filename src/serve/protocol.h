@@ -31,6 +31,7 @@
 #define MUSSTI_SERVE_PROTOCOL_H
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -57,7 +58,7 @@ struct ServeRequest
 
     // ---- circuit (compile requests; family XOR qasm) -----------------
     std::string family; ///< Benchmark family (workloads.h), with `qubits`.
-    int qubits = 0;
+    std::optional<int> qubits; ///< Absent: 32. Present: must be >= 1.
     std::string qasm;   ///< Inline OpenQASM text; wins over family.
     std::string name;   ///< Circuit name for QASM submissions.
 

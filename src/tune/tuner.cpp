@@ -244,7 +244,7 @@ tuneDeviceSpec(const TunerConfig &config, const SpecSearchSpace &space,
             if (outcomes[k].ok()) {
                 try {
                     FaultInjector::maybeThrow(FaultSite::TunerSweep);
-                    resolved[idx] = std::move(*outcomes[k].result);
+                    resolved[idx] = outcomes[k].take();
                 } catch (...) {
                     failure = describeCurrentException();
                 }

@@ -224,6 +224,18 @@ TEST(StringUtil, ParseIntArgHardensCliTokens)
     }
 }
 
+TEST(StringUtil, ParseU64StrictTakesDecimalAndHexOnly)
+{
+    EXPECT_EQ(parseU64Strict("0"), 0u);
+    EXPECT_EQ(parseU64Strict("012"), 12u); // Decimal, not octal.
+    EXPECT_EQ(parseU64Strict("18446744073709551615"), ~0ull);
+    EXPECT_EQ(parseU64Strict("0xff"), 255u);
+    EXPECT_EQ(parseU64Strict("0XFF"), 255u);
+    for (const char *bad : {"", "abc", "-1", "+1", " 1", "1 ", "0x", "12a",
+                            "0x1g", "18446744073709551616"})
+        EXPECT_FALSE(parseU64Strict(bad).has_value()) << "`" << bad << "`";
+}
+
 TEST(StringUtil, ToLower)
 {
     EXPECT_EQ(toLower("GHZ_n32"), "ghz_n32");

@@ -146,7 +146,8 @@ TEST(Pipeline, RejectsPipelineWithoutEvaluation)
 TEST(Pipeline, ContextRequiresPanicWhenStagesMissing)
 {
     const PhysicalParams params;
-    CompileContext ctx(makeGhz(8), params, 0);
+    const Circuit ghz = makeGhz(8);
+    CompileContext ctx(ghz, params, 0);
     EXPECT_THROW(ctx.requireLowered(), std::logic_error);
     EXPECT_THROW(ctx.requirePlacement(), std::logic_error);
     EXPECT_THROW(ctx.requireEmlDevice(), std::logic_error);

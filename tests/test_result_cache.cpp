@@ -62,6 +62,14 @@ sampleResult()
     return result;
 }
 
+std::shared_ptr<const CompileResult>
+sharedResult()
+{
+    static const auto result =
+        std::make_shared<const CompileResult>(sampleResult());
+    return result;
+}
+
 ResultCacheKey
 sampleKey(std::uint64_t salt = 0)
 {
@@ -136,15 +144,15 @@ TEST(MemoryCache, EvictsTheLeastRecentlyUsedEntry)
     // Capacity 2: the lookup of A makes B the oldest, so storing C
     // evicts B, not A.
     MemoryResultCache cache(2);
-    cache.store(sampleKey(1), sampleResult());
-    cache.store(sampleKey(2), sampleResult());
-    EXPECT_TRUE(cache.lookup(sampleKey(1)).has_value());
-    cache.store(sampleKey(3), sampleResult());
+    cache.store(sampleKey(1), sharedResult());
+    cache.store(sampleKey(2), sharedResult());
+    EXPECT_NE(cache.lookup(sampleKey(1)), nullptr);
+    cache.store(sampleKey(3), sharedResult());
 
     EXPECT_EQ(cache.stats().evictions, 1u);
-    EXPECT_FALSE(cache.lookup(sampleKey(2)).has_value());
-    EXPECT_TRUE(cache.lookup(sampleKey(1)).has_value());
-    EXPECT_TRUE(cache.lookup(sampleKey(3)).has_value());
+    EXPECT_EQ(cache.lookup(sampleKey(2)), nullptr);
+    EXPECT_NE(cache.lookup(sampleKey(1)), nullptr);
+    EXPECT_NE(cache.lookup(sampleKey(3)), nullptr);
 }
 
 TEST(MemoryCache, DuplicateStoreIsANoOp)
@@ -152,22 +160,30 @@ TEST(MemoryCache, DuplicateStoreIsANoOp)
     // Re-storing a present key neither evicts nor refreshes it: with A
     // re-stored after B, A is still the oldest and C evicts it.
     MemoryResultCache cache(2);
-    cache.store(sampleKey(1), sampleResult());
-    cache.store(sampleKey(2), sampleResult());
-    cache.store(sampleKey(1), sampleResult());
+    cache.store(sampleKey(1), sharedResult());
+    cache.store(sampleKey(2), sharedResult());
+    cache.store(sampleKey(1), sharedResult());
     EXPECT_EQ(cache.stats().evictions, 0u);
 
-    cache.store(sampleKey(3), sampleResult());
+    cache.store(sampleKey(3), sharedResult());
     EXPECT_EQ(cache.stats().evictions, 1u);
-    EXPECT_FALSE(cache.lookup(sampleKey(1)).has_value());
-    EXPECT_TRUE(cache.lookup(sampleKey(2)).has_value());
+    EXPECT_EQ(cache.lookup(sampleKey(1)), nullptr);
+    EXPECT_NE(cache.lookup(sampleKey(2)), nullptr);
+}
+
+TEST(MemoryCache, HitSharesTheStoredResult)
+{
+    // A store and a hit move a refcount, never the schedule.
+    MemoryResultCache cache(2);
+    cache.store(sampleKey(), sharedResult());
+    EXPECT_EQ(cache.lookup(sampleKey()).get(), sharedResult().get());
 }
 
 TEST(MemoryCache, CapacityZeroStoresNothing)
 {
     MemoryResultCache cache(0);
-    cache.store(sampleKey(), sampleResult());
-    EXPECT_FALSE(cache.lookup(sampleKey()).has_value());
+    cache.store(sampleKey(), sharedResult());
+    EXPECT_EQ(cache.lookup(sampleKey()), nullptr);
     EXPECT_EQ(cache.stats().hits, 0u);
     EXPECT_EQ(cache.stats().evictions, 0u);
 }

@@ -220,7 +220,7 @@ TEST(SchedulerWorkspaceReuse, DeltaResumeAfterLargerCircuitMatchesColdThread)
                 resume.candidates.push_back({&snap, shared});
         }
         const auto resumed = scheduler.run(edit, initial, &resume);
-        EXPECT_TRUE(resumed.resumed) << family << "_n" << qubits;
+        EXPECT_NE(resumed.resumedFrom, nullptr) << family << "_n" << qubits;
         return std::pair(edit, runFingerprint(edit, resumed));
     };
 
@@ -267,7 +267,7 @@ TEST(SchedulerWorkspaceReuse, CorruptChainHeadsFallBackToCold)
         DeltaRequest resume;
         resume.candidates.push_back({&*it, shared});
         const auto out = scheduler.run(edit, initial, &resume);
-        if (out.resumed) {
+        if (out.resumedFrom != nullptr) {
             EXPECT_EQ(runFingerprint(edit, out), cold);
             intact = &*it;
         }
@@ -310,7 +310,7 @@ TEST(SchedulerWorkspaceReuse, CorruptChainHeadsFallBackToCold)
         resume.candidates.push_back({&bad, shared});
         EXPECT_NO_THROW({
             const auto out = scheduler.run(edit, initial, &resume);
-            EXPECT_FALSE(out.resumed);
+            EXPECT_EQ(out.resumedFrom, nullptr);
             EXPECT_EQ(runFingerprint(edit, out), cold);
         });
     }

@@ -115,6 +115,12 @@ TEST(ServeProtocol, RequestRoundTripsEveryField)
     EXPECT_EQ(decoded.seed, request.seed);
     EXPECT_EQ(decoded.deadlineMs, request.deadlineMs);
 
+    // An absent qubit count stays absent (the server's default).
+    ServeRequest defaulted = familyRequest("ghz", 8);
+    defaulted.qubits.reset();
+    ASSERT_TRUE(decodeRequest(encodeRequest(defaulted), decoded));
+    EXPECT_FALSE(decoded.qubits.has_value());
+
     ServeRequest qasm;
     qasm.qasm = "OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[1];\n";
     qasm.name = "bell";
@@ -605,10 +611,25 @@ TEST(Serve, StructuredErrorsComeBackOverTheWire)
     EXPECT_FALSE(wrong.ok);
     EXPECT_EQ(wrong.error.code, "input.device-mismatch");
 
-    // The session survives every bad request above.
-    const ServeResponse okStill =
-        client.await(client.send(familyRequest("ghz", 8)));
-    EXPECT_TRUE(okStill.ok);
+    // A qubit count below one is an input error, never a silent
+    // 32-qubit compile.
+    for (const int qubits : {0, -5}) {
+        const ServeResponse bad =
+            client.await(client.send(familyRequest("ghz", qubits)));
+        EXPECT_FALSE(bad.ok) << qubits;
+        EXPECT_EQ(bad.error.category, "InvalidInput") << qubits;
+        EXPECT_EQ(bad.error.code, "input.require") << qubits;
+    }
+
+    // The session survives every bad request above, and an absent
+    // qubit count still compiles the 32-qubit default.
+    ServeRequest defaulted = familyRequest("ghz", 8);
+    defaulted.qubits.reset();
+    const ServeResponse okStill = client.await(client.send(defaulted));
+    ASSERT_TRUE(okStill.ok);
+    EXPECT_EQ(okStill.fingerprint,
+              resultFingerprint(
+                  makeMusstiBackend()->compile(makeBenchmark("ghz", 32))));
 
     server.stop();
 }
