@@ -69,6 +69,16 @@
  * resume and zero-allocation assertions live on each iteration — a
  * cheap endurance gate for the allocation-free resume path.
  *
+ * A micro_scheduler/delta_service record times the same idea where a
+ * user meets it: submit to result through a CompileService with the
+ * result tier on, for unique one-layer appends to ising 64 x 240
+ * (trivial mapping, 64-gate checkpoints). Each edit runs on a service
+ * without the snapshot tier (cold) and on one whose tier holds the
+ * base's checkpoints (warm); `wall_ms` and `delta_cold_ms` are the
+ * medians and every warm result must resume and equal the cold one.
+ * --require-service-delta-speedup X exits non-zero unless the cold
+ * over warm ratio reaches X (same run, so no baseline file).
+ *
  * Usage: `micro_scheduler_bench --help` prints the flags (kUsage) and
  * exits 0; a bad or unknown argument prints the error and the usage and
  * exits 2.
@@ -87,6 +97,7 @@
  * tiers reach X and every workload of those tiers has a baseline entry
  * (the CI perf gate; it refuses to pass vacuously).
  */
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -507,6 +518,100 @@ measureDelta(const DeltaTier &tier, bool append, int repeats, int soak,
     return record;
 }
 
+constexpr const char *kDeltaServiceSuite = "micro_scheduler/delta_service";
+
+/** Unique edits the service-level delta record times. */
+constexpr int kServiceDeltaEdits = 20;
+
+double
+medianOf(std::vector<double> values)
+{
+    const auto mid = values.begin() +
+                     static_cast<std::ptrdiff_t>(values.size() / 2);
+    std::nth_element(values.begin(), mid, values.end());
+    return *mid;
+}
+
+/**
+ * The service-level delta record (see the file header): a base
+ * document compiled once through the warm service, then
+ * kServiceDeltaEdits unique appends, each timed from submit to result
+ * on the cold and then the warm service. Failures clear `ok`.
+ */
+BenchRecord
+measureServiceDelta(bool &ok)
+{
+    const int qubits = 64;
+    const Circuit base = makeIsing(qubits, 240);
+    const Circuit appended = makeIsing(qubits, 241);
+    std::size_t shared = 0;
+    while (shared < base.size() && base[shared] == appended[shared])
+        ++shared;
+    // Edit k: the appended layer with angles no other edit has, so the
+    // result tier misses and only the snapshot tier can help.
+    const auto edit = [&](int k) {
+        Circuit edited(appended.numQubits(), appended.name());
+        for (std::size_t i = 0; i < appended.size(); ++i) {
+            Gate g = appended[i];
+            if (i >= shared && g.kind == GateKind::Rz)
+                g.param += 1e-3 * (k + 1);
+            edited.add(g);
+        }
+        return edited;
+    };
+
+    MusstiConfig config;
+    config.mapping = MappingKind::Trivial;
+    config.deltaCompile = true;
+    config.deltaCheckpointGates = 64;
+    const auto backend = std::make_shared<MusstiCompiler>(config);
+    CompileServiceConfig svc;
+    svc.numThreads = 1;
+    CompileService warm(svc);
+    svc.snapshotCacheCapacity = 0;
+    CompileService cold(svc);
+    warm.submit(backend, base).get();
+
+    BenchRecord record;
+    record.suite = kDeltaServiceSuite;
+    record.name = "ising-append";
+    record.qubits = qubits;
+    record.repeats = kServiceDeltaEdits;
+
+    std::vector<double> warm_ms, cold_ms;
+    for (int k = 0; k < kServiceDeltaEdits; ++k) {
+        const Circuit edited = edit(k);
+        // submitOutcome, as the compile server uses: the outcome
+        // shares the result the memory tier keeps.
+        const auto timed = [&](CompileService &service,
+                               std::vector<double> &ms) {
+            CompileRequest request{backend, edited, {}, {}, {}};
+            const auto t0 = std::chrono::steady_clock::now();
+            CompileOutcome outcome =
+                service.submitOutcome(std::move(request)).get();
+            ms.push_back(toMs(std::chrono::steady_clock::now() - t0));
+            return outcome;
+        };
+        const CompileOutcome reference = timed(cold, cold_ms);
+        const CompileOutcome resumed = timed(warm, warm_ms);
+        const bool same = reference.ok() && resumed.ok() &&
+                          resultFingerprint(reference.value()) ==
+                              resultFingerprint(resumed.value());
+        if (!same || !resumed.value().deltaResumed) {
+            std::printf("FAIL: %s/%s edit %d %s\n", kDeltaServiceSuite,
+                        record.name.c_str(), k,
+                        same ? "did not resume"
+                             : "differs from the cold compile");
+            ok = false;
+        }
+    }
+    record.wallMs = medianOf(warm_ms);
+    record.deltaColdMs = medianOf(cold_ms);
+    record.deltaSpeedup = record.deltaColdMs / record.wallMs;
+    record.counters = warm.counters();
+    return record;
+}
+
 constexpr const char *kCacheSuite = "micro_scheduler/cache";
 
 /**
@@ -631,6 +736,7 @@ const char *const kUsage =
     "                             [--baseline old_results.json]\n"
     "                             [--require-speedup X]\n"
     "                             [--require-delta-speedup X]\n"
+    "                             [--require-service-delta-speedup X]\n"
     "                             [--soak N]\n"
     "                             [--assert-zero-allocs]\n";
 
@@ -644,6 +750,7 @@ main(int argc, char **argv)
     std::string baseline_path;
     double require_speedup = 0.0;
     double require_delta_speedup = 0.0;
+    double require_service_delta_speedup = 0.0;
     int soak = 0;
     bool assert_zero_allocs = false;
 
@@ -688,6 +795,15 @@ main(int argc, char **argv)
                     require_delta_speedup <= 0.0)
                     fatal("--require-delta-speedup wants a positive number, "
                           "got `" + value + "`");
+            } else if (arg == "--require-service-delta-speedup") {
+                const std::string value = next();
+                char *end = nullptr;
+                require_service_delta_speedup =
+                    std::strtod(value.c_str(), &end);
+                if (end == value.c_str() || *end != '\0' ||
+                    require_service_delta_speedup <= 0.0)
+                    fatal("--require-service-delta-speedup wants a "
+                          "positive number, got `" + value + "`");
             } else if (arg == "--soak") {
                 soak = std::atoi(next().c_str());
                 if (soak < 1)
@@ -843,6 +959,23 @@ main(int argc, char **argv)
             submit("delta",
                    measureDelta(tier, append, repeats, soak, delta_ok));
         }
+    }
+
+    // Service-level delta record: submit to result, warm vs cold.
+    {
+        BenchRecord record = measureServiceDelta(delta_ok);
+        std::printf("%s warm-vs-cold speedup: %.2fx (%.2f ms cold -> "
+                    "%.2f ms warm, medians)\n", kDeltaServiceSuite,
+                    record.deltaSpeedup, record.deltaColdMs,
+                    record.wallMs);
+        if (require_service_delta_speedup > 0.0 &&
+            record.deltaSpeedup < require_service_delta_speedup) {
+            std::printf("FAIL: %s speedup below the required %.2fx\n",
+                        kDeltaServiceSuite,
+                        require_service_delta_speedup);
+            delta_ok = false;
+        }
+        submit("delta", std::move(record));
     }
 
     // Cache-tier suite: one record proving the persistent disk tier

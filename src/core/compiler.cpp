@@ -25,22 +25,6 @@ seededConfig(const MusstiConfig &config, std::uint64_t seed)
     return seeded;
 }
 
-/**
- * Lowered-gate count of the first `prefix` input gates: lowering
- * rewrites each SWAP into 3 CX and keeps every other gate 1:1
- * (Circuit::withSwapsDecomposed), so the counts stay in lockstep.
- */
-std::size_t
-loweredPrefixLength(const Circuit &input, std::size_t prefix)
-{
-    std::size_t extra = 0;
-    for (std::size_t i = 0; i < prefix; ++i) {
-        if (input[i].kind == GateKind::Swap)
-            extra += 2;
-    }
-    return prefix + extra;
-}
-
 /** Minimal input-prefix length whose lowering covers `lowered_gates`. */
 std::size_t
 inputPrefixCovering(const Circuit &input, std::size_t lowered_gates)
@@ -113,21 +97,27 @@ class MusstiSchedulePass : public CompilerPass
         // placements and always schedule cold. Candidates arrive with
         // their input-prefix hashes already verified by the caller;
         // translate each prefix into lowered-gate terms for the
-        // scheduler's window-cleanliness proof. Only a snapshot whose
-        // capture was linted can seed the safety net below.
+        // scheduler's window-cleanliness proof: lowering rewrites each
+        // SWAP into 3 CX and keeps every other gate 1:1
+        // (Circuit::withSwapsDecomposed). Candidates ascend by prefix,
+        // so one running SWAP count serves them all. Only a snapshot
+        // whose capture was linted can seed the safety net below.
         DeltaRequest request;
         const DeltaRequest *delta = nullptr;
         if (config.deltaCompile && ctx.delta != nullptr) {
             request.checkpointEvery = config.deltaCheckpointGates;
             request.candidates.reserve(ctx.delta->candidates.size());
+            std::size_t counted = 0, swaps = 0;
             for (const auto &snap : ctx.delta->candidates) {
                 if (snap == nullptr || !snap->lint ||
                     snap->inputPrefixGates > ctx.input.size())
                     continue;
+                if (snap->inputPrefixGates < counted)
+                    counted = swaps = 0; // Out of order: count afresh.
+                for (; counted < snap->inputPrefixGates; ++counted)
+                    swaps += ctx.input[counted].kind == GateKind::Swap;
                 request.candidates.push_back(
-                    {snap.get(),
-                     loweredPrefixLength(ctx.input,
-                                         snap->inputPrefixGates)});
+                    {snap.get(), snap->inputPrefixGates + 2 * swaps});
             }
             delta = &request;
         }

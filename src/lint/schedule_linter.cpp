@@ -302,15 +302,19 @@ lintPlacementReplay(const Schedule &schedule, std::size_t begin,
 
     if (from != nullptr) {
         if (from->initialChainsDigest !=
-                chainsDigest(schedule.initialChains) ||
-            from->zoneOf.size() != zone_of.size() ||
-            from->zoneCount.size() != zone_count.size()) {
+            chainsDigest(schedule.initialChains))
             sink.add(lint_rules::kPlacement, "initial placement",
-                     "the schedule's initial placement or shape is not "
-                     "the one its checkpoint was linted under");
-        } else {
+                     "the schedule's initial placement is not the one "
+                     "its checkpoint was linted under");
+        // Recovery: trust the checkpoint's membership.
+        if (from->zoneOf.size() == zone_of.size() &&
+            from->zoneCount.size() == zone_count.size()) {
             zone_of = from->zoneOf;
             zone_count = from->zoneCount;
+        } else {
+            sink.add(lint_rules::kPlacement, "initial placement",
+                     "checkpoint state is for a different qubit or zone "
+                     "count");
         }
     }
 
@@ -579,12 +583,31 @@ lintDagOrder(const Schedule &schedule, std::size_t begin,
             sink.add(lint_rules::kCoverage, "whole schedule",
                      "checkpoint state is for a different qubit count");
     }
-    const std::size_t pending = nodes.size();
+    // Node id by circuit index, from the first gate not executed before
+    // `begin` on; a gate below it, or a retired one above it, has none.
+    const std::size_t low =
+        nodes.empty() ? watermark
+                      : static_cast<std::size_t>(nodes.front().circuitIndex);
+    std::vector<int> by_circuit_index(circuit.size() - low, -1);
+    for (std::size_t id = 0; id < nodes.size(); ++id) {
+        const auto gate = static_cast<std::size_t>(nodes[id].circuitIndex);
+        MUSSTI_ASSERT(gate >= low && gate < watermark &&
+                          (id == 0 || nodes[id - 1].circuitIndex <
+                                          nodes[id].circuitIndex),
+                      "lint checkpoint's pending gates are not ascending "
+                      "below its watermark");
+        by_circuit_index[gate - low] = static_cast<int>(id);
+    }
+    nodes.reserve(nodes.size() + (circuit.size() - watermark));
+    const auto nodeOf = [&](int gate) {
+        return static_cast<std::size_t>(gate) < low
+                   ? -1
+                   : by_circuit_index[static_cast<std::size_t>(gate) - low];
+    };
 
     // One pass with a per-qubit "last two-qubit gate" builds the edges
     // without a DependencyDag: the linter runs inline on every
     // delta-resumed schedule.
-    std::vector<int> by_circuit_index(circuit.size() - watermark, -1);
     std::size_t mark = 0;
     for (std::size_t i = watermark;; ++i) {
         for (; mark < marks.size() && marks[mark].circuitGates == i; ++mark)
@@ -599,31 +622,15 @@ lintDagOrder(const Schedule &schedule, std::size_t begin,
         node.pred[0] = last_on[g.q0];
         if (last_on[g.q1] != node.pred[0])
             node.pred[1] = last_on[g.q1];
-        by_circuit_index[i - watermark] = static_cast<int>(nodes.size());
+        by_circuit_index[i - low] = static_cast<int>(nodes.size());
         last_on[g.q0] = last_on[g.q1] = static_cast<int>(i);
         nodes.push_back(node);
     }
 
-    // Node id of two-qubit gate `gate`, or -1 when it was executed
-    // before the checkpoint.
-    const auto nodeOf = [&](int gate) {
-        if (static_cast<std::size_t>(gate) >= watermark)
-            return by_circuit_index[static_cast<std::size_t>(gate) -
-                                    watermark];
-        const auto end = nodes.begin() + static_cast<std::ptrdiff_t>(
-                                              pending);
-        const auto it = std::lower_bound(
-            nodes.begin(), end, gate,
-            [](const LintDepGate &n, int c) { return n.circuitIndex < c; });
-        return it != end && it->circuitIndex == gate
-                   ? static_cast<int>(it - nodes.begin())
-                   : -1;
-    };
-
     constexpr std::size_t kUnseen = static_cast<std::size_t>(-1);
     std::vector<std::size_t> first_op(nodes.size(), kUnseen);
     int max_executed = -1;
-    std::size_t low = 0; // Every node below it has executed.
+    std::size_t done = 0; // Every node below it has executed.
 
     mark = 0;
     for (std::size_t i = begin;; ++i) {
@@ -637,10 +644,10 @@ lintDagOrder(const Schedule &schedule, std::size_t begin,
                 sink.add(lint_rules::kCoverage, markLocation(at),
                          msg(out));
             }
-            while (low < nodes.size() && first_op[low] != kUnseen)
-                ++low;
+            while (done < nodes.size() && first_op[done] != kUnseen)
+                ++done;
             std::vector<LintDepGate> &out = states[mark].pending;
-            for (std::size_t k = low;
+            for (std::size_t k = done;
                  k < nodes.size() &&
                  static_cast<std::size_t>(nodes[k].circuitIndex) <
                      at.circuitGates;

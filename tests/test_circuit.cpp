@@ -5,8 +5,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "circuit/circuit.h"
 #include "circuit/gate.h"
+#include "common/rng.h"
 
 namespace mussti {
 namespace {
@@ -238,6 +242,84 @@ TEST(Circuit, PrefixHashDivergesExactlyAtEdit)
         for (std::size_t p = 3; p <= 4; ++p)
             EXPECT_NE(edited->prefixHash(p), a.prefixHash(p))
                 << "post-edit prefix length " << p;
+    }
+}
+
+/** A circuit with the given gates, named like every other here. */
+Circuit
+circuitOf(int qubits, const std::vector<Gate> &gates)
+{
+    Circuit qc(qubits, "hash");
+    for (const Gate &g : gates)
+        qc.add(g);
+    return qc;
+}
+
+TEST(Circuit, ContentHashSeesEveryGateField)
+{
+    const std::vector<Gate> base = {
+        Gate(GateKind::Rz, 0, 0.5), Gate(GateKind::Cx, 0, 1),
+        Gate(GateKind::Rz, 1, -1.25), Gate(GateKind::Ms, 1, 2),
+        Gate(GateKind::Rx, 2, 3.0)};
+    const std::uint64_t h = circuitOf(3, base).contentHash();
+
+    // Negating two angles flips only bit 63 of two parameter words: a
+    // multiply-only fold keeps each flip in bit 63, where the second
+    // cancels the first.
+    std::vector<Gate> negated = base;
+    negated[0].param = -negated[0].param;
+    negated[2].param = -negated[2].param;
+    EXPECT_NE(circuitOf(3, negated).contentHash(), h);
+
+    // Swapping the operands of a two-qubit gate.
+    std::vector<Gate> swapped = base;
+    std::swap(swapped[1].q0, swapped[1].q1);
+    EXPECT_NE(circuitOf(3, swapped).contentHash(), h);
+
+    // Changing only the kind (same operands, same parameter).
+    std::vector<Gate> rekinded = base;
+    rekinded[3].kind = GateKind::Cz;
+    EXPECT_NE(circuitOf(3, rekinded).contentHash(), h);
+}
+
+TEST(Circuit, ContentHashSeparatesSeededSingleFieldPerturbations)
+{
+    // Random circuits, each perturbed in exactly one field of one gate:
+    // every variant (and the original) must hash differently.
+    Rng rng(2024);
+    const GateKind one_qubit[] = {GateKind::Rz, GateKind::Rx, GateKind::H};
+    const GateKind two_qubit[] = {GateKind::Cx, GateKind::Ms, GateKind::Cz};
+    for (int round = 0; round < 20; ++round) {
+        std::vector<Gate> base;
+        for (int i = 0; i < 24; ++i) {
+            const int a = rng.intIn(0, 7);
+            if (rng.uniform(2) == 0) {
+                base.emplace_back(one_qubit[rng.uniform(3)], a,
+                                  8.0 * rng.real() - 4.0);
+            } else {
+                const int b = (a + rng.intIn(1, 7)) % 8;
+                base.emplace_back(two_qubit[rng.uniform(3)], a, b);
+            }
+        }
+        std::set<std::uint64_t> seen = {circuitOf(8, base).contentHash()};
+        for (std::size_t i = 0; i < base.size(); ++i) {
+            std::vector<Gate> variants(4, base[i]);
+            variants[0].param += 1e-9;
+            variants[1].param = -variants[1].param - 1.0;
+            variants[2].kind = variants[2].twoQubit() ? GateKind::Swap
+                                                      : GateKind::Ry;
+            variants[3].q0 = (variants[3].q0 + 1) % 8;
+            if (variants[3].q0 == variants[3].q1)
+                variants[3].q0 = (variants[3].q0 + 1) % 8;
+            for (const Gate &variant : variants) {
+                std::vector<Gate> perturbed = base;
+                perturbed[i] = variant;
+                EXPECT_TRUE(
+                    seen.insert(circuitOf(8, perturbed).contentHash())
+                        .second)
+                    << "round " << round << " gate " << i;
+            }
+        }
     }
 }
 

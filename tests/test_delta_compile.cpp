@@ -178,6 +178,110 @@ TEST(DeltaCompile, LookAheadAtTheHorizonStillResumes)
     EXPECT_TRUE(warm.deltaResumed) << "edited compile scheduled cold";
 }
 
+/** The delta_session settings: trivial mapping, 64-gate checkpoints. */
+MusstiConfig
+trivialDeltaConfig()
+{
+    MusstiConfig config;
+    config.mapping = MappingKind::Trivial;
+    config.deltaCompile = true;
+    config.deltaCheckpointGates = 64;
+    return config;
+}
+
+/** The captured checkpoints of `base` that `edited` shares a prefix
+    with, each offered alone, that a compile of `edited` resumes from. */
+std::vector<ScheduleSnapshot>
+resumableCheckpoints(const MusstiCompiler &backend,
+                     const std::vector<ScheduleSnapshot> &captured,
+                     const Circuit &edited)
+{
+    std::vector<ScheduleSnapshot> found;
+    for (const ScheduleSnapshot &snap : captured) {
+        if (edited.prefixHash(snap.inputPrefixGates) != snap.prefixHash)
+            continue;
+        DeltaCompileIO warm;
+        warm.candidates = {std::make_shared<const ScheduleSnapshot>(snap)};
+        backend.compile(edited, {.delta = &warm});
+        if (warm.resumed)
+            found.push_back(snap);
+    }
+    return found;
+}
+
+TEST(DeltaCompile, TheNetLintsOnlyTheResumedSuffix)
+{
+    // A compile that banks checkpoints lints its whole schedule once; a
+    // compile resumed from one lints only the ops after it.
+    const MusstiCompiler backend(trivialDeltaConfig());
+    MusstiConfig cold_config = trivialDeltaConfig();
+    cold_config.deltaCompile = false;
+    const Circuit base = makeIsing(32, 40);
+    const Circuit edited = reparamTail(base);
+    const std::uint64_t cold = scheduleFingerprint(
+        MusstiCompiler(cold_config).compile(edited));
+
+    DeltaCompileIO capture;
+    const CompileResult base_result =
+        backend.compile(base, {.delta = &capture});
+    ASSERT_FALSE(capture.captured.empty());
+    EXPECT_EQ(capture.lintedOps, base_result.schedule.ops.size());
+
+    const std::vector<ScheduleSnapshot> resumable =
+        resumableCheckpoints(backend, capture.captured, edited);
+    ASSERT_FALSE(resumable.empty());
+    for (const ScheduleSnapshot &snap : resumable) {
+        DeltaCompileIO warm;
+        warm.candidates = {std::make_shared<const ScheduleSnapshot>(snap)};
+        const CompileResult result =
+            backend.compile(edited, {.delta = &warm});
+        ASSERT_TRUE(warm.resumed);
+        EXPECT_EQ(warm.lintedOps,
+                  result.schedule.ops.size() - snap.schedule.ops.size())
+            << "resumed after op " << snap.schedule.ops.size();
+        EXPECT_EQ(scheduleFingerprint(result), cold);
+    }
+}
+
+TEST(DeltaCompile, TamperedChainsFailTheNetAndNeverShip)
+{
+    // The scheduler restores a snapshot's placement chains verbatim,
+    // but the net starts from the linter's own walk state. Swap two
+    // qubits across zones in a resumable candidate (the shape stays
+    // valid, so the scheduler resumes): the suffix then moves ions
+    // from where the scheduler believes they are, the net sees they
+    // are not, and the compile fails instead of returning a schedule.
+    const MusstiCompiler backend(trivialDeltaConfig());
+    const Circuit base = makeIsing(32, 40);
+    const Circuit edited = reparamTail(base);
+    DeltaCompileIO capture;
+    backend.compile(base, {.delta = &capture});
+    const std::vector<ScheduleSnapshot> resumable =
+        resumableCheckpoints(backend, capture.captured, edited);
+    ASSERT_FALSE(resumable.empty());
+
+    ScheduleSnapshot tampered = resumable.back();
+    std::vector<int *> fronts;
+    for (std::vector<int> &chain : tampered.chains) {
+        if (!chain.empty())
+            fronts.push_back(&chain.front());
+    }
+    ASSERT_GE(fronts.size(), 2u);
+    std::swap(*fronts[0], *fronts[1]);
+
+    DeltaCompileIO warm;
+    warm.candidates = {
+        std::make_shared<const ScheduleSnapshot>(std::move(tampered))};
+    try {
+        backend.compile(edited, {.delta = &warm});
+        ADD_FAILURE() << "a resume from tampered chains shipped";
+    } catch (const std::logic_error &error) {
+        EXPECT_NE(std::string(error.what()).find("failed lint"),
+                  std::string::npos)
+            << error.what();
+    }
+}
+
 TEST(DeltaCompile, GridBaselinesUnaffectedByDeltaService)
 {
     // The murali/dai/mqt baselines have no delta path; routing them

@@ -7,6 +7,8 @@
  *     that rule id — no cascade into other rules. The validator agrees
  *     every mutant is illegal (linter and validator never disagree
  *     about validity, only about diagnostic detail).
+ *     Linted from a checkpoint state exported before the corrupted op,
+ *     every mutant fires the same rule.
  *  2. Golden cleanliness: the exact artifacts test_backend_golden.cpp
  *     pins — all four backends — lint with zero findings.
  *  3. Report mechanics: per-rule truncation, renderers, fired-rule set.
@@ -55,6 +57,58 @@ compileMussti(const std::string &family, int qubits)
 // 1. Corruption corpus.
 // ---------------------------------------------------------------------
 
+/**
+ * A checkpoint of a valid schedule at or before op `limit`: just after
+ * a non-inserted two-qubit gate op (so no shuttle window is open and no
+ * inserted triple is half done), with the watermark just above every
+ * two-qubit gate the ops before it execute. Op 0 when there is none.
+ */
+LintMark
+checkpointBefore(const Schedule &schedule, std::size_t limit)
+{
+    LintMark mark;
+    int executed = -1;
+    for (std::size_t i = 0; i < limit && i < schedule.ops.size(); ++i) {
+        const ScheduledOp &op = schedule.ops[i];
+        if (op.kind == OpKind::Gate1Q || !op.isGate() || op.inserted)
+            continue;
+        executed = std::max(executed, op.circuitGate);
+        if (op.kind == OpKind::Gate2Q)
+            mark = {i + 1, static_cast<std::size_t>(executed + 1)};
+    }
+    return mark;
+}
+
+/** Index of the first op where the two streams differ. */
+std::size_t
+firstDifference(const Schedule &a, const Schedule &b)
+{
+    const auto same = [](const ScheduledOp &x, const ScheduledOp &y) {
+        return x.kind == y.kind && x.q0 == y.q0 && x.q1 == y.q1 &&
+               x.zoneFrom == y.zoneFrom && x.zoneTo == y.zoneTo &&
+               x.circuitGate == y.circuitGate && x.inserted == y.inserted;
+    };
+    std::size_t i = 0;
+    while (i < a.ops.size() && i < b.ops.size() && same(a.ops[i], b.ops[i]))
+        ++i;
+    return i;
+}
+
+/** Lint `mutant` from the state a lint of `base` exported at `mark`. */
+LintReport
+lintFromCheckpoint(const Artifact &base, const Schedule &mutant,
+                   const LintMark &mark)
+{
+    const ScheduleLinter linter(*base.device);
+    const ScheduleLinter::SuffixLint prefix =
+        linter.lintFrom(base.schedule, base.lowered, nullptr, {mark});
+    EXPECT_TRUE(prefix.report.clean()) << prefix.report.renderText();
+    const ScheduleLinter::SuffixLint suffix =
+        linter.lintFrom(mutant, base.lowered, &prefix.states[0]);
+    EXPECT_EQ(suffix.opsWalked, mutant.ops.size() - mark.ops);
+    return suffix.report;
+}
+
 void
 runCorpus(const Artifact &base, const char *label)
 {
@@ -81,6 +135,13 @@ runCorpus(const Artifact &base, const char *label)
             << report.renderText();
         EXPECT_GT(report.errorCount(), 0) << label << " " << rule;
 
+        const LintMark mark = checkpointBefore(
+            base.schedule, firstDifference(base.schedule, mutant));
+        EXPECT_EQ(lintFromCheckpoint(base, mutant, mark).firedRules(),
+                  std::vector<std::string>{rule})
+            << label << " corruption " << rule << " linted from op "
+            << mark.ops;
+
         // Cross-oracle agreement: the replay validator also rejects
         // every mutant (it reports its own first error, which need not
         // be phrased the same way).
@@ -101,6 +162,72 @@ TEST(LintCorpus, MultiModuleEveryCorruptionFiresExactlyItsRule)
 {
     // 117 qubits -> 4 modules: fiber gates and inserted SWAP triples.
     runCorpus(compileMussti("sqrt", 117), "sqrt:117");
+}
+
+TEST(LintCorpus, CorruptionsAcrossTheCheckpointFireTheirRule)
+{
+    // Mid-stream, where the checkpoint holds retired and pending gates:
+    // re-executing a gate retired before it, never executing one
+    // pending at it, and reordering two dependent gates after it each
+    // fire their rule from the checkpoint, as over the whole schedule.
+    const Artifact a = compileMussti("qft", 48);
+    LintMark mark = checkpointBefore(a.schedule, a.schedule.ops.size() / 2);
+    // A watermark above the tight one, as the scheduler's covers its
+    // look-ahead window: the gates between are pending.
+    mark.circuitGates = std::min(a.lowered.size(), mark.circuitGates + 200);
+    const ScheduleLinter::SuffixLint prefix =
+        ScheduleLinter(*a.device)
+            .lintFrom(a.schedule, a.lowered, nullptr, {mark});
+    ASSERT_TRUE(prefix.report.clean());
+    const ScheduleLintState &state = prefix.states[0];
+    ASSERT_FALSE(state.pending.empty());
+    const auto ops_at = [&](std::size_t i) {
+        return a.schedule.ops.begin() + static_cast<std::ptrdiff_t>(i);
+    };
+
+    Schedule retired = a.schedule;
+    retired.ops.insert(retired.ops.begin() +
+                           static_cast<std::ptrdiff_t>(mark.ops),
+                       a.schedule.ops[mark.ops - 1]);
+
+    Schedule pending = a.schedule;
+    const auto executes = std::find_if(
+        ops_at(mark.ops), a.schedule.ops.end(),
+        [&](const ScheduledOp &op) {
+            return op.isGate() && !op.inserted &&
+                   op.circuitGate == state.pending.front().circuitIndex;
+        });
+    ASSERT_NE(executes, a.schedule.ops.end());
+    pending.ops.erase(pending.ops.begin() +
+                      (executes - a.schedule.ops.begin()));
+
+    Schedule reordered = a.schedule;
+    std::size_t i = mark.ops;
+    for (; i + 1 < reordered.ops.size(); ++i) {
+        const ScheduledOp &x = reordered.ops[i];
+        const ScheduledOp &y = reordered.ops[i + 1];
+        if (x.kind == OpKind::Gate2Q && y.kind == OpKind::Gate2Q &&
+            !x.inserted && !y.inserted &&
+            (y.q0 == x.q0 || y.q0 == x.q1 || y.q1 == x.q0 ||
+             y.q1 == x.q1))
+            break;
+    }
+    ASSERT_LT(i + 1, reordered.ops.size());
+    std::swap(reordered.ops[i], reordered.ops[i + 1]);
+
+    const struct
+    {
+        const Schedule *mutant;
+        const char *rule;
+    } cases[] = {{&retired, lint_rules::kCoverage},
+                 {&pending, lint_rules::kCoverage},
+                 {&reordered, lint_rules::kDepOrder}};
+    for (const auto &c : cases) {
+        const std::vector<std::string> want{c.rule};
+        EXPECT_EQ(lintSchedule(*c.mutant, a.lowered, *a.device).firedRules(),
+                  want);
+        EXPECT_EQ(lintFromCheckpoint(a, *c.mutant, mark).firedRules(), want);
+    }
 }
 
 // ---------------------------------------------------------------------
