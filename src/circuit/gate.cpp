@@ -5,28 +5,6 @@
 
 namespace mussti {
 
-int
-gateArity(GateKind kind)
-{
-    switch (kind) {
-      case GateKind::Ms:
-      case GateKind::Cx:
-      case GateKind::Cz:
-      case GateKind::Swap:
-        return 2;
-      case GateKind::Barrier:
-        return 0;
-      default:
-        return 1;
-    }
-}
-
-bool
-isTwoQubit(GateKind kind)
-{
-    return gateArity(kind) == 2;
-}
-
 bool
 isSingleQubit(GateKind kind)
 {

@@ -25,11 +25,32 @@ enum class GateKind {
     Measure, Barrier,
 };
 
-/** Number of qubit operands for a gate kind (0 for barrier). */
-int gateArity(GateKind kind);
+/**
+ * Number of qubit operands for a gate kind (0 for barrier). Inline:
+ * the scheduler, evaluator and linter ask it once per gate or op.
+ */
+constexpr int
+gateArity(GateKind kind)
+{
+    switch (kind) {
+      case GateKind::Ms:
+      case GateKind::Cx:
+      case GateKind::Cz:
+      case GateKind::Swap:
+        return 2;
+      case GateKind::Barrier:
+        return 0;
+      default:
+        return 1;
+    }
+}
 
 /** True for entangling two-qubit kinds (Ms, Cx, Cz, Swap). */
-bool isTwoQubit(GateKind kind);
+constexpr bool
+isTwoQubit(GateKind kind)
+{
+    return gateArity(kind) == 2;
+}
 
 /** True for the single-qubit rotation/Clifford kinds. */
 bool isSingleQubit(GateKind kind);

@@ -21,13 +21,6 @@ opKindName(OpKind kind)
     panic("unhandled OpKind");
 }
 
-bool
-ScheduledOp::isShuttlePrimitive() const
-{
-    return kind == OpKind::Split || kind == OpKind::Move ||
-           kind == OpKind::Merge || kind == OpKind::IonSwap;
-}
-
 std::string
 ScheduledOp::describe() const
 {

@@ -47,7 +47,12 @@ struct ScheduledOp
                              ///< joins (replay determinism).
 
     /** True for Split/Move/Merge/IonSwap. */
-    bool isShuttlePrimitive() const;
+    bool
+    isShuttlePrimitive() const
+    {
+        return kind == OpKind::Split || kind == OpKind::Move ||
+               kind == OpKind::Merge || kind == OpKind::IonSwap;
+    }
 
     /** True for Gate1Q/Gate2Q/FiberGate. */
     bool isGate() const { return !isShuttlePrimitive(); }
