@@ -773,11 +773,11 @@ ScheduleLinter::lintFrom(const Schedule &schedule, const Circuit &circuit,
     SuffixLint out;
     out.opsWalked = schedule.ops.size() - begin;
     out.states.resize(marks.size());
+    const std::uint64_t chains = chainsDigest(schedule.initialChains);
     for (std::size_t m = 0; m < marks.size(); ++m) {
         out.states[m].ops = marks[m].ops;
         out.states[m].circuitGates = marks[m].circuitGates;
-        out.states[m].initialChainsDigest =
-            chainsDigest(schedule.initialChains);
+        out.states[m].initialChainsDigest = chains;
     }
 
     if (schedule.initialChains.size() !=
