@@ -400,15 +400,9 @@ CompileService::cacheLookup(const ResultCacheKey &key)
 
 void
 CompileService::cacheStore(const ResultCacheKey &key,
-                           const std::shared_ptr<CompileResult> &result)
+                           const std::shared_ptr<const CompileResult> &result)
 {
-    if (config_.cacheCapacity > 0) {
-        // The scheduler reserves ops for the largest schedule its
-        // thread has built; a result the memory tier keeps holds only
-        // what it uses.
-        result->schedule.ops.shrink_to_fit();
-        memory_.store(key, result);
-    }
+    memory_.store(key, result);
     if (disk_ != nullptr)
         disk_->store(key, *result);
 }

@@ -366,7 +366,7 @@ class CompileService
 
     /** Store a finished result into both result tiers. */
     void cacheStore(const ResultCacheKey &key,
-                    const std::shared_ptr<CompileResult> &result);
+                    const std::shared_ptr<const CompileResult> &result);
 
     /** Either result tier configured: the job path consults them. */
     bool resultCacheOn() const { return config_.cacheCapacity > 0 || disk_; }

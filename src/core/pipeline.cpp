@@ -109,6 +109,10 @@ PassPipeline::compile(const Circuit &circuit, const PhysicalParams &params,
 
     CompileResult result(std::move(ctx.lowered));
     result.schedule = std::move(ctx.schedule);
+    // Schedulers reserve ops for the largest schedule their thread has
+    // built; a result, which callers and caches keep, holds only what
+    // it uses.
+    result.schedule.ops.shrink_to_fit();
     result.metrics = ctx.metrics;
     result.swapInsertions = ctx.swapInsertions;
     result.evictions = ctx.evictions;
