@@ -86,9 +86,12 @@
  *
  * Every MUSS-TI record carries window_visits, the DAG relaxation-wave
  * visits of its compile (CompileResult::windowVisits): a deterministic
- * work counter, the same on any machine. With --baseline, a record
- * whose window_visits exceeds its baseline entry's fails the run — an
- * exact gate, unlike the wall-time ratios below.
+ * work counter, the same on any machine. Every record also carries
+ * ops_emitted and schedule_bytes, the op count of its schedule and the
+ * bytes the trimmed schedule holds (packed ops plus cost table). With
+ * --baseline, a record whose window_visits or schedule_bytes exceeds
+ * its baseline entry's fails the run — exact gates, unlike the
+ * wall-time ratios below.
  *
  * With --baseline, each record gains speedup_vs_baseline against the
  * matching (suite, name, qubits) entry of the old file, and the summary
@@ -262,6 +265,20 @@ toMs(std::chrono::steady_clock::duration d)
 }
 
 /**
+ * Book a schedule's op count and the bytes its ops and cost table hold
+ * once trimmed, as a cached result keeps them: exact, whatever the
+ * capacity the scheduler reserved.
+ */
+void
+recordSchedule(BenchRecord &record, const Schedule &schedule)
+{
+    OpStream trimmed = schedule.ops;
+    trimmed.shrink_to_fit();
+    record.opsEmitted = static_cast<long long>(trimmed.size());
+    record.scheduleBytes = static_cast<long long>(trimmed.bytes());
+}
+
+/**
  * Time `repeats` compilations of one MUSS-TI workload on this thread:
  * wall time is best-of-repeats; the allocation count is taken from the
  * LAST repeat, when the thread's scheduler arena is warm (steady
@@ -298,6 +315,7 @@ measureMussti(const MusstiCompiler &compiler, const std::string &suite,
             static_cast<long long>(result.windowVisits);
         record.steadyAllocs =
             static_cast<long long>(result.schedulerHeapAllocs);
+        recordSchedule(record, result.schedule);
     }
     return record;
 }
@@ -337,6 +355,7 @@ measureGrid(const char *grid_spec, const std::string &which,
         record.routingSteps = result.routingSteps;
         record.windowVisits =
             static_cast<long long>(result.windowVisits);
+        recordSchedule(record, result.schedule);
     }
     return record;
 }
@@ -488,6 +507,7 @@ measureDelta(const DeltaTier &tier, bool append, int repeats, int soak,
         record.routingSteps = out.routingSteps;
         record.windowVisits = static_cast<long long>(out.windowVisits);
         record.steadyAllocs = static_cast<long long>(out.loopHeapAllocs);
+        recordSchedule(record, out.schedule);
     }
     record.deltaColdMs = cold_ms;
     if (record.wallMs > 0.0)
@@ -596,6 +616,8 @@ measureServiceDelta(bool &ok)
                              : "differs from the cold compile");
             ok = false;
         }
+        if (resumed.ok())
+            recordSchedule(record, resumed.value().schedule);
     }
     record.wallMs = *std::min_element(warm_ms.begin(), warm_ms.end());
     record.deltaColdMs = *std::min_element(cold_ms.begin(), cold_ms.end());
@@ -655,6 +677,7 @@ measureCacheTiers(bool &ok)
     const CompileResult warm = service.submit(backend, circuit).get();
     const auto t1 = std::chrono::steady_clock::now();
     record.wallMs = toMs(t1 - t0);
+    recordSchedule(record, warm.schedule);
     service.submit(backend, circuit).get(); // now a memory-tier hit
 
     const CompileService::CacheStats stats = service.cacheStats();
@@ -843,7 +866,7 @@ main(int argc, char **argv)
     std::vector<BenchRecord> records;
     bool gate_ok = true;
     bool allocs_ok = true;
-    bool visits_ok = true;
+    bool counters_ok = true;
     std::map<std::string, std::pair<double, double>> gated; // wall, base
 
     const auto submit = [&](const char *tier, BenchRecord record) {
@@ -862,7 +885,16 @@ main(int argc, char **argv)
                             record.suite.c_str(), record.name.c_str(),
                             record.qubits, record.windowVisits,
                             base->windowVisits);
-                visits_ok = false;
+                counters_ok = false;
+            }
+            if (base->scheduleBytes >= 0 &&
+                record.scheduleBytes > base->scheduleBytes) {
+                std::printf("FAIL: %s/%s n=%d schedule_bytes %lld above "
+                            "the baseline's %lld\n",
+                            record.suite.c_str(), record.name.c_str(),
+                            record.qubits, record.scheduleBytes,
+                            base->scheduleBytes);
+                counters_ok = false;
             }
         }
         if (isGatedTier(record.suite)) {
@@ -1044,6 +1076,6 @@ main(int argc, char **argv)
         }
     }
 
-    const bool ok = gate_ok && allocs_ok && visits_ok && delta_ok && cache_ok;
+    const bool ok = gate_ok && allocs_ok && counters_ok && delta_ok && cache_ok;
     return ok ? 0 : 1;
 }

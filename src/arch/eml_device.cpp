@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "sim/op.h"
 
 namespace mussti {
 
@@ -28,6 +29,9 @@ EmlDevice::EmlDevice(const EmlConfig &config, int num_qubits)
       numQubits_(num_qubits)
 {
     MUSSTI_REQUIRE(num_qubits > 0, "device needs a positive qubit count");
+    MUSSTI_REQUIRE(num_qubits <= kMaxOpIndex,
+                   "device of " << num_qubits << " qubits exceeds the "
+                   << kMaxOpIndex << " a schedule can index");
     MUSSTI_REQUIRE(config.trapCapacity >= 2,
                    "trap capacity must be >= 2 (two-qubit gates need "
                    "co-located ions)");

@@ -4,6 +4,7 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "sim/op.h"
 
 namespace mussti {
 
@@ -13,6 +14,12 @@ GridDevice::GridDevice(const GridConfig &config)
     MUSSTI_REQUIRE(config.width >= 1 && config.height >= 1,
                    "grid needs positive dimensions");
     MUSSTI_REQUIRE(config.trapCapacity > 0, "trap capacity must be > 0");
+    // Qubits are bounded by slots; a schedule indexes them as int16.
+    const long long slots = static_cast<long long>(config.width) *
+                            config.height * config.trapCapacity;
+    MUSSTI_REQUIRE(slots <= kMaxOpIndex,
+                   "grid of " << slots << " slots exceeds the "
+                   << kMaxOpIndex << " qubits a schedule can index");
 
     std::vector<ZoneInfo> zones;
     std::vector<std::pair<int, int>> edges;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <deque>
 
+#include "sim/op.h"
+
 namespace mussti {
 
 const char *
@@ -24,7 +26,9 @@ TargetDevice::finalizeTopology(std::vector<ZoneInfo> zones,
     // The all-pairs hop table is O(zones^2) memory (4 KB at the paper's
     // scales, 16 MB at the cap below). Specs are user input, so refuse
     // topologies whose table would dwarf the compilation itself instead
-    // of silently allocating gigabytes for a grid:256x256 typo.
+    // of silently allocating gigabytes for a grid:256x256 typo. The cap
+    // also keeps zone ids inside a schedule's int16 op fields.
+    static_assert(2048 <= kMaxOpIndex);
     MUSSTI_REQUIRE(zones.size() <= 2048,
                    "device has " << zones.size() << " zones; the "
                    "precomputed adjacency/hop tables support at most "

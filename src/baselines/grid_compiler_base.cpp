@@ -114,6 +114,11 @@ class GridCompilerBase::SchedulePass : public CompilerPass
         Pass pass(ctx.requireGridDevice(), ctx.params,
                   ctx.requireLowered(), ctx.requirePlacement(),
                   strategy_.windowHorizon());
+        // Op count of the largest schedule this thread has built: the
+        // op vector starts at its final size instead of doubling up to
+        // it (the pipeline trims each result afterwards).
+        thread_local std::size_t op_reserve_hint = 0;
+        pass.schedule.ops.reserve(op_reserve_hint);
 
         int steps = 0;
         while (!pass.dag.empty()) {
@@ -139,6 +144,7 @@ class GridCompilerBase::SchedulePass : public CompilerPass
             pass.schedule.push(op);
         }
 
+        op_reserve_hint = std::max(op_reserve_hint, pass.schedule.ops.size());
         ctx.schedule = std::move(pass.schedule);
         ctx.finalPlacement = std::move(pass.placement);
     }

@@ -65,6 +65,10 @@ parseRecord(JsonReader &p)
             record.windowVisits = static_cast<long long>(p.parseNumber());
         } else if (key == "steady_allocs") {
             record.steadyAllocs = static_cast<long long>(p.parseNumber());
+        } else if (key == "ops_emitted") {
+            record.opsEmitted = static_cast<long long>(p.parseNumber());
+        } else if (key == "schedule_bytes") {
+            record.scheduleBytes = static_cast<long long>(p.parseNumber());
         } else if (key == "shuttles") {
             record.shuttles = static_cast<long long>(p.parseNumber());
         } else if (key == "makespan_us") {
@@ -130,6 +134,10 @@ benchResultsToJson(const std::vector<BenchRecord> &records,
         }
         if (r.windowVisits >= 0)
             out << ", \"window_visits\": " << r.windowVisits;
+        if (r.opsEmitted >= 0)
+            out << ", \"ops_emitted\": " << r.opsEmitted;
+        if (r.scheduleBytes >= 0)
+            out << ", \"schedule_bytes\": " << r.scheduleBytes;
         if (r.shuttles >= 0) {
             out << ", \"shuttles\": " << r.shuttles
                 << ", \"makespan_us\": " << number(r.makespanUs)

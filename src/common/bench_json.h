@@ -79,6 +79,15 @@ struct BenchRecord
     long long steadyAllocs = -1;
 
     /**
+     * The compiled schedule's size (absent = -1): its op count (JSON
+     * `ops_emitted`) and the bytes its ops and cost table hold once
+     * trimmed, as a cached result keeps them (`schedule_bytes`, see
+     * OpStream::bytes). Both deterministic.
+     */
+    long long opsEmitted = -1;
+    long long scheduleBytes = -1;
+
+    /**
      * Device-tuner sweep scoring (device_tuner suites only; absent =
      * `shuttles` < 0): the candidate device's ScoreCard for one
      * workload, so a sweep trajectory file carries everything the

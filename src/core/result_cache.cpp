@@ -54,6 +54,13 @@ putI32(std::string &out, std::int32_t value)
 }
 
 void
+putU16(std::string &out, std::uint16_t value)
+{
+    out += static_cast<char>(value & 0xFF);
+    out += static_cast<char>(value >> 8);
+}
+
+void
 putU8(std::string &out, std::uint8_t value)
 {
     out += static_cast<char>(value);
@@ -121,6 +128,28 @@ class ByteReader
                     << (8 * i);
         pos_ += 4;
         value = static_cast<std::int32_t>(bits);
+        return true;
+    }
+
+    bool
+    getU16(std::uint16_t &value)
+    {
+        if (pos_ + 2 > bytes_.size())
+            return false;
+        value = static_cast<std::uint16_t>(
+            static_cast<unsigned char>(bytes_[pos_]) |
+            static_cast<unsigned char>(bytes_[pos_ + 1]) << 8);
+        pos_ += 2;
+        return true;
+    }
+
+    bool
+    getI16(std::int16_t &value)
+    {
+        std::uint16_t bits = 0;
+        if (!getU16(bits))
+            return false;
+        value = static_cast<std::int16_t>(bits);
         return true;
     }
 
@@ -200,8 +229,6 @@ class ByteReader
 
 constexpr std::uint8_t kMaxGateKind =
     static_cast<std::uint8_t>(GateKind::Barrier);
-constexpr std::uint8_t kMaxOpKind =
-    static_cast<std::uint8_t>(OpKind::FiberGate);
 
 } // namespace
 
@@ -209,7 +236,7 @@ std::string
 serializeCompileResult(const CompileResult &result)
 {
     std::string out;
-    out.reserve(256 + result.schedule.ops.size() * 48);
+    out.reserve(256 + result.schedule.ops.size() * sizeof(PackedOp));
 
     // lowered circuit
     putI32(out, result.lowered.numQubits());
@@ -224,18 +251,21 @@ serializeCompileResult(const CompileResult &result)
 
     // schedule
     putIntMatrix(out, result.schedule.initialChains);
+    putU64(out, result.schedule.ops.costs().size());
+    for (const OpCost &cost : result.schedule.ops.costs()) {
+        putDouble(out, cost.durationUs);
+        putDouble(out, cost.nbar);
+    }
     putU64(out, result.schedule.ops.size());
-    for (const ScheduledOp &op : result.schedule.ops) {
-        putU8(out, static_cast<std::uint8_t>(op.kind));
-        putI32(out, op.q0);
-        putI32(out, op.q1);
-        putI32(out, op.zoneFrom);
-        putI32(out, op.zoneTo);
-        putDouble(out, op.durationUs);
-        putDouble(out, op.nbar);
+    for (const PackedOp &op : result.schedule.ops.packed()) {
         putI32(out, op.circuitGate);
-        putU8(out, op.inserted ? 1 : 0);
-        putU8(out, op.enterFront ? 1 : 0);
+        putU16(out, static_cast<std::uint16_t>(op.q0));
+        putU16(out, static_cast<std::uint16_t>(op.q1));
+        putU16(out, static_cast<std::uint16_t>(op.zoneFrom));
+        putU16(out, static_cast<std::uint16_t>(op.zoneTo));
+        putU16(out, op.cost);
+        putU8(out, op.kind);
+        putU8(out, op.flags);
     }
     putI32(out, result.schedule.shuttleCount);
     putI32(out, result.schedule.ionSwapCount);
@@ -312,24 +342,30 @@ deserializeCompileResult(const std::string &bytes)
 
     if (!in.getIntMatrix(result.schedule.initialChains))
         return std::nullopt;
+    std::uint64_t num_costs = 0;
+    if (!in.getU64(num_costs) || !in.plausibleCount(num_costs))
+        return std::nullopt;
+    std::vector<OpCost> costs(static_cast<std::size_t>(num_costs));
+    for (OpCost &cost : costs) {
+        if (!in.getDouble(cost.durationUs) || !in.getDouble(cost.nbar))
+            return std::nullopt;
+    }
     std::uint64_t num_ops = 0;
     if (!in.getU64(num_ops) || !in.plausibleCount(num_ops))
         return std::nullopt;
-    result.schedule.ops.reserve(static_cast<std::size_t>(num_ops));
-    for (std::uint64_t i = 0; i < num_ops; ++i) {
-        ScheduledOp op;
-        std::uint8_t kind = 0, inserted = 0, enter_front = 0;
-        if (!in.getU8(kind) || kind > kMaxOpKind || !in.getI32(op.q0) ||
-            !in.getI32(op.q1) || !in.getI32(op.zoneFrom) ||
-            !in.getI32(op.zoneTo) || !in.getDouble(op.durationUs) ||
-            !in.getDouble(op.nbar) || !in.getI32(op.circuitGate) ||
-            !in.getU8(inserted) || !in.getU8(enter_front))
+    std::vector<PackedOp> packed(static_cast<std::size_t>(num_ops));
+    for (PackedOp &op : packed) {
+        if (!in.getI32(op.circuitGate) || !in.getI16(op.q0) ||
+            !in.getI16(op.q1) || !in.getI16(op.zoneFrom) ||
+            !in.getI16(op.zoneTo) || !in.getU16(op.cost) ||
+            !in.getU8(op.kind) || !in.getU8(op.flags))
             return std::nullopt;
-        op.kind = static_cast<OpKind>(kind);
-        op.inserted = inserted != 0;
-        op.enterFront = enter_front != 0;
-        result.schedule.ops.push_back(op);
     }
+    std::optional<OpStream> ops =
+        OpStream::fromPacked(std::move(packed), std::move(costs));
+    if (!ops)
+        return std::nullopt;
+    result.schedule.ops = std::move(*ops);
     if (!in.getI32(result.schedule.shuttleCount) ||
         !in.getI32(result.schedule.ionSwapCount) ||
         !in.getI32(result.schedule.insertedSwapGates))

@@ -139,9 +139,10 @@ class DiskResultCache
     /**
      * Entry format version stamped into every file header. Bumped also
      * when the key changes meaning: version 3 entries are keyed by the
-     * word-mixed Circuit::contentHash, so older entries read as stale.
+     * word-mixed Circuit::contentHash; version 4 stores the packed
+     * 16-byte ops and their cost table. Older entries read as stale.
      */
-    static constexpr std::uint32_t kFormatVersion = 3;
+    static constexpr std::uint32_t kFormatVersion = 4;
 
     /** 8-byte magic tag opening every entry file. */
     static const char kMagic[9];

@@ -126,7 +126,7 @@ struct ScheduleSnapshot
     {
         std::size_t bytes = sizeof(*this);
         bytes += chainHeads.capacity() * sizeof(int);
-        bytes += schedule.ops.capacity() * sizeof(ScheduledOp);
+        bytes += schedule.ops.bytes();
         for (const auto &chain : schedule.initialChains)
             bytes += chain.capacity() * sizeof(int);
         for (const auto &chain : chains)

@@ -367,8 +367,7 @@ resumeFromSnapshot(PassState &st, const ScheduleSnapshot &snap,
                    int &routing_steps)
 {
     st.placement.restoreChains(snap.chains);
-    st.schedule.ops.assign(snap.schedule.ops.begin(),
-                           snap.schedule.ops.end());
+    st.schedule.ops = snap.schedule.ops;
     st.schedule.shuttleCount = snap.schedule.shuttleCount;
     st.schedule.ionSwapCount = snap.schedule.ionSwapCount;
     st.schedule.insertedSwapGates = snap.schedule.insertedSwapGates;

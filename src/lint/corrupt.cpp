@@ -90,13 +90,14 @@ bool
 corruptDepOrder(Schedule &schedule)
 {
     for (std::size_t i = 0; i + 1 < schedule.ops.size(); ++i) {
-        const ScheduledOp &x = schedule.ops[i];
-        const ScheduledOp &y = schedule.ops[i + 1];
+        const ScheduledOp x = schedule.ops[i];
+        const ScheduledOp y = schedule.ops[i + 1];
         if (x.isGate() && y.isGate() && !x.inserted && !y.inserted &&
             x.kind != OpKind::Gate1Q && y.kind != OpKind::Gate1Q &&
             (y.q0 == x.q0 || y.q0 == x.q1 || y.q1 == x.q0 ||
              y.q1 == x.q1)) {
-            std::swap(schedule.ops[i], schedule.ops[i + 1]);
+            schedule.ops.set(i, y);
+            schedule.ops.set(i + 1, x);
             return true;
         }
     }
@@ -108,12 +109,9 @@ bool
 corruptCoverage(Schedule &schedule)
 {
     for (std::size_t i = 0; i < schedule.ops.size(); ++i) {
-        const ScheduledOp &op = schedule.ops[i];
+        const ScheduledOp op = schedule.ops[i];
         if (op.isGate() && !op.inserted && op.kind != OpKind::Gate1Q) {
-            const ScheduledOp copy = op;
-            schedule.ops.insert(
-                schedule.ops.begin() + static_cast<std::ptrdiff_t>(i),
-                copy);
+            schedule.ops.insert(i, op);
             return true;
         }
     }
@@ -207,7 +205,8 @@ corruptPlacement(Schedule &schedule, const TargetDevice &device)
 bool
 corruptZone(Schedule &schedule, const TargetDevice &device)
 {
-    for (ScheduledOp &op : schedule.ops) {
+    for (std::size_t i = 0; i < schedule.ops.size(); ++i) {
+        ScheduledOp op = schedule.ops[i];
         if (op.kind != OpKind::Gate2Q)
             continue;
         // Prefer a gate-incapable zone (the paper's storage traps);
@@ -226,6 +225,7 @@ corruptZone(Schedule &schedule, const TargetDevice &device)
         if (replacement < 0)
             return false;
         op.zoneFrom = replacement;
+        schedule.ops.set(i, op);
         return true;
     }
     return false;

@@ -284,6 +284,8 @@ CompileServer::sendResponse(Session &session, const ServeResponse &response)
 CompileRequest
 CompileServer::buildRequest(const ServeRequest &request) const
 {
+    MUSSTI_REQUIRE(request.badNumber.empty(),
+                   "compile request " << request.badNumber);
     Circuit circuit(1);
     if (!request.qasm.empty())
         circuit = fromQasm(request.qasm,

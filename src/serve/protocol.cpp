@@ -1,5 +1,6 @@
 #include "serve/protocol.h"
 
+#include <cmath>
 #include <limits>
 #include <sstream>
 
@@ -36,10 +37,33 @@ field(std::ostringstream &out, bool &first, const char *key)
     first = false;
 }
 
-long long
+/** The JSON number at `p`, if it is an integer in T's range. */
+template <typename T>
+std::optional<T>
 parseInteger(JsonReader &p)
 {
-    return static_cast<long long>(p.parseNumber());
+    const double value = p.parseNumber();
+    // Range-check the double itself: casting a NaN, an infinity or a
+    // value past T's range is undefined behaviour. The bound is -min,
+    // 2^(bits-1), which a double holds exactly (max it may not).
+    constexpr double kLow = static_cast<double>(std::numeric_limits<T>::min());
+    if (!std::isfinite(value) || value != std::trunc(value) ||
+        value < kLow || value >= -kLow)
+        return std::nullopt;
+    return static_cast<T>(value);
+}
+
+/**
+ * A request field's integer, or the request's first badNumber: the
+ * frame still decodes, and the server refuses it as input.require.
+ */
+int
+requestInteger(JsonReader &p, const std::string &key, ServeRequest &request)
+{
+    const std::optional<int> value = parseInteger<int>(p);
+    if (!value && request.badNumber.empty())
+        request.badNumber = "`" + key + "` is not an integer in int range";
+    return value.value_or(0);
 }
 
 } // namespace
@@ -126,7 +150,7 @@ decodeRequest(const std::string &text, ServeRequest &request)
                 } else if (key == "family") {
                     decoded.family = p.parseString();
                 } else if (key == "qubits") {
-                    decoded.qubits = static_cast<int>(parseInteger(p));
+                    decoded.qubits = requestInteger(p, key, decoded);
                 } else if (key == "qasm") {
                     decoded.qasm = p.parseString();
                 } else if (key == "name") {
@@ -139,7 +163,7 @@ decodeRequest(const std::string &text, ServeRequest &request)
                     decoded.seed = parseU64(p.parseString());
                     decoded.hasSeed = true;
                 } else if (key == "deadline_ms") {
-                    decoded.deadlineMs = parseInteger(p);
+                    decoded.deadlineMs = requestInteger(p, key, decoded);
                 } else {
                     p.skipValue(); // Forward compatibility.
                 }
@@ -221,7 +245,7 @@ decodeResponse(const std::string &text, ServeResponse &response)
                 } else if (key == "ok") {
                     decoded.ok = p.parseBool();
                 } else if (key == "attempts") {
-                    decoded.attempts = static_cast<int>(parseInteger(p));
+                    decoded.attempts = parseInteger<int>(p).value();
                 } else if (key == "fingerprint") {
                     decoded.fingerprint = parseU64(p.parseString());
                 } else if (key == "exec_time_us") {
@@ -229,10 +253,10 @@ decodeResponse(const std::string &text, ServeResponse &response)
                 } else if (key == "log10_fidelity") {
                     decoded.log10Fidelity = p.parseNumber();
                 } else if (key == "shuttles") {
-                    decoded.shuttles = static_cast<int>(parseInteger(p));
+                    decoded.shuttles = parseInteger<int>(p).value();
                 } else if (key == "swap_insertions") {
                     decoded.swapInsertions =
-                        static_cast<int>(parseInteger(p));
+                        parseInteger<int>(p).value();
                 } else if (key == "error") {
                     p.expect('{');
                     if (!p.consumeIf('}')) {
@@ -256,8 +280,9 @@ decodeResponse(const std::string &text, ServeResponse &response)
                         do {
                             std::string stat = p.parseString();
                             p.expect(':');
-                            decoded.stats.emplace_back(std::move(stat),
-                                                       parseInteger(p));
+                            decoded.stats.emplace_back(
+                                std::move(stat),
+                                parseInteger<long long>(p).value());
                         } while (p.consumeIf(','));
                         p.expect('}');
                     }

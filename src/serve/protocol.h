@@ -72,6 +72,13 @@ struct ServeRequest
     /** Relative deadline in ms, anchored when the server decodes the
         frame; <= 0 means none. */
     long long deadlineMs = 0;
+
+    /**
+     * Set by decodeRequest when `qubits` or `deadline_ms` is not an
+     * integer in int range (a non-finite, fractional or huge number):
+     * the frame decodes, and the server answers input.require.
+     */
+    std::string badNumber;
 };
 
 /** Structured failure payload (mirrors common/error.h MusstiError). */

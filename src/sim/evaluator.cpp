@@ -51,9 +51,14 @@ Evaluator::evaluate(const Schedule &schedule,
         occupancy[z] = static_cast<int>(schedule.initialChains[z].size());
 
     const double k = params_.heatingRate;
+    // Gates also consume qubit lifetime: their serial duration feeds the
+    // circuit-level decay envelope below.
+    double gate_time = 0.0;
 
     for (const ScheduledOp &op : schedule.ops) {
         metrics.executionTimeUs += op.durationUs;
+        if (op.isGate())
+            gate_time += op.durationUs;
 
         switch (op.kind) {
           case OpKind::Split:
@@ -116,12 +121,7 @@ Evaluator::evaluate(const Schedule &schedule,
 
     // Lifetime decay over the whole serial execution, applied per qubit
     // via the shuttle terms above plus this circuit-level envelope for
-    // gate durations (gates also consume lifetime).
-    double gate_time = 0.0;
-    for (const ScheduledOp &op : schedule.ops) {
-        if (op.isGate())
-            gate_time += op.durationUs;
-    }
+    // gate durations.
     fidelity.multiplyLn(-gate_time / params_.t1Us);
     metrics.lnFromLifetime = -gate_time / params_.t1Us;
 

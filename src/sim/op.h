@@ -10,6 +10,8 @@
 #ifndef MUSSTI_SIM_OP_H
 #define MUSSTI_SIM_OP_H
 
+#include <cstdint>
+#include <limits>
 #include <string>
 
 namespace mussti {
@@ -24,6 +26,12 @@ enum class OpKind {
     Gate2Q,    ///< Local two-qubit MS gate inside one gate-capable zone.
     FiberGate, ///< Remote two-qubit gate between two optical zones.
 };
+
+/**
+ * Largest qubit or zone index a schedule can store (its ops keep them
+ * as int16). Devices refuse to be built past it.
+ */
+constexpr int kMaxOpIndex = std::numeric_limits<std::int16_t>::max();
 
 /** Readable op name for traces and error messages. */
 const char *opKindName(OpKind kind);
@@ -60,6 +68,34 @@ struct ScheduledOp
     /** One-line trace rendering. */
     std::string describe() const;
 };
+
+/** The cost part of an op, interned per schedule (see OpStream). */
+struct OpCost
+{
+    double durationUs = 0.0;
+    double nbar = 0.0;
+};
+
+/**
+ * One op as a schedule stores it. The wide ScheduledOp is what emitters
+ * fill in and readers see; OpStream packs and decodes between the two.
+ */
+struct PackedOp
+{
+    std::int32_t circuitGate = -1;
+    std::int16_t q0 = -1;
+    std::int16_t q1 = -1;
+    std::int16_t zoneFrom = -1;
+    std::int16_t zoneTo = -1;
+    std::uint16_t cost = 0; ///< Index into the schedule's cost table.
+    std::uint8_t kind = 0;
+    std::uint8_t flags = 0; ///< kInserted | kEnterFront.
+
+    static constexpr std::uint8_t kInserted = 1;
+    static constexpr std::uint8_t kEnterFront = 2;
+};
+
+static_assert(sizeof(PackedOp) == 16, "a stored op is 16 bytes");
 
 } // namespace mussti
 

@@ -33,6 +33,8 @@ sampleRecords()
     a.routingSteps = 4321;
     a.windowVisits = 7812345;
     a.steadyAllocs = 0;
+    a.opsEmitted = 743549;
+    a.scheduleBytes = 11897040;
 
     BenchRecord b; // no baseline, no trace, no scheduler counters
     b.suite = "fig10_compile_time";
@@ -94,6 +96,8 @@ expectSameRecords(const std::vector<BenchRecord> &x,
         EXPECT_EQ(x[i].routingSteps, y[i].routingSteps);
         EXPECT_EQ(x[i].windowVisits, y[i].windowVisits);
         EXPECT_EQ(x[i].steadyAllocs, y[i].steadyAllocs);
+        EXPECT_EQ(x[i].opsEmitted, y[i].opsEmitted);
+        EXPECT_EQ(x[i].scheduleBytes, y[i].scheduleBytes);
         EXPECT_EQ(x[i].shuttles, y[i].shuttles);
         EXPECT_NEAR(x[i].makespanUs, y[i].makespanUs, 1e-9);
         EXPECT_NEAR(x[i].log10Fidelity, y[i].log10Fidelity, 1e-9);

@@ -154,6 +154,27 @@ TEST(CompileService, CacheServesRepeatedJobs)
     expectIdentical(first, second);
 }
 
+TEST(CompileService, CachedScheduleHoldsSixteenBytesPerOp)
+{
+    // The largest paper program: a cached result holds its ops packed
+    // (48 bytes each before the cost table) plus a table of a few pairs.
+    CompileServiceConfig config;
+    config.numThreads = 1;
+    CompileService service(config);
+    const auto backend = makeMusstiBackend();
+    const Circuit qc = makeBenchmark("qft", 288);
+    ASSERT_TRUE(service.submitOutcome({backend, qc, {}, {}, {}}).get().ok());
+    const CompileOutcome hit =
+        service.submitOutcome({backend, qc, {}, {}, {}}).get();
+    ASSERT_TRUE(hit.ok());
+    EXPECT_EQ(service.cacheHits(), 1u);
+
+    const OpStream &ops = hit.result->schedule.ops;
+    ASSERT_GT(ops.size(), 100000u);
+    EXPECT_LE(ops.costs().size(), 16u);
+    EXPECT_LE(ops.bytes(), ops.size() * 16 + 1024);
+}
+
 TEST(CompileService, CacheKeysDistinguishConfigAndCircuit)
 {
     CompileServiceConfig service_config;

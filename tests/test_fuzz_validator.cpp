@@ -65,7 +65,7 @@ TEST(FuzzValidator, DroppingAnyGateOpIsRejected)
             c.schedule.ops[i].inserted)
             continue;
         Schedule mutant = c.schedule;
-        mutant.ops.erase(mutant.ops.begin() + i);
+        mutant.ops.erase(i);
         EXPECT_FALSE(isValid(c, mutant)) << "dropped gate op " << i;
         ++tried;
     }
@@ -81,7 +81,7 @@ TEST(FuzzValidator, DroppingAnyMergeIsRejected)
         if (c.schedule.ops[i].kind != OpKind::Merge)
             continue;
         Schedule mutant = c.schedule;
-        mutant.ops.erase(mutant.ops.begin() + i);
+        mutant.ops.erase(i);
         EXPECT_FALSE(isValid(c, mutant)) << "dropped merge " << i;
         ++tried;
     }
@@ -94,8 +94,8 @@ TEST(FuzzValidator, SwappingAdjacentDependentGatesIsRejected)
     int tried = 0;
     for (std::size_t i = 0; i + 1 < c.schedule.ops.size() && tried < 20;
          ++i) {
-        const auto &a = c.schedule.ops[i];
-        const auto &b = c.schedule.ops[i + 1];
+        const ScheduledOp a = c.schedule.ops[i];
+        const ScheduledOp b = c.schedule.ops[i + 1];
         const bool both_real_gates =
             a.kind == OpKind::Gate2Q && b.kind == OpKind::Gate2Q &&
             !a.inserted && !b.inserted;
@@ -106,7 +106,8 @@ TEST(FuzzValidator, SwappingAdjacentDependentGatesIsRejected)
         if (!dependent)
             continue;
         Schedule mutant = c.schedule;
-        std::swap(mutant.ops[i], mutant.ops[i + 1]);
+        mutant.ops.set(i, b);
+        mutant.ops.set(i + 1, a);
         EXPECT_FALSE(isValid(c, mutant)) << "swapped gates at " << i;
         ++tried;
     }
@@ -124,8 +125,9 @@ TEST(FuzzValidator, RetargetingMovesIsRejected)
         Schedule mutant = c.schedule;
         // Redirect the move to a different zone; the following merge's
         // zone no longer matches.
-        mutant.ops[i].zoneTo =
-            (mutant.ops[i].zoneTo + 1) % c.device.numZones();
+        ScheduledOp move = mutant.ops[i];
+        move.zoneTo = (move.zoneTo + 1) % c.device.numZones();
+        mutant.ops.set(i, move);
         EXPECT_FALSE(isValid(c, mutant)) << "retargeted move " << i;
         ++tried;
     }
@@ -139,15 +141,15 @@ TEST(FuzzValidator, CorruptingGateOperandsIsRejected)
     int tried = 0;
     for (int attempt = 0; attempt < 2000 && tried < 25; ++attempt) {
         const std::size_t i = rng.uniform(c.schedule.ops.size());
-        const auto &op = c.schedule.ops[i];
+        ScheduledOp op = c.schedule.ops[i];
         if (op.kind != OpKind::Gate2Q || op.inserted)
             continue;
         Schedule mutant = c.schedule;
-        mutant.ops[i].q1 =
-            (op.q1 + 1 + static_cast<int>(rng.uniform(
-                 c.lowered.numQubits() - 1))) % c.lowered.numQubits();
-        if (mutant.ops[i].q1 == mutant.ops[i].q0)
+        op.q1 = (op.q1 + 1 + static_cast<int>(rng.uniform(
+                     c.lowered.numQubits() - 1))) % c.lowered.numQubits();
+        if (op.q1 == op.q0)
             continue;
+        mutant.ops.set(i, op);
         EXPECT_FALSE(isValid(c, mutant)) << "corrupted operands " << i;
         ++tried;
     }
@@ -164,7 +166,7 @@ TEST(FuzzValidator, DuplicatingGatesIsRejected)
             c.schedule.ops[i].inserted)
             continue;
         Schedule mutant = c.schedule;
-        mutant.ops.insert(mutant.ops.begin() + i, c.schedule.ops[i]);
+        mutant.ops.insert(i, c.schedule.ops[i]);
         EXPECT_FALSE(isValid(c, mutant)) << "duplicated gate " << i;
         ++tried;
     }
@@ -199,9 +201,11 @@ TEST(FuzzValidator, MarkingRealGateAsInsertedIsRejected)
 {
     const Compiled c = makeCompiled();
     Schedule mutant = c.schedule;
-    for (auto &op : mutant.ops) {
+    for (std::size_t i = 0; i < mutant.ops.size(); ++i) {
+        ScheduledOp op = mutant.ops[i];
         if (op.kind == OpKind::Gate2Q && !op.inserted) {
             op.inserted = true; // a lone "inserted" gate: broken triple
+            mutant.ops.set(i, op);
             break;
         }
     }
@@ -220,7 +224,7 @@ TEST(FuzzValidator, CrossModuleBaselineAlsoFuzzes)
     for (std::size_t i = 0; i < mutant.ops.size(); ++i) {
         if (mutant.ops[i].kind == OpKind::FiberGate &&
             !mutant.ops[i].inserted) {
-            mutant.ops.erase(mutant.ops.begin() + i);
+            mutant.ops.erase(i);
             break;
         }
     }
@@ -230,7 +234,7 @@ TEST(FuzzValidator, CrossModuleBaselineAlsoFuzzes)
     Schedule mutant2 = c.schedule;
     for (std::size_t i = 0; i < mutant2.ops.size(); ++i) {
         if (mutant2.ops[i].inserted) {
-            mutant2.ops.erase(mutant2.ops.begin() + i);
+            mutant2.ops.erase(i);
             break;
         }
     }

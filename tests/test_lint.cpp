@@ -186,9 +186,7 @@ TEST(LintCorpus, CorruptionsAcrossTheCheckpointFireTheirRule)
     };
 
     Schedule retired = a.schedule;
-    retired.ops.insert(retired.ops.begin() +
-                           static_cast<std::ptrdiff_t>(mark.ops),
-                       a.schedule.ops[mark.ops - 1]);
+    retired.ops.insert(mark.ops, a.schedule.ops[mark.ops - 1]);
 
     Schedule pending = a.schedule;
     const auto executes = std::find_if(
@@ -198,14 +196,14 @@ TEST(LintCorpus, CorruptionsAcrossTheCheckpointFireTheirRule)
                    op.circuitGate == state.pending.front().circuitIndex;
         });
     ASSERT_NE(executes, a.schedule.ops.end());
-    pending.ops.erase(pending.ops.begin() +
-                      (executes - a.schedule.ops.begin()));
+    pending.ops.erase(
+        static_cast<std::size_t>(executes - a.schedule.ops.begin()));
 
     Schedule reordered = a.schedule;
     std::size_t i = mark.ops;
     for (; i + 1 < reordered.ops.size(); ++i) {
-        const ScheduledOp &x = reordered.ops[i];
-        const ScheduledOp &y = reordered.ops[i + 1];
+        const ScheduledOp x = reordered.ops[i];
+        const ScheduledOp y = reordered.ops[i + 1];
         if (x.kind == OpKind::Gate2Q && y.kind == OpKind::Gate2Q &&
             !x.inserted && !y.inserted &&
             (y.q0 == x.q0 || y.q0 == x.q1 || y.q1 == x.q0 ||
@@ -213,7 +211,9 @@ TEST(LintCorpus, CorruptionsAcrossTheCheckpointFireTheirRule)
             break;
     }
     ASSERT_LT(i + 1, reordered.ops.size());
-    std::swap(reordered.ops[i], reordered.ops[i + 1]);
+    const ScheduledOp first = reordered.ops[i];
+    reordered.ops.set(i, reordered.ops[i + 1]);
+    reordered.ops.set(i + 1, first);
 
     const struct
     {
@@ -292,9 +292,11 @@ TEST(LintReportMechanics, PerRuleFindingsAreCappedWithTruncationNote)
     const Artifact a = compileMussti("qft", 32);
     Schedule mutant = a.schedule;
     int corrupted = 0;
-    for (ScheduledOp &op : mutant.ops) {
+    for (std::size_t i = 0; i < mutant.ops.size(); ++i) {
+        ScheduledOp op = mutant.ops[i];
         if (op.kind == OpKind::Gate2Q) {
             op.zoneFrom = (op.zoneFrom + 1) % a.device->numZones();
+            mutant.ops.set(i, op);
             ++corrupted;
         }
     }

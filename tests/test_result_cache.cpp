@@ -276,6 +276,27 @@ TEST(DiskCache, VersionMismatchIsAMiss)
     EXPECT_EQ(cache.stats().corrupt, 1u);
 }
 
+TEST(DiskCache, FormatThreeEntryIsACleanMiss)
+{
+    // Entries written before ops were packed (format 3) miss, and the
+    // slot serves again once the current build stores it.
+    ASSERT_EQ(DiskResultCache::kFormatVersion, 4u);
+    const ScratchDir dir;
+    DiskResultCache cache(dir.str(), 16);
+    const ResultCacheKey key = sampleKey();
+    cache.store(key, sampleResult());
+    const std::string path = cache.entryPathFor(key);
+    std::string bytes = readFile(path);
+    ASSERT_GT(bytes.size(), 12u);
+    bytes[8] = 3;
+    writeFile(path, bytes);
+
+    EXPECT_FALSE(cache.lookup(key).has_value());
+    EXPECT_EQ(cache.stats().misses, 1u);
+    cache.store(key, sampleResult());
+    EXPECT_TRUE(cache.lookup(key).has_value());
+}
+
 TEST(DiskCache, KeyEchoMismatchIsAMiss)
 {
     // A file landing under the wrong name (digest collision, manual

@@ -634,6 +634,65 @@ TEST(Serve, StructuredErrorsComeBackOverTheWire)
     server.stop();
 }
 
+TEST(ServeProtocol, WireIntegersPastIntRangeMarkTheRequest)
+{
+    for (const std::string number : {"1e300", "-1e300", "1e19", "2.5"}) {
+        for (const std::string key : {"qubits", "deadline_ms"}) {
+            const std::string frame =
+                "{\"type\":\"compile\",\"family\":\"ghz\",\"" + key +
+                "\":" + number + "}";
+            ServeRequest request;
+            ASSERT_TRUE(decodeRequest(frame, request)) << frame;
+            EXPECT_NE(request.badNumber.find(key), std::string::npos)
+                << frame;
+        }
+    }
+    ServeRequest fine;
+    ASSERT_TRUE(decodeRequest(
+        "{\"type\":\"compile\",\"qubits\":-2147483648,"
+        "\"deadline_ms\":2147483647}",
+        fine));
+    EXPECT_TRUE(fine.badNumber.empty());
+    EXPECT_EQ(fine.qubits, -2147483647 - 1);
+    EXPECT_EQ(fine.deadlineMs, 2147483647);
+}
+
+TEST(Serve, HugeWireNumbersAreInputErrors)
+{
+    // 1e300 cast to an int is undefined behaviour: the server must
+    // range-check the number and refuse it as an input error.
+    CompileServerConfig config;
+    config.port = 0;
+    config.numThreads = 1;
+    CompileServer server(config);
+    ASSERT_TRUE(server.start());
+    const int fd = connectWithNagle(server.port());
+    ASSERT_GE(fd, 0);
+
+    std::uint64_t id = 0;
+    for (const std::string number : {"1e300", "-1e300", "1e19"}) {
+        for (const std::string &field :
+             {"\"qubits\":" + number,
+              "\"qubits\":8,\"deadline_ms\":" + number}) {
+            ++id;
+            const std::string frame =
+                "{\"type\":\"compile\",\"id\":" + std::to_string(id) +
+                ",\"family\":\"ghz\"," + field + "}";
+            std::string payload;
+            ServeResponse response;
+            ASSERT_TRUE(writeFrame(fd, frame) && readFrame(fd, payload) &&
+                        decodeResponse(payload, response))
+                << frame;
+            EXPECT_EQ(response.id, id) << frame;
+            EXPECT_FALSE(response.ok) << frame;
+            EXPECT_EQ(response.error.category, "InvalidInput") << frame;
+            EXPECT_EQ(response.error.code, "input.require") << frame;
+        }
+    }
+    ::close(fd);
+    server.stop();
+}
+
 TEST(Serve, ABlownDeadlineIsAStructuredTimeout)
 {
     CompileServerConfig config;
