@@ -79,7 +79,7 @@ class TargetDevice
 
     int numZones() const { return static_cast<int>(zones_.size()); }
 
-    /** All zone descriptors (evaluator/validator/timeline input). */
+    /** All zone descriptors (evaluator/timeline input). */
     const std::vector<ZoneInfo> &zoneInfos() const { return zones_; }
 
     /** Static zone descriptor by global zone id (hot path, inline). */

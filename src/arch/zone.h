@@ -32,7 +32,7 @@ const char *zoneKindName(ZoneKind kind);
 
 /**
  * Static description of one trap/zone. Produced by device models and
- * consumed by the scheduler, evaluator, and validator.
+ * consumed by the scheduler, evaluator, and schedule linter.
  */
 struct ZoneInfo
 {

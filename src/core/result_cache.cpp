@@ -490,58 +490,65 @@ encodeHeader(const ResultCacheKey &key, const std::string &payload)
     return header;
 }
 
+/** What validateEntry() made of an entry file. */
+enum class EntryVerdict { Valid, Stale, Corrupt };
+
 /**
- * Validate a whole entry file against `key`; the payload on success.
- * Every failure mode — short file, wrong magic/version, key mismatch
- * (digest collision), bad length, bad checksum — is "corrupt".
+ * Validate a whole entry file against `key`, moving its payload into
+ * `payload` when Valid. An entry sound in every field but its format
+ * version is Stale: a build with another format wrote it. Every other
+ * failure mode — short file, wrong magic, key mismatch (digest
+ * collision), bad length, bad checksum — is Corrupt.
  */
-std::optional<std::string>
-validateEntry(const std::string &bytes, const ResultCacheKey &key)
+EntryVerdict
+validateEntry(const std::string &bytes, const ResultCacheKey &key,
+              std::string &payload)
 {
     static constexpr std::size_t kHeaderSize = 8 + 4 + 8 * 3 + 1 + 8 + 8;
     if (bytes.size() < kHeaderSize)
-        return std::nullopt;
+        return EntryVerdict::Corrupt;
     if (std::memcmp(bytes.data(), DiskResultCache::kMagic, 8) != 0)
-        return std::nullopt;
+        return EntryVerdict::Corrupt;
 
     ByteReader in(bytes);
     {   // Skip the magic through the reader to keep offsets aligned.
         std::uint64_t magic = 0;
         if (!in.getU64(magic))
-            return std::nullopt;
+            return EntryVerdict::Corrupt;
     }
     std::uint32_t version = 0;
     for (int i = 0; i < 4; ++i) {
         std::uint8_t byte = 0;
         if (!in.getU8(byte))
-            return std::nullopt;
+            return EntryVerdict::Corrupt;
         version |= static_cast<std::uint32_t>(byte) << (8 * i);
     }
-    if (version != DiskResultCache::kFormatVersion)
-        return std::nullopt;
 
     ResultCacheKey stored;
     std::uint8_t has_seed = 0;
     if (!in.getU64(stored.circuitHash) || !in.getU64(stored.configDigest) ||
         !in.getU64(stored.seed) || !in.getU8(has_seed) || has_seed > 1)
-        return std::nullopt;
+        return EntryVerdict::Corrupt;
     stored.hasSeed = has_seed != 0;
     if (!(stored == key))
-        return std::nullopt;
+        return EntryVerdict::Corrupt;
 
     std::uint64_t payload_size = 0;
     std::uint64_t expected_checksum = 0;
     if (!in.getU64(payload_size) || !in.getU64(expected_checksum))
-        return std::nullopt;
+        return EntryVerdict::Corrupt;
     if (bytes.size() - kHeaderSize != payload_size)
-        return std::nullopt;
+        return EntryVerdict::Corrupt;
 
     Fnv1a checksum;
     checksum.updateBytes(bytes.data() + kHeaderSize,
                          bytes.size() - kHeaderSize);
     if (checksum.digest() != expected_checksum)
-        return std::nullopt;
-    return bytes.substr(kHeaderSize);
+        return EntryVerdict::Corrupt;
+    if (version != DiskResultCache::kFormatVersion)
+        return EntryVerdict::Stale;
+    payload = bytes.substr(kHeaderSize);
+    return EntryVerdict::Valid;
 }
 
 } // namespace
@@ -585,11 +592,21 @@ DiskResultCache::lookup(const ResultCacheKey &key)
         }
     }
 
+    std::string payload;
+    const EntryVerdict verdict = validateEntry(bytes, key, payload);
     std::optional<CompileResult> result;
-    if (const auto payload = validateEntry(bytes, key))
-        result = deserializeCompileResult(*payload);
+    if (verdict == EntryVerdict::Valid)
+        result = deserializeCompileResult(payload);
 
     std::lock_guard<std::mutex> lock(mutex_);
+    if (verdict == EntryVerdict::Stale) {
+        // Another format's entry is no evidence of corruption: drop it
+        // so this build's store refills the slot.
+        ++stats_.misses;
+        std::error_code ec;
+        fs::remove(path, ec);
+        return std::nullopt;
+    }
     if (!result.has_value()) {
         ++stats_.corrupt;
         ++stats_.misses;

@@ -17,7 +17,8 @@
  *    exception on the compile path.
  *  - A stored result must deserialize bit-identical to what went in;
  *    the disk tier enforces this with a version-stamped, checksummed
- *    entry format and quarantines anything that fails validation.
+ *    entry format: it drops another format's entries and quarantines
+ *    anything else that fails validation.
  *  - Only completed compiles are stored (the service guarantees this),
  *    so a cache hit is always a result some compile actually produced.
  */
@@ -74,7 +75,8 @@ struct ResultTierStats
     std::uint64_t misses = 0;    ///< Lookups that found nothing usable.
     std::uint64_t evictions = 0; ///< Entries dropped by the capacity bound.
     std::uint64_t corrupt = 0;   ///< Entries failing validation (counted
-                                 ///< as misses and quarantined).
+                                 ///< as misses and quarantined; a stale
+                                 ///< format is a plain miss).
 };
 
 /** The in-memory bounded LRU tier; capacity 0 disables it. */
@@ -109,12 +111,13 @@ class MemoryResultCache
  * directory, named by the key digest. Writes are atomic
  * (write-to-temp + rename), so concurrent writers and a reader racing
  * a writer only ever observe complete entries. Every entry carries a
- * magic tag, a format version, the full key, and a payload checksum;
- * an entry failing ANY of those checks — truncation, garbage, a stale
- * format, a digest collision — is treated as a miss, counted corrupt,
- * and moved into a quarantine/ subdirectory for post-mortem, keeping
- * the hot path silent and the wrong-result probability at the checksum
- * collision floor.
+ * magic tag, a format version, the full key, and a payload checksum.
+ * An entry sound in all but its format version (written by a build
+ * with another format) is a plain miss and is removed. An entry failing
+ * any other check — truncation, garbage, a digest collision — is
+ * treated as a miss, counted corrupt, and moved into a quarantine/
+ * subdirectory for post-mortem, keeping the hot path silent and the
+ * wrong-result probability at the checksum collision floor.
  */
 class DiskResultCache
 {

@@ -35,8 +35,7 @@
  *    qubit form a chain in the DAG, the chain head always carries the
  *    minimum depth, so this is an O(1)-per-qubit read. Only the
  *    MUSS-TI scheduler reads it, so the table is opt-in
- *    (trackNextUse()); the grid baselines' and the validator's DAGs
- *    keep depths alone.
+ *    (trackNextUse()); the grid baselines' DAGs keep depths alone.
  *
  * The relaxation wave is the DAG's hottest loop (tens of depth
  * decrements per node per scheduling run), so it reads only compact
@@ -410,8 +409,8 @@ class DependencyDag
     /**
      * Start maintaining the nextUse() table (filled here from the chain
      * heads) and logging its changes for syncNextUse(). Off by default:
-     * the grid baselines and the validator never read the table, so
-     * their retirements skip every nextUse write.
+     * the grid baselines never read the table, so their retirements
+     * skip every nextUse write.
      */
     void trackNextUse();
 
@@ -485,7 +484,7 @@ class DependencyDag
     /**
      * True when `id` is unfinished and every predecessor has retired —
      * the readiness test of the scheduler's phase-1 drain and frontier
-     * worklist, the grid baselines and the validator.
+     * worklist and the grid baselines.
      */
     bool
     isReady(DagNodeId id) const

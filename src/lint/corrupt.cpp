@@ -1,6 +1,5 @@
 #include "lint/corrupt.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "arch/target_device.h"
@@ -12,52 +11,18 @@ namespace mussti {
 namespace {
 
 /**
- * Zone membership after replaying a VALID schedule to its end: where
- * every qubit rests, and how many ions each zone holds. The appending
- * corruptions build on this so their planted ops are legal right up to
- * the intended violation.
+ * The chains after a VALID schedule's last op, as the linter's own
+ * replay exports them. The appending corruptions build on this so their
+ * planted ops are legal right up to the intended violation.
  */
-struct FinalState
+ScheduleLintState
+finalState(const Schedule &schedule, const Circuit &circuit,
+           const TargetDevice &device)
 {
-    std::vector<int> zoneOf;    ///< Per qubit; -1 never happens (valid).
-    std::vector<int> zoneCount; ///< Per zone.
-};
-
-FinalState
-replayToEnd(const Schedule &schedule, const Circuit &circuit,
-            const TargetDevice &device)
-{
-    FinalState st;
-    st.zoneOf.assign(circuit.numQubits(), -1);
-    st.zoneCount.assign(device.numZones(), 0);
-    for (std::size_t z = 0; z < schedule.initialChains.size(); ++z) {
-        for (int q : schedule.initialChains[z]) {
-            st.zoneOf[q] = static_cast<int>(z);
-            ++st.zoneCount[z];
-        }
-    }
-    int run = 0, a = -1, b = -1;
-    for (const ScheduledOp &op : schedule.ops) {
-        if (op.isGate() && op.inserted) {
-            if (run == 0) {
-                a = std::min(op.q0, op.q1);
-                b = std::max(op.q0, op.q1);
-            }
-            if (++run == 3) {
-                std::swap(st.zoneOf[a], st.zoneOf[b]);
-                run = 0;
-            }
-            continue;
-        }
-        if (op.kind == OpKind::Split) {
-            --st.zoneCount[st.zoneOf[op.q0]];
-            st.zoneOf[op.q0] = -1;
-        } else if (op.kind == OpKind::Merge) {
-            st.zoneOf[op.q0] = op.zoneTo;
-            ++st.zoneCount[op.zoneTo];
-        }
-    }
-    return st;
+    const LintMark end{schedule.ops.size(), circuit.size()};
+    return std::move(ScheduleLinter(device)
+                         .lintFrom(schedule, circuit, nullptr, {end})
+                         .states[0]);
 }
 
 ScheduledOp
@@ -120,55 +85,73 @@ corruptCoverage(Schedule &schedule)
 
 /**
  * sch.capacity — append legal relocations that pack ions into one zone
- * until a merge overflows its trap. Every planted op is individually
- * well-formed; only the final merge breaks an invariant.
+ * until a merge overflows its trap. Each donor splits off the back edge
+ * of its chain; every planted op is individually well-formed, and only
+ * the final merge breaks an invariant.
  */
 bool
 corruptCapacity(Schedule &schedule, const Circuit &circuit,
                 const TargetDevice &device)
 {
-    FinalState st = replayToEnd(schedule, circuit, device);
+    const ScheduleLintState st = finalState(schedule, circuit, device);
     for (int target = 0; target < device.numZones(); ++target) {
-        int need = device.zone(target).capacity + 1 -
-                   st.zoneCount[target];
-        if (need < 1)
-            continue;
-        std::vector<int> donors;
-        for (int q = 0; q < circuit.numQubits(); ++q) {
-            const int from = st.zoneOf[q];
-            if (from != target && device.hopDistance(from, target) >= 0)
-                donors.push_back(q);
+        const std::size_t need = device.zone(target).capacity + 1 -
+                                 st.chains[target].size();
+        std::vector<std::pair<int, int>> donors; // (qubit, zone)
+        for (int z = 0; z < device.numZones(); ++z) {
+            if (z == target || device.hopDistance(z, target) < 0)
+                continue;
+            for (auto it = st.chains[z].rbegin();
+                 it != st.chains[z].rend() && donors.size() < need; ++it)
+                donors.emplace_back(*it, z);
         }
-        if (static_cast<int>(donors.size()) < need)
+        if (donors.size() < need)
             continue;
-        for (int k = 0; k < need; ++k)
-            appendRelocation(schedule, donors[k], st.zoneOf[donors[k]],
-                             target);
+        for (const auto &[q, from] : donors)
+            appendRelocation(schedule, q, from, target);
         return true;
     }
     return false;
 }
 
 /**
- * sch.shuttle — interleave two shuttle windows. Each ion merges back
- * into its own zone (a zero-hop relocation), so nothing else changes:
- * the only violation is the second split inside an open window.
+ * sch.shuttle — interleave two shuttle windows of chain-edge ions.
+ * Each ion merges back into the edge it left (a zero-hop relocation),
+ * so nothing else changes: the only violation is the second split
+ * inside an open window.
  */
 bool
 corruptShuttle(Schedule &schedule, const Circuit &circuit,
                const TargetDevice &device)
 {
-    if (circuit.numQubits() < 2)
+    struct Edge
+    {
+        int qubit, zone;
+        bool front;
+    };
+    const ScheduleLintState st = finalState(schedule, circuit, device);
+    std::vector<Edge> edges;
+    for (int z = 0; z < device.numZones() && edges.size() < 2; ++z) {
+        const std::vector<int> &chain = st.chains[z];
+        if (!chain.empty())
+            edges.push_back({chain.front(), z, true});
+        if (chain.size() >= 2)
+            edges.push_back({chain.back(), z, false});
+    }
+    if (edges.size() < 2)
         return false;
-    const FinalState st = replayToEnd(schedule, circuit, device);
-    const int qa = 0, qb = 1;
-    const int za = st.zoneOf[qa], zb = st.zoneOf[qb];
-    schedule.push(makeOp(OpKind::Split, qa, za, -1));
-    schedule.push(makeOp(OpKind::Split, qb, zb, -1));
-    schedule.push(makeOp(OpKind::Move, qa, za, za));
-    schedule.push(makeOp(OpKind::Merge, qa, -1, za));
-    schedule.push(makeOp(OpKind::Move, qb, zb, zb));
-    schedule.push(makeOp(OpKind::Merge, qb, -1, zb));
+    const auto merge = [](const Edge &e) {
+        ScheduledOp op = makeOp(OpKind::Merge, e.qubit, -1, e.zone);
+        op.enterFront = e.front;
+        return op;
+    };
+    const Edge &a = edges[0], &b = edges[1];
+    schedule.push(makeOp(OpKind::Split, a.qubit, a.zone, -1));
+    schedule.push(makeOp(OpKind::Split, b.qubit, b.zone, -1));
+    schedule.push(makeOp(OpKind::Move, a.qubit, a.zone, a.zone));
+    schedule.push(merge(a));
+    schedule.push(makeOp(OpKind::Move, b.qubit, b.zone, b.zone));
+    schedule.push(merge(b));
     return true;
 }
 
@@ -199,8 +182,8 @@ corruptPlacement(Schedule &schedule, const TargetDevice &device)
 
 /**
  * sch.zone — rewrite one gate op's zone field to somewhere the qubits
- * are not. Residency itself stays legal, so only the field-mismatch
- * check (the validator's "zone field mismatch") fires.
+ * are not. Residency itself stays legal, so only the check that a
+ * gate claims the zone its qubits are resident in fires.
  */
 bool
 corruptZone(Schedule &schedule, const TargetDevice &device)
@@ -241,26 +224,14 @@ bool
 corruptSwapTriple(Schedule &schedule, const Circuit &circuit,
                   const TargetDevice &device)
 {
-    const FinalState st = replayToEnd(schedule, circuit, device);
+    const ScheduleLintState st = finalState(schedule, circuit, device);
     for (int z = 0; z < device.numZones(); ++z) {
-        if (!device.gateCapable(z) || st.zoneCount[z] < 2)
-            continue;
-        int qa = -1, qb = -1;
-        for (int q = 0; q < circuit.numQubits(); ++q) {
-            if (st.zoneOf[q] != z)
-                continue;
-            if (qa < 0)
-                qa = q;
-            else {
-                qb = q;
-                break;
-            }
-        }
-        if (qb < 0)
+        const std::vector<int> &chain = st.chains[z];
+        if (!device.gateCapable(z) || chain.size() < 2)
             continue;
         for (int k = 0; k < 2; ++k) {
-            ScheduledOp op = makeOp(OpKind::Gate2Q, qa, z, -1);
-            op.q1 = qb;
+            ScheduledOp op = makeOp(OpKind::Gate2Q, chain[0], z, -1);
+            op.q1 = chain[1];
             op.inserted = true;
             schedule.push(op);
         }

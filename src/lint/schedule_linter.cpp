@@ -273,19 +273,30 @@ lintShuttleDiscipline(const Schedule &schedule, std::size_t begin,
     }
 }
 
+/** Where q sits in its chain (the chain must hold it). */
+std::vector<int>::iterator
+findIon(std::vector<int> &chain, int q)
+{
+    const auto it = std::find(chain.begin(), chain.end(), q);
+    MUSSTI_ASSERT(it != chain.end(), "lint replay lost track of q" << q);
+    return it;
+}
+
 /**
- * Walk 2 — placement, capacity, and gate-zone legality, by replaying
- * zone membership (an occupancy set per zone, not the ordered chain:
- * chain-order legality is the validator's P1; the linter's placement
- * rule is "no qubit in two places / ops act where the ion is").
+ * Walk 2 — placement, chain order, capacity, and gate-zone legality, by
+ * replaying each zone's ordered chain: a split takes an edge ion, a
+ * merge joins the edge its op names, an ion swap exchanges adjacent
+ * ions, and a completed inserted-SWAP triple exchanges the two
+ * qubits' chain entries.
  *
  * Every violation applies a local recovery (trust the op over the
- * derived state) so one corruption does not cascade into findings of
- * unrelated rules downstream.
+ * derived state: a split or merge takes the ion from wherever it sits)
+ * so one corruption does not cascade into findings of unrelated rules
+ * downstream.
  *
  * Walks ops [begin, end): from the initial chains when `from` is null,
- * else from the membership `from` carries, whose initial chains the
- * schedule's must be. Exports membership at every mark, where no
+ * else from the chains `from` carries, whose initial chains the
+ * schedule's must be. Exports the chains at every mark, where no
  * inserted-SWAP triple may be half done.
  */
 void
@@ -298,7 +309,18 @@ lintPlacementReplay(const Schedule &schedule, std::size_t begin,
 {
     const int num_qubits = circuit.numQubits();
     std::vector<int> zone_of(num_qubits, -1);
-    std::vector<int> zone_count(device.numZones(), 0);
+    // Reserved past capacity once, so a clean replay never allocates.
+    std::vector<std::vector<int>> chains(device.numZones());
+    for (int z = 0; z < device.numZones(); ++z)
+        chains[z].reserve(device.zone(z).capacity + 1);
+    const auto take_out = [&](int q) {
+        std::vector<int> &chain = chains[zone_of[q]];
+        if (chain.back() == q)
+            chain.pop_back();
+        else
+            chain.erase(findIon(chain, q));
+        zone_of[q] = -1;
+    };
 
     if (from != nullptr) {
         if (from->initialChainsDigest !=
@@ -306,11 +328,13 @@ lintPlacementReplay(const Schedule &schedule, std::size_t begin,
             sink.add(lint_rules::kPlacement, "initial placement",
                      "the schedule's initial placement is not the one "
                      "its checkpoint was linted under");
-        // Recovery: trust the checkpoint's membership.
+        // Recovery: trust the checkpoint's chains.
         if (from->zoneOf.size() == zone_of.size() &&
-            from->zoneCount.size() == zone_count.size()) {
+            from->chains.size() == chains.size()) {
             zone_of = from->zoneOf;
-            zone_count = from->zoneCount;
+            for (std::size_t z = 0; z < chains.size(); ++z)
+                chains[z].assign(from->chains[z].begin(),
+                                 from->chains[z].end());
         } else {
             sink.add(lint_rules::kPlacement, "initial placement",
                      "checkpoint state is for a different qubit or zone "
@@ -342,11 +366,11 @@ lintPlacementReplay(const Schedule &schedule, std::size_t begin,
                 continue; // Keep the first residence.
             }
             zone_of[q] = zi;
-            ++zone_count[zi];
+            chains[z].push_back(q);
         }
-        if (zone_count[zi] > device.zone(zi).capacity) {
+        if (static_cast<int>(chains[z].size()) > device.zone(zi).capacity) {
             std::ostringstream out;
-            out << "initial chain holds " << zone_count[zi]
+            out << "initial chain holds " << chains[z].size()
                 << " ions but z" << zi << " has capacity "
                 << device.zone(zi).capacity;
             sink.add(lint_rules::kCapacity, "initial placement",
@@ -362,8 +386,8 @@ lintPlacementReplay(const Schedule &schedule, std::size_t begin,
         }
     }
 
-    // Inserted-SWAP run tracking (validator P5): after a clean triple
-    // the two logical qubits exchange physical positions.
+    // Inserted-SWAP run tracking: after a clean triple the two logical
+    // qubits exchange physical positions.
     int inserted_run = 0;
     int inserted_a = -1, inserted_b = -1;
 
@@ -374,7 +398,7 @@ lintPlacementReplay(const Schedule &schedule, std::size_t begin,
                 sink.add(lint_rules::kSwapTriple, markLocation(marks[mark]),
                          "checkpoint inside an inserted-SWAP triple");
             states[mark].zoneOf = zone_of;
-            states[mark].zoneCount = zone_count;
+            states[mark].chains = chains;
         }
         if (i == schedule.ops.size())
             break;
@@ -409,22 +433,30 @@ lintPlacementReplay(const Schedule &schedule, std::size_t begin,
 
         switch (op.kind) {
           case OpKind::Split: {
-            if (zone_of[op.q0] < 0) {
+            const int zone = zone_of[op.q0];
+            if (zone < 0) {
                 std::ostringstream out;
                 out << "split of q" << op.q0
                     << ", which is not resident anywhere";
                 sink.add(lint_rules::kPlacement, where(), msg(out));
                 break;
             }
-            if (zone_of[op.q0] != op.zoneFrom) {
+            if (zone != op.zoneFrom) {
                 std::ostringstream out;
-                out << "q" << op.q0 << " is resident in z"
-                    << zone_of[op.q0] << " but the split claims z"
-                    << op.zoneFrom;
+                out << "q" << op.q0 << " is resident in z" << zone
+                    << " but the split claims z" << op.zoneFrom;
                 sink.add(lint_rules::kPlacement, where(), msg(out));
             }
-            --zone_count[zone_of[op.q0]];
-            zone_of[op.q0] = -1;
+            std::vector<int> &chain = chains[zone];
+            if (chain.front() != op.q0 && chain.back() != op.q0) {
+                const auto at = findIon(chain, op.q0) - chain.begin();
+                std::ostringstream out;
+                out << "split of non-edge ion q" << op.q0 << " at position "
+                    << at << " of z" << zone << "'s " << chain.size()
+                    << "-ion chain";
+                sink.add(lint_rules::kPlacement, where(), msg(out));
+            }
+            take_out(op.q0);
             break;
           }
           case OpKind::Move:
@@ -437,30 +469,44 @@ lintPlacementReplay(const Schedule &schedule, std::size_t begin,
                     << zone_of[op.q0]
                     << " — a qubit cannot be in two places at once";
                 sink.add(lint_rules::kPlacement, where(), msg(out));
-                --zone_count[zone_of[op.q0]];
+                take_out(op.q0);
             }
-            if (zone_count[op.zoneTo] + 1 >
+            std::vector<int> &chain = chains[op.zoneTo];
+            if (static_cast<int>(chain.size()) + 1 >
                 device.zone(op.zoneTo).capacity) {
                 std::ostringstream out;
                 out << "merge overfills z" << op.zoneTo << ": "
-                    << zone_count[op.zoneTo] + 1
-                    << " ions against capacity "
+                    << chain.size() + 1 << " ions against capacity "
                     << device.zone(op.zoneTo).capacity;
                 sink.add(lint_rules::kCapacity, where(), msg(out));
             }
+            chain.insert(op.enterFront ? chain.begin() : chain.end(),
+                         op.q0);
             zone_of[op.q0] = op.zoneTo;
-            ++zone_count[op.zoneTo];
             break;
           }
           case OpKind::IonSwap: {
-            if (zone_of[op.q0] < 0 ||
-                zone_of[op.q0] != zone_of[op.q1]) {
+            const int zone = zone_of[op.q0];
+            if (zone < 0 || zone != zone_of[op.q1]) {
                 std::ostringstream out;
                 out << "ion swap of q" << op.q0 << " and q" << op.q1
                     << ", which are not co-resident";
                 sink.add(lint_rules::kPlacement, where(), msg(out));
+                break;
             }
-            break; // Membership is order-free; nothing changes.
+            std::vector<int> &chain = chains[zone];
+            const auto a = findIon(chain, op.q0);
+            const auto b = findIon(chain, op.q1);
+            if (a - b != 1 && b - a != 1) {
+                std::ostringstream out;
+                out << "ion swap of non-adjacent ions q" << op.q0
+                    << " and q" << op.q1 << " at positions "
+                    << a - chain.begin() << " and " << b - chain.begin()
+                    << " of z" << zone;
+                sink.add(lint_rules::kPlacement, where(), msg(out));
+            }
+            std::iter_swap(a, b);
+            break;
           }
           case OpKind::Gate1Q: {
             if (zone_of[op.q0] < 0) {
@@ -536,9 +582,16 @@ lintPlacementReplay(const Schedule &schedule, std::size_t begin,
           }
         }
 
-        // A completed triple exchanges the two logical qubits'
-        // physical positions (occupancy counts are unchanged).
+        // A completed triple exchanges the two logical qubits' physical
+        // positions: their zones and their chain entries.
         if (inserted_run == 3) {
+            const int za = zone_of[inserted_a], zb = zone_of[inserted_b];
+            int *at_a = za < 0 ? nullptr : &*findIon(chains[za], inserted_a);
+            int *at_b = zb < 0 ? nullptr : &*findIon(chains[zb], inserted_b);
+            if (at_a != nullptr)
+                *at_a = inserted_b;
+            if (at_b != nullptr)
+                *at_b = inserted_a;
             std::swap(zone_of[inserted_a], zone_of[inserted_b]);
             inserted_run = 0;
             inserted_a = inserted_b = -1;

@@ -3,12 +3,12 @@
  * Static schedule analyzer: proves MUSS-TI invariants over a compiled
  * op stream WITHOUT executing it, and names each violation by rule.
  *
- * The sim/ ScheduleValidator answers "is this schedule legal?" with the
- * first violated invariant; this linter answers "which named invariants
- * does it violate, everywhere?" — the shape a fuzzing oracle, a CI
- * gate, and a corruption corpus need. The two are cross-checked on the
- * same corpus (tests/test_lint.cpp): a schedule is validator-legal iff
- * it lints with zero errors.
+ * It is the one schedule oracle: the sim/ ScheduleValidator is a view
+ * of it that reports the first error, tagged with the invariant (P1-P5)
+ * that error breaks. tests/validator_reference.h keeps an independent
+ * replay of those invariants, and the corpus and fuzz tests check that
+ * the two agree: a schedule is legal by the replay iff it lints with
+ * zero errors.
  *
  * Rule catalog (full rationale in src/lint/README.md):
  *   sch.dep-order    every gate op runs after its DAG predecessors
@@ -18,15 +18,16 @@
  *   sch.shuttle      shuttle windows never overlap (strict split/move/
  *                    merge triples, one ion in flight, real paths)
  *   sch.placement    no qubit is in two places at once; ops act on ions
- *                    where they actually are
+ *                    where they actually are, in chain order (splits
+ *                    take an edge ion, ion swaps adjacent ions)
  *   sch.swap-triple  inserted SWAP gates come in clean 3-gate runs
  *
- * The linter reports every violation (unlike the validator's
- * first-error stop), capped per rule so a totally corrupt artifact
- * cannot produce unbounded output. Checks run as three independent
- * walks (shuttle discipline, placement replay, DAG order/coverage) so
- * one corruption class fires its own rule without cascading into the
- * others — the property the corruption-corpus tests pin.
+ * The linter reports every violation, capped per rule so a totally
+ * corrupt artifact cannot produce unbounded output. Checks run as
+ * three independent walks (shuttle discipline, placement replay, DAG
+ * order/coverage) so one corruption class fires its own rule without
+ * cascading into the others — the property the corruption-corpus
+ * tests pin.
  *
  * The walks are resumable: a lint can export their state at chosen
  * points of the op stream (ScheduleLintState) and a later lint can
@@ -84,8 +85,8 @@ struct ScheduleLintState
     /** Digest of the initial chains the walk started from. */
     std::uint64_t initialChainsDigest = 0;
 
-    std::vector<int> zoneOf;    ///< Per qubit: resident zone, -1 none.
-    std::vector<int> zoneCount; ///< Per zone: resident ions.
+    std::vector<int> zoneOf; ///< Per qubit: resident zone, -1 none.
+    std::vector<std::vector<int>> chains; ///< Per zone: its ordered chain.
 
     /** Per qubit: its last two-qubit gate below the watermark, -1 none. */
     std::vector<int> lastTwoQubit;
@@ -97,10 +98,14 @@ struct ScheduleLintState
     std::size_t
     approxBytes() const
     {
-        return sizeof(*this) +
-               (zoneOf.capacity() + zoneCount.capacity() +
-                lastTwoQubit.capacity()) * sizeof(int) +
-               pending.capacity() * sizeof(LintDepGate);
+        std::size_t bytes = sizeof(*this) +
+                            (zoneOf.capacity() + lastTwoQubit.capacity()) *
+                                sizeof(int) +
+                            chains.capacity() * sizeof(chains[0]) +
+                            pending.capacity() * sizeof(LintDepGate);
+        for (const std::vector<int> &chain : chains)
+            bytes += chain.capacity() * sizeof(int);
+        return bytes;
     }
 };
 
@@ -128,8 +133,7 @@ class ScheduleLinter
 
     /**
      * Lint a schedule against its LOWERED source circuit (the circuit
-     * the schedule implements — CompileResult::lowered, same contract
-     * as ScheduleValidator::validate).
+     * the schedule implements — CompileResult::lowered).
      */
     LintReport lint(const Schedule &schedule,
                     const Circuit &circuit) const;

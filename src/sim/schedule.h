@@ -1,7 +1,7 @@
 /**
  * @file
  * A compiled schedule: the op stream plus the initial placement snapshot
- * the evaluator and validator replay from.
+ * the evaluator and the schedule linter replay from.
  */
 #ifndef MUSSTI_SIM_SCHEDULE_H
 #define MUSSTI_SIM_SCHEDULE_H

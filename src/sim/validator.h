@@ -1,31 +1,30 @@
 /**
  * @file
- * Schedule validator: proves a compiled schedule is physically legal and
- * logically equivalent to its source circuit. This is the oracle the
- * test suite holds every compiler (MUSS-TI and baselines) against.
- *
- * Checked invariants:
- *  P1  Chain legality: Split removes a chain-edge ion; IonSwap exchanges
- *      adjacent ions; Merge inserts at an edge; Move follows a Split of
- *      the same ion.
- *  P2  Capacity: no zone ever exceeds its capacity.
- *  P3  Gate placement: Gate2Q has both qubits co-resident in one
- *      gate-capable zone; FiberGate couples two optical zones of
+ * Schedule validation: is a compiled schedule physically legal and
+ * logically equivalent to its source circuit? The answer comes from the
+ * schedule linter (lint/schedule_linter.h), the one schedule oracle;
+ * this is its first-error view, tagged with the invariant the error
+ * breaks:
+ *  P1  Chain legality (sch.shuttle, sch.placement): Split removes a
+ *      chain-edge ion; IonSwap exchanges adjacent ions; Merge inserts at
+ *      an edge; Move follows a Split of the same ion.
+ *  P2  Capacity (sch.capacity): no zone ever exceeds its capacity.
+ *  P3  Gate placement (sch.zone): Gate2Q has both qubits co-resident in
+ *      one gate-capable zone; FiberGate couples two optical zones of
  *      different modules with the qubits resident there; Gate1Q acts on
  *      a resident qubit.
- *  P4  Completeness and order: the non-inserted two-qubit gate ops cover
- *      the circuit's two-qubit gates exactly once each, in an order
- *      consistent with the dependency DAG.
- *  P5  SWAP-insertion soundness: inserted gates come in triples on a
- *      fixed qubit pair (a logical SWAP decomposition).
+ *  P4  Completeness and order (sch.dep-order, sch.coverage): the
+ *      non-inserted two-qubit gate ops cover the circuit's two-qubit
+ *      gates exactly once each, in an order consistent with the
+ *      dependency DAG.
+ *  P5  SWAP-insertion soundness (sch.swap-triple): inserted gates come
+ *      in triples on a fixed qubit pair (a logical SWAP decomposition).
  */
 #ifndef MUSSTI_SIM_VALIDATOR_H
 #define MUSSTI_SIM_VALIDATOR_H
 
 #include <string>
-#include <vector>
 
-#include "arch/zone.h"
 #include "circuit/circuit.h"
 #include "sim/schedule.h"
 
@@ -42,23 +41,20 @@ struct ValidationReport
     explicit operator bool() const { return valid; }
 };
 
-/** Stateless validator bound to a device's zone descriptors. */
+/** Stateless validator bound to a device (which must outlive it). */
 class ScheduleValidator
 {
   public:
-    explicit ScheduleValidator(const std::vector<ZoneInfo> &zones)
-        : zones_(zones)
+    explicit ScheduleValidator(const TargetDevice &device)
+        : device_(device)
     {}
 
-    /** Bind to any TargetDevice's zones (device must outlive this). */
-    explicit ScheduleValidator(const TargetDevice &device);
-
-    /** Run all invariants; stops at the first violation. */
+    /** Lint the schedule; report its first error, if any. */
     ValidationReport validate(const Schedule &schedule,
                               const Circuit &circuit) const;
 
   private:
-    const std::vector<ZoneInfo> &zones_;
+    const TargetDevice &device_;
 };
 
 } // namespace mussti

@@ -35,7 +35,7 @@ smallGrid()
 void
 expectValid(const GridDevice &device, const CompileResult &result)
 {
-    const auto report = ScheduleValidator(device.zoneInfos())
+    const auto report = ScheduleValidator(device)
                             .validate(result.schedule, result.lowered);
     EXPECT_TRUE(report) << report.firstError;
 }

@@ -41,7 +41,7 @@ TEST_P(DeviceSweepTest, CompilesAndValidates)
         const Circuit qc = makeBenchmark(family, 48);
         const auto result = MusstiCompiler(config).compile(qc);
         const EmlDevice device(config.device, qc.numQubits());
-        const auto report = ScheduleValidator(device.zoneInfos())
+        const auto report = ScheduleValidator(device)
                                 .validate(result.schedule, result.lowered);
         ASSERT_TRUE(report)
             << family << " cap=" << p.capacity << " zones="

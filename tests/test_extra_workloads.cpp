@@ -118,7 +118,7 @@ TEST_P(ExtraWorkloadCompileTest, CompilesValidly)
     MusstiConfig config;
     const auto result = MusstiCompiler(config).compile(qc);
     const EmlDevice device(config.device, qc.numQubits());
-    const auto report = ScheduleValidator(device.zoneInfos())
+    const auto report = ScheduleValidator(device)
                             .validate(result.schedule, result.lowered);
     ASSERT_TRUE(report) << GetParam() << ": " << report.firstError;
 }
@@ -134,7 +134,7 @@ TEST(SurfaceCode, CompilesOnMultiModuleDevice)
     const auto result = MusstiCompiler(config).compile(qc);
     const EmlDevice device(config.device, qc.numQubits());
     EXPECT_GE(device.numModules(), 3);
-    const auto report = ScheduleValidator(device.zoneInfos())
+    const auto report = ScheduleValidator(device)
                             .validate(result.schedule, result.lowered);
     ASSERT_TRUE(report) << report.firstError;
 }

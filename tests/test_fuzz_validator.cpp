@@ -2,15 +2,17 @@
  * @file
  * Mutation testing of the schedule validator: take a known-valid
  * compiled schedule and apply systematic corruptions; the validator
- * must reject every mutant. This is the adversarial counterpart of the
- * positive tests — it proves the test oracle itself has teeth, so the
- * green compiler suites mean something.
+ * (the linter's first-error view) and the reference replay
+ * (validator_reference.h) must each reject every mutant. This is the
+ * adversarial counterpart of the positive tests — it proves both
+ * oracles have teeth, so the green compiler suites mean something.
  */
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "core/compiler.h"
 #include "sim/validator.h"
+#include "validator_reference.h"
 #include "workloads/workloads.h"
 
 namespace mussti {
@@ -43,14 +45,24 @@ bool
 isValid(const Compiled &c, const Schedule &mutant)
 {
     return static_cast<bool>(
-        ScheduleValidator(c.device.zoneInfos()).validate(mutant,
-                                                         c.lowered));
+        ScheduleValidator(c.device).validate(mutant, c.lowered));
+}
+
+/** Both oracles reject `mutant`. */
+void
+expectRejected(const Compiled &c, const Schedule &mutant,
+               const std::string &what)
+{
+    EXPECT_FALSE(isValid(c, mutant)) << "validator accepted " << what;
+    EXPECT_FALSE(referenceValidate(mutant, c.lowered, c.device).valid)
+        << "reference replay accepted " << what;
 }
 
 TEST(FuzzValidator, BaselineIsValid)
 {
     const Compiled c = makeCompiled();
     EXPECT_TRUE(isValid(c, c.schedule));
+    EXPECT_TRUE(referenceValidate(c.schedule, c.lowered, c.device).valid);
 }
 
 TEST(FuzzValidator, DroppingAnyGateOpIsRejected)
@@ -66,7 +78,8 @@ TEST(FuzzValidator, DroppingAnyGateOpIsRejected)
             continue;
         Schedule mutant = c.schedule;
         mutant.ops.erase(i);
-        EXPECT_FALSE(isValid(c, mutant)) << "dropped gate op " << i;
+        expectRejected(c, mutant,
+                       "dropped gate op " + std::to_string(i));
         ++tried;
     }
     EXPECT_GE(tried, 10);
@@ -82,7 +95,8 @@ TEST(FuzzValidator, DroppingAnyMergeIsRejected)
             continue;
         Schedule mutant = c.schedule;
         mutant.ops.erase(i);
-        EXPECT_FALSE(isValid(c, mutant)) << "dropped merge " << i;
+        expectRejected(c, mutant,
+                       "dropped merge " + std::to_string(i));
         ++tried;
     }
     EXPECT_GE(tried, 5);
@@ -108,7 +122,8 @@ TEST(FuzzValidator, SwappingAdjacentDependentGatesIsRejected)
         Schedule mutant = c.schedule;
         mutant.ops.set(i, b);
         mutant.ops.set(i + 1, a);
-        EXPECT_FALSE(isValid(c, mutant)) << "swapped gates at " << i;
+        expectRejected(c, mutant,
+                       "swapped gates at " + std::to_string(i));
         ++tried;
     }
     EXPECT_GE(tried, 3);
@@ -128,7 +143,8 @@ TEST(FuzzValidator, RetargetingMovesIsRejected)
         ScheduledOp move = mutant.ops[i];
         move.zoneTo = (move.zoneTo + 1) % c.device.numZones();
         mutant.ops.set(i, move);
-        EXPECT_FALSE(isValid(c, mutant)) << "retargeted move " << i;
+        expectRejected(c, mutant,
+                       "retargeted move " + std::to_string(i));
         ++tried;
     }
     EXPECT_GE(tried, 5);
@@ -150,7 +166,8 @@ TEST(FuzzValidator, CorruptingGateOperandsIsRejected)
         if (op.q1 == op.q0)
             continue;
         mutant.ops.set(i, op);
-        EXPECT_FALSE(isValid(c, mutant)) << "corrupted operands " << i;
+        expectRejected(c, mutant,
+                       "corrupted operands " + std::to_string(i));
         ++tried;
     }
     EXPECT_GE(tried, 10);
@@ -167,7 +184,8 @@ TEST(FuzzValidator, DuplicatingGatesIsRejected)
             continue;
         Schedule mutant = c.schedule;
         mutant.ops.insert(i, c.schedule.ops[i]);
-        EXPECT_FALSE(isValid(c, mutant)) << "duplicated gate " << i;
+        expectRejected(c, mutant,
+                       "duplicated gate " + std::to_string(i));
         ++tried;
     }
     EXPECT_GE(tried, 5);
@@ -182,7 +200,7 @@ TEST(FuzzValidator, CorruptingInitialChainsIsRejected)
         mutant.initialChains[0].push_back(
             mutant.initialChains[0].empty()
                 ? 0 : mutant.initialChains[0].front());
-        EXPECT_FALSE(isValid(c, mutant));
+        expectRejected(c, mutant, "duplicated placement");
     }
     // Drop a qubit entirely.
     {
@@ -193,7 +211,7 @@ TEST(FuzzValidator, CorruptingInitialChainsIsRejected)
                 break;
             }
         }
-        EXPECT_FALSE(isValid(c, mutant));
+        expectRejected(c, mutant, "dropped placement");
     }
 }
 
@@ -209,7 +227,7 @@ TEST(FuzzValidator, MarkingRealGateAsInsertedIsRejected)
             break;
         }
     }
-    EXPECT_FALSE(isValid(c, mutant));
+    expectRejected(c, mutant, "lone inserted gate");
 }
 
 TEST(FuzzValidator, CrossModuleBaselineAlsoFuzzes)
@@ -228,7 +246,7 @@ TEST(FuzzValidator, CrossModuleBaselineAlsoFuzzes)
             break;
         }
     }
-    EXPECT_FALSE(isValid(c, mutant));
+    expectRejected(c, mutant, "dropped fiber gate");
 
     // Dropping one gate of an inserted triple breaks P5.
     Schedule mutant2 = c.schedule;
@@ -238,7 +256,7 @@ TEST(FuzzValidator, CrossModuleBaselineAlsoFuzzes)
             break;
         }
     }
-    EXPECT_FALSE(isValid(c, mutant2));
+    expectRejected(c, mutant2, "broken inserted triple");
 }
 
 } // namespace

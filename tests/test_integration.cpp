@@ -169,7 +169,7 @@ TEST(Integration, LargeSuiteEndToEndValid)
         const Circuit qc = makeBenchmark(spec.family, spec.numQubits);
         const auto result = mussti(qc, config);
         const EmlDevice device(config.device, qc.numQubits());
-        const auto report = ScheduleValidator(device.zoneInfos())
+        const auto report = ScheduleValidator(device)
                                 .validate(result.schedule, result.lowered);
         ASSERT_TRUE(report) << spec.label() << ": " << report.firstError;
     }
@@ -185,7 +185,7 @@ TEST(Integration, TrapCapacitySweepStaysValid)
         config.device.trapCapacity = capacity;
         const auto result = mussti(qc, config);
         const EmlDevice device(config.device, qc.numQubits());
-        const auto report = ScheduleValidator(device.zoneInfos())
+        const auto report = ScheduleValidator(device)
                                 .validate(result.schedule, result.lowered);
         ASSERT_TRUE(report) << "capacity " << capacity << ": "
                             << report.firstError;

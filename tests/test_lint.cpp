@@ -4,11 +4,12 @@
  *
  *  1. Corruption corpus: every generator in src/lint/corrupt.h plants
  *     its violation into a valid schedule and the linter fires EXACTLY
- *     that rule id — no cascade into other rules. The validator agrees
- *     every mutant is illegal (linter and validator never disagree
- *     about validity, only about diagnostic detail).
+ *     that rule id — no cascade into other rules. The reference replay
+ *     (validator_reference.h) agrees every mutant is illegal (the two
+ *     never disagree about validity, only about diagnostic detail).
  *     Linted from a checkpoint state exported before the corrupted op,
- *     every mutant fires the same rule.
+ *     every mutant fires the same rule. Chain-order mutants (an
+ *     interior-ion split, a non-adjacent ion swap) fire sch.placement.
  *  2. Golden cleanliness: the exact artifacts test_backend_golden.cpp
  *     pins — all four backends — lint with zero findings.
  *  3. Report mechanics: per-rule truncation, renderers, fired-rule set.
@@ -26,7 +27,7 @@
 #include "lint/corrupt.h"
 #include "lint/schedule_linter.h"
 #include "lint/spec_linter.h"
-#include "sim/validator.h"
+#include "validator_reference.h"
 #include "workloads/workloads.h"
 
 namespace mussti {
@@ -117,9 +118,8 @@ runCorpus(const Artifact &base, const char *label)
     ASSERT_TRUE(
         lintSchedule(base.schedule, base.lowered, *base.device).clean())
         << label;
-    ASSERT_TRUE(ScheduleValidator(*base.device)
-                    .validate(base.schedule, base.lowered)
-                    .valid)
+    ASSERT_TRUE(
+        referenceValidate(base.schedule, base.lowered, *base.device).valid)
         << label;
 
     for (const std::string &rule : corruptibleRules()) {
@@ -142,13 +142,13 @@ runCorpus(const Artifact &base, const char *label)
             << label << " corruption " << rule << " linted from op "
             << mark.ops;
 
-        // Cross-oracle agreement: the replay validator also rejects
+        // Cross-oracle agreement: the reference replay also rejects
         // every mutant (it reports its own first error, which need not
         // be phrased the same way).
-        EXPECT_FALSE(ScheduleValidator(*base.device)
-                         .validate(mutant, base.lowered)
-                         .valid)
-            << label << " validator accepted the " << rule << " mutant";
+        EXPECT_FALSE(
+            referenceValidate(mutant, base.lowered, *base.device).valid)
+            << label << " reference replay accepted the " << rule
+            << " mutant";
     }
 }
 
@@ -170,6 +170,10 @@ TEST(LintCorpus, CorruptionsAcrossTheCheckpointFireTheirRule)
     // re-executing a gate retired before it, never executing one
     // pending at it, and reordering two dependent gates after it each
     // fire their rule from the checkpoint, as over the whole schedule.
+    // So do two chain-order violations at it, which leave zone
+    // membership legal: a complete split -> move -> merge of an
+    // interior ion, and an ion swap of two ions with one between them.
+    // The reference replay rejects every mutant.
     const Artifact a = compileMussti("qft", 48);
     LintMark mark = checkpointBefore(a.schedule, a.schedule.ops.size() / 2);
     // A watermark above the tight one, as the scheduler's covers its
@@ -215,18 +219,43 @@ TEST(LintCorpus, CorruptionsAcrossTheCheckpointFireTheirRule)
     reordered.ops.set(i, reordered.ops[i + 1]);
     reordered.ops.set(i + 1, first);
 
+    const auto deep = std::find_if(
+        state.chains.begin(), state.chains.end(),
+        [](const std::vector<int> &chain) { return chain.size() >= 3; });
+    ASSERT_NE(deep, state.chains.end());
+    ScheduledOp op;
+    op.durationUs = 1.0;
+    op.zoneFrom = op.zoneTo = static_cast<int>(deep - state.chains.begin());
+
+    Schedule interior_split = a.schedule;
+    op.q0 = (*deep)[1];
+    const OpKind relocation[] = {OpKind::Split, OpKind::Move, OpKind::Merge};
+    for (std::size_t k = 0; k < 3; ++k) {
+        op.kind = relocation[k];
+        interior_split.ops.insert(mark.ops + k, op);
+    }
+
+    Schedule far_swap = a.schedule;
+    op.kind = OpKind::IonSwap;
+    op.q0 = (*deep)[0];
+    op.q1 = (*deep)[2];
+    far_swap.ops.insert(mark.ops, op);
+
     const struct
     {
         const Schedule *mutant;
         const char *rule;
     } cases[] = {{&retired, lint_rules::kCoverage},
                  {&pending, lint_rules::kCoverage},
-                 {&reordered, lint_rules::kDepOrder}};
+                 {&reordered, lint_rules::kDepOrder},
+                 {&interior_split, lint_rules::kPlacement},
+                 {&far_swap, lint_rules::kPlacement}};
     for (const auto &c : cases) {
         const std::vector<std::string> want{c.rule};
         EXPECT_EQ(lintSchedule(*c.mutant, a.lowered, *a.device).firedRules(),
                   want);
         EXPECT_EQ(lintFromCheckpoint(a, *c.mutant, mark).firedRules(), want);
+        EXPECT_FALSE(referenceValidate(*c.mutant, a.lowered, *a.device).valid);
     }
 }
 

@@ -4,10 +4,11 @@
  *
  * Random circuits are compiled through every backend against two device
  * shapes each, and every resulting schedule must lint clean AND satisfy
- * the replay validator. This is the cheap always-on slice of the fuzz
- * strategy (ISSUE 7): the corpus test proves the linter catches planted
- * violations; this test proves the compilers never produce one on
- * inputs nobody hand-picked. Seeds are fixed so failures reproduce.
+ * the reference replay (validator_reference.h). This is the cheap
+ * always-on slice of the fuzz strategy: the corpus test proves the
+ * linter catches planted violations; this test proves the compilers
+ * never produce one on inputs nobody hand-picked. Seeds are fixed so
+ * failures reproduce.
  */
 #include <gtest/gtest.h>
 
@@ -19,7 +20,7 @@
 #include "common/hash.h"
 #include "core/compile_service.h"
 #include "lint/schedule_linter.h"
-#include "sim/validator.h"
+#include "validator_reference.h"
 #include "workloads/workloads.h"
 
 namespace mussti {
@@ -67,7 +68,7 @@ scheduleFingerprint(const CompileResult &r)
     return h.digest();
 }
 
-/** Lint + validate one compiled artifact; label appears on failure. */
+/** Lint + replay one compiled artifact; label appears on failure. */
 void
 expectCleanCompile(const ICompilerBackend &backend,
                    const TargetDevice &device, const Circuit &circuit,
@@ -78,8 +79,8 @@ expectCleanCompile(const ICompilerBackend &backend,
         lintSchedule(result.schedule, result.lowered, device);
     EXPECT_TRUE(report.clean())
         << label << "\n" << report.renderText();
-    const ValidationReport replay = ScheduleValidator(device).validate(
-        result.schedule, result.lowered);
+    const ValidationReport replay =
+        referenceValidate(result.schedule, result.lowered, device);
     EXPECT_TRUE(replay.valid) << label << ": " << replay.firstError;
 }
 

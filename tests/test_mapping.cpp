@@ -63,7 +63,7 @@ TEST(SabreMapping, CompilesValidSchedules)
     const Circuit qc = makeSqrt(64);
     const auto result = MusstiCompiler(config).compile(qc);
     const EmlDevice device(config.device, 64);
-    const auto report = ScheduleValidator(device.zoneInfos())
+    const auto report = ScheduleValidator(device)
                             .validate(result.schedule, result.lowered);
     EXPECT_TRUE(report) << report.firstError;
 }

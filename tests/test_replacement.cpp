@@ -43,7 +43,7 @@ TEST_P(ReplacementValidityTest, SchedulesValidateAcrossWorkloads)
         config.replacement = GetParam();
         const auto result = MusstiCompiler(config).compile(qc);
         const EmlDevice device(config.device, qc.numQubits());
-        const auto report = ScheduleValidator(device.zoneInfos())
+        const auto report = ScheduleValidator(device)
                                 .validate(result.schedule, result.lowered);
         ASSERT_TRUE(report) << family << " under "
                             << replacementPolicyName(GetParam()) << ": "

@@ -272,8 +272,12 @@ TEST(DiskCache, VersionMismatchIsAMiss)
     bytes[8] = static_cast<char>(DiskResultCache::kFormatVersion + 1);
     writeFile(path, bytes);
 
+    // A stale format is a plain miss: not corrupt, not quarantined.
     EXPECT_FALSE(cache.lookup(key).has_value());
-    EXPECT_EQ(cache.stats().corrupt, 1u);
+    EXPECT_EQ(cache.stats().corrupt, 0u);
+    EXPECT_EQ(cache.stats().misses, 1u);
+    EXPECT_FALSE(fs::exists(path));
+    EXPECT_FALSE(fs::exists(dir.path() / "quarantine"));
 }
 
 TEST(DiskCache, FormatThreeEntryIsACleanMiss)

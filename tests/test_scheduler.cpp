@@ -42,7 +42,7 @@ expectValid(const Circuit &circuit, const CompileResult &result)
 {
     MusstiConfig config;
     const EmlDevice device(config.device, circuit.numQubits());
-    const auto report = ScheduleValidator(device.zoneInfos())
+    const auto report = ScheduleValidator(device)
                             .validate(result.schedule, result.lowered);
     EXPECT_TRUE(report) << report.firstError;
 }
@@ -495,7 +495,7 @@ TEST_P(SchedulerPropertyTest, ScheduleValidates)
     const auto result = compileWith(qc, mapping);
     MusstiConfig config;
     const EmlDevice device(config.device, qc.numQubits());
-    const auto report = ScheduleValidator(device.zoneInfos())
+    const auto report = ScheduleValidator(device)
                             .validate(result.schedule, result.lowered);
     ASSERT_TRUE(report) << family << "_n" << n << ": "
                         << report.firstError;
@@ -525,7 +525,7 @@ TEST_P(SchedulerScaleTest, MultiModuleValidates)
     const auto result = compileWith(qc, MappingKind::Sabre);
     MusstiConfig config;
     const EmlDevice device(config.device, qc.numQubits());
-    const auto report = ScheduleValidator(device.zoneInfos())
+    const auto report = ScheduleValidator(device)
                             .validate(result.schedule, result.lowered);
     ASSERT_TRUE(report) << report.firstError;
     EXPECT_GT(device.numModules(), 1);

@@ -92,7 +92,7 @@ TEST(SwapInsertion, FiresOnFig5Pattern)
     EXPECT_GE(result.swapInsertions, 1);
 
     const EmlDevice device(config.device, qc.numQubits());
-    const auto report = ScheduleValidator(device.zoneInfos())
+    const auto report = ScheduleValidator(device)
                             .validate(result.schedule, result.lowered);
     EXPECT_TRUE(report) << report.firstError;
 }
@@ -169,7 +169,7 @@ TEST(SwapInsertion, LookAheadSweepStaysValid)
         const Circuit qc = makeSqrt(47); // multi-module communication
         const auto result = MusstiCompiler(config).compile(qc);
         const EmlDevice device(config.device, qc.numQubits());
-        const auto report = ScheduleValidator(device.zoneInfos())
+        const auto report = ScheduleValidator(device)
                                 .validate(result.schedule, result.lowered);
         EXPECT_TRUE(report) << "k=" << k << ": " << report.firstError;
     }

@@ -56,7 +56,7 @@ TEST_F(ValidatorTest, AcceptsEmptyScheduleOfEmptyCircuit)
     Placement p = basePlacement();
     Schedule schedule;
     schedule.initialChains = Schedule::snapshotChains(p);
-    const ScheduleValidator validator(device_.zoneInfos());
+    const ScheduleValidator validator(device_);
     EXPECT_TRUE(validator.validate(schedule, circuit_));
 }
 
@@ -70,7 +70,7 @@ TEST_F(ValidatorTest, AcceptsColocatedGate)
     ScheduledOp op = gate2q(1, 5, device_.zonesOfModule(0)[1]);
     op.circuitGate = 0;
     schedule.push(op);
-    EXPECT_TRUE(ScheduleValidator(device_.zoneInfos())
+    EXPECT_TRUE(ScheduleValidator(device_)
                     .validate(schedule, circuit_));
 }
 
@@ -83,7 +83,7 @@ TEST_F(ValidatorTest, RejectsSplitGate)
     ScheduledOp op = gate2q(0, 1, device_.zonesOfModule(0)[0]);
     op.circuitGate = 0;
     schedule.push(op);
-    const auto report = ScheduleValidator(device_.zoneInfos())
+    const auto report = ScheduleValidator(device_)
                             .validate(schedule, circuit_);
     EXPECT_FALSE(report);
     EXPECT_NE(report.firstError.find("P3"), std::string::npos);
@@ -98,7 +98,7 @@ TEST_F(ValidatorTest, RejectsGateInStorage)
     ScheduledOp op = gate2q(0, 4, device_.zonesOfModule(0)[0]);
     op.circuitGate = 0;
     schedule.push(op);
-    const auto report = ScheduleValidator(device_.zoneInfos())
+    const auto report = ScheduleValidator(device_)
                             .validate(schedule, circuit_);
     EXPECT_FALSE(report);
     EXPECT_NE(report.firstError.find("storage"), std::string::npos);
@@ -110,7 +110,7 @@ TEST_F(ValidatorTest, RejectsMissingCoverage)
     Placement p = basePlacement();
     Schedule schedule;
     schedule.initialChains = Schedule::snapshotChains(p);
-    const auto report = ScheduleValidator(device_.zoneInfos())
+    const auto report = ScheduleValidator(device_)
                             .validate(schedule, circuit_);
     EXPECT_FALSE(report);
     EXPECT_NE(report.firstError.find("P4"), std::string::npos);
@@ -130,7 +130,7 @@ TEST_F(ValidatorTest, RejectsOutOfOrderExecution)
     ScheduledOp first = gate2q(1, 5, device_.zonesOfModule(0)[1]);
     first.circuitGate = 0;
     schedule.push(first);
-    const auto report = ScheduleValidator(device_.zoneInfos())
+    const auto report = ScheduleValidator(device_)
                             .validate(schedule, circuit_);
     EXPECT_FALSE(report);
     EXPECT_NE(report.firstError.find("P4"), std::string::npos);
@@ -147,29 +147,63 @@ TEST_F(ValidatorTest, AcceptsEmittedShuttles)
     ScheduledOp op = gate2q(0, 1, device_.zonesOfModule(0)[1]);
     op.circuitGate = 0;
     schedule.push(op);
-    EXPECT_TRUE(ScheduleValidator(device_.zoneInfos())
+    EXPECT_TRUE(ScheduleValidator(device_)
                     .validate(schedule, circuit_));
 }
 
 TEST_F(ValidatorTest, RejectsHandForgedNonEdgeSplit)
 {
-    circuit_.cx(0, 1);
+    // Zone 0 holds 0,4,8,...: relocate the interior qubit 4 (index 1)
+    // to the operation zone with a complete split -> move -> merge, so
+    // only chain order can reject it.
     Placement p = basePlacement();
-    // Zone 0 holds 0,4,8,...: put three ions so index 1 is interior.
     Schedule schedule;
     schedule.initialChains = Schedule::snapshotChains(p);
     const int zone0 = device_.zonesOfModule(0)[0];
-    // Forge a split of an interior ion (qubit 4 at index 1 of zone 0).
+    const int zone1 = device_.zonesOfModule(0)[1];
     ScheduledOp split;
     split.kind = OpKind::Split;
     split.q0 = 4;
     split.zoneFrom = split.zoneTo = zone0;
     split.durationUs = 80.0;
     schedule.push(split);
-    const auto report = ScheduleValidator(device_.zoneInfos())
+    ScheduledOp move = split;
+    move.kind = OpKind::Move;
+    move.zoneTo = zone1;
+    schedule.push(move);
+    ScheduledOp merge = split;
+    merge.kind = OpKind::Merge;
+    merge.zoneFrom = merge.zoneTo = zone1;
+    schedule.push(merge);
+    const auto report = ScheduleValidator(device_)
                             .validate(schedule, circuit_);
     EXPECT_FALSE(report);
     EXPECT_NE(report.firstError.find("P1"), std::string::npos);
+    EXPECT_NE(report.firstError.find("non-edge"), std::string::npos);
+}
+
+TEST_F(ValidatorTest, RejectsNonAdjacentIonSwap)
+{
+    // Zone 0's chain starts 0,4,8: qubits 0 and 8 are two apart.
+    Placement p = basePlacement();
+    Schedule schedule;
+    schedule.initialChains = Schedule::snapshotChains(p);
+    ScheduledOp swap;
+    swap.kind = OpKind::IonSwap;
+    swap.q0 = 0;
+    swap.q1 = 8;
+    swap.zoneFrom = swap.zoneTo = device_.zonesOfModule(0)[0];
+    schedule.push(swap);
+    const auto report = ScheduleValidator(device_)
+                            .validate(schedule, circuit_);
+    EXPECT_FALSE(report);
+    EXPECT_NE(report.firstError.find("P1"), std::string::npos);
+    EXPECT_NE(report.firstError.find("non-adjacent"), std::string::npos);
+
+    // Swapping neighbours 0 and 4 is legal.
+    swap.q1 = 4;
+    schedule.ops.set(0, swap);
+    EXPECT_TRUE(ScheduleValidator(device_).validate(schedule, circuit_));
 }
 
 TEST_F(ValidatorTest, RejectsMergeBeyondCapacity)
@@ -207,7 +241,7 @@ TEST_F(ValidatorTest, RejectsMergeBeyondCapacity)
     merge.zoneFrom = merge.zoneTo = zones[1];
     schedule.push(merge);
     const auto report =
-        ScheduleValidator(dev.zoneInfos()).validate(schedule, qc);
+        ScheduleValidator(dev).validate(schedule, qc);
     EXPECT_FALSE(report);
     EXPECT_NE(report.firstError.find("P2"), std::string::npos);
 }
@@ -222,7 +256,7 @@ TEST_F(ValidatorTest, RejectsDanglingInFlightIon)
     split.q0 = 0;
     split.zoneFrom = split.zoneTo = device_.zonesOfModule(0)[0];
     schedule.push(split);
-    const auto report = ScheduleValidator(device_.zoneInfos())
+    const auto report = ScheduleValidator(device_)
                             .validate(schedule, circuit_);
     EXPECT_FALSE(report);
     EXPECT_NE(report.firstError.find("in flight"), std::string::npos);
@@ -242,7 +276,7 @@ TEST_F(ValidatorTest, FiberGateRequiresOpticalZones)
     fiber.zoneTo = device_.zonesOfModule(1)[0];
     fiber.circuitGate = 0;
     schedule.push(fiber);
-    const auto report = ScheduleValidator(device_.zoneInfos())
+    const auto report = ScheduleValidator(device_)
                             .validate(schedule, circuit_);
     EXPECT_FALSE(report);
     EXPECT_NE(report.firstError.find("optical"), std::string::npos);
@@ -265,7 +299,7 @@ TEST_F(ValidatorTest, AcceptsValidFiberGate)
     fiber.durationUs = 200.0;
     fiber.circuitGate = 0;
     schedule.push(fiber);
-    EXPECT_TRUE(ScheduleValidator(device_.zoneInfos())
+    EXPECT_TRUE(ScheduleValidator(device_)
                     .validate(schedule, circuit_));
 }
 
@@ -306,7 +340,7 @@ TEST_F(ValidatorTest, InsertedSwapTripleExchangesPlacement)
     local.circuitGate = 1;
     schedule.push(local);
 
-    EXPECT_TRUE(ScheduleValidator(device_.zoneInfos())
+    EXPECT_TRUE(ScheduleValidator(device_)
                     .validate(schedule, circuit_));
 }
 
@@ -330,7 +364,7 @@ TEST_F(ValidatorTest, RejectsIncompleteSwapTriple)
     swap_gate.circuitGate = -1;
     swap_gate.inserted = true;
     schedule.push(swap_gate); // only one of three
-    const auto report = ScheduleValidator(device_.zoneInfos())
+    const auto report = ScheduleValidator(device_)
                             .validate(schedule, circuit_);
     EXPECT_FALSE(report);
 }
